@@ -51,14 +51,12 @@ from .policies import (
 from .profiler import (
     HeadProfile,
     ProfilerConfig,
-    RecoveryReport,
     RowAveraging,
     SelectionCriterion,
     profile_model,
     recovery_ratio,
     select_policy,
     select_policy_by_similarity,
-    tv_distance_row,
 )
 from .tokens import TokenAnnotation, TokenClass, VocabMetadata, classify_tokens
 from .trace import (

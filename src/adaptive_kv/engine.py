@@ -7,6 +7,14 @@ retained positions plus that row, folds the attention row into the
 frequency bookkeeping, re-applies the head's frozen policy to the grown
 cache, and finally samples the next token. Evicted rows are dropped for
 good; re-application only ever selects among live positions.
+
+Each head keeps preallocated float64 K/V row buffers and an int position
+buffer; rows ``[:n]`` are the live entries in ascending position order.
+A step writes the new row at ``n``, attends over ``[:n+1]``, and compacts
+those rows in place by the policy's keep-mask, moving only rows after
+the first evicted one. A full buffer grows by a fixed ``_GROW_ROWS``
+chunk, never by doubling. Per-position token classes, frequent heads'
+cumulative scores and the diagnostics key history grow the same way.
 """
 
 from __future__ import annotations
@@ -21,19 +29,18 @@ from .policies import (
     CompressionPolicy,
     PolicyAtom,
     PolicyContext,
-    RetainedSet,
     apply_policy,
     retained_indices,
-    update_cumulative_scores,
+    retained_mask,
+    # Decode folds scores in place; the name stays bound here because
+    # perfbench/tracer.py patches it by attribute.
+    update_cumulative_scores,  # noqa: F401
 )
-from .profiler import (
-    HeadDecision,
-    HeadProfile,
-    ProfilerConfig,
-    evaluate_policy,
-    profile_model,
-)
-from .tokens import TokenAnnotation, classify_tokens
+from .profiler import HeadProfile, ProfilerConfig, evaluate_policy, profile_model
+from .tokens import CLASS_CODE, TokenAnnotation, class_codes, classify_tokens
+
+# Rows added to a full cache buffer at a time.
+_GROW_ROWS = 64
 
 
 class EngineError(ValueError):
@@ -97,24 +104,41 @@ def _attend_row(q, K, V, d_k: int) -> tuple[np.ndarray, np.ndarray]:
     return weights, weights @ V
 
 
+def _room(buf: np.ndarray, used: int) -> np.ndarray:
+    """``buf``, or its first ``used`` rows in a longer buffer if it is full."""
+    if used < buf.shape[0]:
+        return buf
+    grown = np.empty((used + _GROW_ROWS, *buf.shape[1:]), dtype=buf.dtype)
+    grown[:used] = buf[:used]
+    return grown
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    out = arr.copy()
+    out.setflags(write=False)
+    return out
+
+
 @dataclass
 class HeadCacheState:
+    """One head's cache: rows ``[:n]`` of ``K``, ``V`` and ``pos`` are live.
+
+    ``scores`` is indexed by position; only frequent policies have it.
+    """
+
     policy: CompressionPolicy
-    positions: list[int]
     K: np.ndarray
     V: np.ndarray
-    # Full-length cumulative attention scores; materialized only for
-    # policies that contain the frequency atom.
+    pos: np.ndarray
+    n: int
     scores: np.ndarray | None
     pending_output: np.ndarray
     last_row_recovery: float
 
     @property
-    def sidecar(self) -> np.ndarray | None:
-        """Cumulative-score entries of the retained positions."""
-        if self.scores is None:
-            return None
-        return self.scores[np.asarray(self.positions, dtype=np.intp)]
+    def live(self) -> np.ndarray:
+        """Live positions, ascending: a view of ``pos[:n]``."""
+        return self.pos[: self.n]
 
 
 @dataclass
@@ -124,38 +148,30 @@ class StepRecord:
     head_retained: dict[tuple[int, int], int]
     total_cache_tokens: int
     mean_recovery: float | None
-    retained_positions: dict[tuple[int, int], tuple[int, ...]] | None = None
+    # Read-only copies of each head's live positions, with diagnostics.
+    retained_positions: dict[tuple[int, int], np.ndarray] | None = None
 
 
 @dataclass
 class CompressedCache:
-    """Per-head compressed KV state owned by one generation session."""
+    """Per-head compressed KV state owned by one generation session.
+
+    ``codes`` and, with diagnostics, ``shadow_keys`` (each head's key
+    history) hold one row per position in their first ``seq_len`` rows.
+    """
 
     prompt_len: int
     seq_len: int
     annotations: list[TokenAnnotation]
+    codes: np.ndarray
     heads: dict[tuple[int, int], HeadCacheState]
     profile: HeadProfile
     diagnostics: bool = False
-    shadow_keys: dict[tuple[int, int], list[np.ndarray]] | None = None
+    shadow_keys: dict[tuple[int, int], np.ndarray] | None = None
     last_record: StepRecord | None = None
 
     def total_retained(self) -> int:
-        return sum(len(state.positions) for state in self.heads.values())
-
-
-def _policy_context(
-    cache: CompressedCache, state: HeadCacheState, current_len: int
-) -> PolicyContext:
-    scores = state.scores
-    if scores is None or scores.shape[0] != current_len:
-        scores = np.zeros(current_len)
-    return PolicyContext(
-        annotations=tuple(cache.annotations[:current_len]),
-        prompt_len=cache.prompt_len,
-        current_len=current_len,
-        cumulative_scores=scores,
-    )
+        return sum(state.n for state in self.heads.values())
 
 
 def prompt_head_data(model, tokens: list[int], prompt_len: int | None = None):
@@ -223,10 +239,7 @@ def encode_prompt(
     if fixed_policy is not None:
         decisions = {}
         for key, (A, ctx) in head_data.items():
-            report = evaluate_policy(A, ctx, fixed_policy)
-            decisions[key] = HeadDecision(
-                fixed_policy, report.recovery, report.cost_tokens
-            )
+            decisions[key] = evaluate_policy(A, ctx, fixed_policy)
         profile = HeadProfile(decisions)
     else:
         profile = profile_model(
@@ -240,6 +253,7 @@ def encode_prompt(
         policy = profile[key].policy
         retained = retained_indices(policy, ctx)
         K_C, V_C = apply_policy(K, V, retained)
+        idx = retained.as_array()
         scores = (
             ctx.cumulative_scores.copy()
             if PolicyAtom.FREQUENT in policy.atoms
@@ -248,22 +262,22 @@ def encode_prompt(
         last_row = A_matrix[n - 1]
         heads[key] = HeadCacheState(
             policy=policy,
-            positions=list(retained.indices),
             K=K_C,
             V=V_C,
+            pos=idx,
+            n=idx.size,
             scores=scores,
             pending_output=last_row @ V,
-            last_row_recovery=float(last_row[retained.as_array()].sum())
-            if len(retained)
-            else 0.0,
+            last_row_recovery=float(last_row[idx].sum()) if idx.size else 0.0,
         )
         if diagnostics:
-            shadow[key] = [K[i] for i in range(n)]
+            shadow[key] = K
 
     cache = CompressedCache(
         prompt_len=n,
         seq_len=n,
         annotations=list(annotations),
+        codes=class_codes(annotations, n),
         heads=heads,
         profile=profile,
         diagnostics=diagnostics,
@@ -305,6 +319,8 @@ def generate_step(
         current_len = pos + 1
         klass = model.vocab.classify_id(last_token)
         cache.annotations.append(TokenAnnotation(pos, last_token, klass))
+        cache.codes = _room(cache.codes, pos)
+        cache.codes[pos] = CLASS_CODE[klass]
         prompt_len = cache.prompt_len
         d_k = model.config.head_dim
         for key, state in cache.heads.items():
@@ -312,41 +328,41 @@ def generate_step(
             k_new = model.k_row(layer, head, pos, klass, prompt_len)
             v_new = model.v_row(layer, head, pos)
             q = model.q_row(layer, head, pos, prompt_len)
-            K_att = np.vstack([state.K, k_new[None, :]])
-            V_att = np.vstack([state.V, v_new[None, :]])
-            attended = state.positions + [pos]
-            weights, output = _attend_row(q, K_att, V_att, d_k)
+            n = state.n
+            m = n + 1
+            state.K = K = _room(state.K, n)
+            state.V = V = _room(state.V, n)
+            state.pos = rows_pos = _room(state.pos, n)
+            K[n] = k_new
+            V[n] = v_new
+            rows_pos[n] = pos
+            attended = rows_pos[:m]
+            weights, state.pending_output = _attend_row(q, K[:m], V[:m], d_k)
 
             if state.scores is not None:
-                ctx_old = PolicyContext(
-                    annotations=tuple(cache.annotations[:pos]),
-                    prompt_len=prompt_len,
-                    current_len=pos,
-                    cumulative_scores=state.scores,
-                )
-                updated = update_cumulative_scores(
-                    ctx_old, weights[:-1], RetainedSet.of(state.positions)
-                )
-                state.scores = updated.cumulative_scores.copy()
-
-            ctx_new = _policy_context(cache, state, current_len)
-            new_retained = retained_indices(state.policy, ctx_new, candidates=attended)
-            keep = set(new_retained.indices)
-            sel = [i for i, p in enumerate(attended) if p in keep]
-            state.positions = [attended[i] for i in sel]
-            state.K = K_att[sel]
-            state.V = V_att[sel]
-            state.pending_output = output
+                state.scores = scores = _room(state.scores, pos)
+                scores[attended[:-1]] += weights[:-1]
+                scores[pos] = 0.0
 
             if cache.diagnostics:
-                cache.shadow_keys[key].append(k_new)
-                full_K = np.vstack(cache.shadow_keys[key])
-                full_weights = softmax_vector((full_K @ q) / np.sqrt(float(d_k)))
-                recovery = float(
-                    full_weights[np.asarray(attended, dtype=np.intp)].sum()
-                )
+                shadow = cache.shadow_keys[key] = _room(cache.shadow_keys[key], pos)
+                shadow[pos] = k_new
+                full_weights = softmax_vector(shadow[:current_len] @ q / np.sqrt(d_k))
+                recovery = float(full_weights[attended].sum())
                 state.last_row_recovery = recovery
                 recoveries.append(recovery)
+
+            keep = retained_mask(
+                state.policy, attended, cache.codes, state.scores, prompt_len,
+                current_len,
+            )
+            # Compact from the first evicted row on; rows before it stay put.
+            first = m if keep.all() else int(keep.argmin())
+            tail = keep[first:]
+            state.n = first + int(np.count_nonzero(tail))
+            if state.n > first:
+                for buf in (K, V, rows_pos):
+                    buf[first : state.n] = buf[first:m][tail]
         cache.seq_len = current_len
     elif cache.diagnostics:
         recoveries = [s.last_row_recovery for s in cache.heads.values()]
@@ -357,13 +373,13 @@ def generate_step(
     next_token = sampler(model.head_logits(concat))
 
     cache.last_record = StepRecord(
-        step=0,
+        step=cache.seq_len - cache.prompt_len + 1,
         token_id=next_token,
-        head_retained={k: len(s.positions) for k, s in cache.heads.items()},
+        head_retained={k: s.n for k, s in cache.heads.items()},
         total_cache_tokens=cache.total_retained(),
         mean_recovery=float(np.mean(recoveries)) if recoveries else None,
         retained_positions=(
-            {k: tuple(s.positions) for k, s in cache.heads.items()}
+            {k: _frozen(s.live) for k, s in cache.heads.items()}
             if cache.diagnostics
             else None
         ),
@@ -415,12 +431,10 @@ def _run_decode(
     tokens: list[int] = []
     records: list[StepRecord] = []
     last: int | None = None
-    for step in range(1, gen_cfg.max_new_tokens + 1):
+    for _ in range(gen_cfg.max_new_tokens):
         token, cache = generate_step(model, cache, last, sampler)
-        record = cache.last_record
-        record.step = step
         tokens.append(token)
-        records.append(record)
+        records.append(cache.last_record)
         last = token
     return GenerationResult(tokens, profile, records, cache)
 
@@ -482,9 +496,10 @@ def reference_generate(
     final_heads = {
         key: HeadCacheState(
             policy=CompressionPolicy(frozenset({PolicyAtom.FULL})),
-            positions=list(range(seq_len)),
             K=np.vstack(keys[key]),
             V=np.vstack(values[key]),
+            pos=np.arange(seq_len),
+            n=seq_len,
             scores=None,
             pending_output=pending[key],
             last_row_recovery=1.0,
@@ -495,6 +510,7 @@ def reference_generate(
         prompt_len=n,
         seq_len=seq_len,
         annotations=annotations,
+        codes=class_codes(annotations, seq_len),
         heads=final_heads,
         profile=HeadProfile({}),
         diagnostics=False,

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -103,6 +104,8 @@ class HeadPlan:
         return self.switch_to if pos >= switch_pos else self.archetype
 
 
+# Pure helpers called for every synthesized row; cached.
+@lru_cache(maxsize=64)
 def sparse_columns(prompt_len: int) -> tuple[int, ...]:
     """Fixed small column set shared by all column-sparse heads."""
     cols = {round(f * (prompt_len - 1)) for f in _SPARSE_COLUMN_FRACTIONS}
@@ -135,6 +138,7 @@ def _indicator_logit(dominance: float, max_context: int) -> float:
     )
 
 
+@lru_cache(maxsize=64)
 def _local_slope(dominance: float, window: int) -> float:
     # Fixed-point solve for beta with mass outside the last `window`
     # positions bounded by e^{2*eps} * r^window / (1 - r), r = e^{-beta}.

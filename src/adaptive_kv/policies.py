@@ -11,11 +11,12 @@ import math
 import re
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .tokens import TokenAnnotation, TokenClass
+from .tokens import CLASS_CODE, TokenAnnotation, TokenClass, class_codes
 
 # Guard against float products like 0.57*100 = 56.999999999999993 landing
 # a hair above an exact integer and inflating the ceiling by one.
@@ -150,14 +151,8 @@ class RetainedSet:
     def __len__(self) -> int:
         return len(self.indices)
 
-    def __contains__(self, pos: int) -> bool:
-        return pos in set(self.indices)
-
     def __iter__(self):
         return iter(self.indices)
-
-    def union(self, other: "RetainedSet") -> "RetainedSet":
-        return RetainedSet(self.indices + other.indices)
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.indices, dtype=np.intp)
@@ -194,51 +189,55 @@ class PolicyContext:
             raise PolicyError("cumulative_scores must be finite and >= 0")
         scores.setflags(write=False)
 
-    def positions_of(self, klass: TokenClass) -> list[int]:
-        return [
-            a.position
-            for a in self.annotations
-            if a.klass is klass and a.position < self.current_len
-        ]
+    @cached_property
+    def class_codes(self) -> np.ndarray:
+        """``CLASS_CODE`` of every position below current_len."""
+        return class_codes(self.annotations, self.current_len)
 
 
 def _budget(ratio: float, length: int) -> int:
     return max(1, math.ceil(ratio * length - _BUDGET_EPS))
 
 
-def local_budget(policy: CompressionPolicy, ctx: PolicyContext) -> int:
-    """Local window size: fixed at profiling time against the prompt length."""
-    return _budget(policy.r_l, ctx.prompt_len)
-
-
-def _atom_indices(
-    atom: PolicyAtom,
+def retained_mask(
     policy: CompressionPolicy,
-    ctx: PolicyContext,
-    candidates: Sequence[int] | None,
-) -> list[int]:
-    universe = range(ctx.current_len) if candidates is None else candidates
-    if atom is PolicyAtom.FULL:
-        return list(universe)
-    if atom is PolicyAtom.SPECIAL:
-        wanted = set(ctx.positions_of(TokenClass.SPECIAL))
-        return [p for p in universe if p in wanted]
-    if atom is PolicyAtom.PUNCTUATION:
-        wanted = set(ctx.positions_of(TokenClass.PUNCTUATION))
-        return [p for p in universe if p in wanted]
-    if atom is PolicyAtom.LOCAL:
-        window_start = ctx.current_len - local_budget(policy, ctx)
-        return [p for p in universe if p >= window_start]
-    if atom is PolicyAtom.FREQUENT:
-        budget = _budget(policy.r_f, ctx.current_len)
-        pool = np.asarray(sorted(universe), dtype=np.intp)
-        if pool.size == 0:
-            return []
-        scores = ctx.cumulative_scores[pool]
-        # Stable sort on descending score keeps ties in ascending-index order.
-        order = np.argsort(-scores, kind="stable")
-        return pool[order[:budget]].tolist()
-    raise PolicyError(f"unhandled atom {atom}")
+    live: np.ndarray,
+    codes: np.ndarray,
+    scores: np.ndarray | None,
+    prompt_len: int,
+    current_len: int,
+) -> np.ndarray:
+    """Boolean keep-mask over ``live``, the ascending candidate positions.
+
+    ``codes`` (``CLASS_CODE`` per token) and ``scores`` (cumulative
+    attention, needed only by the frequent atom) are indexed by position.
+    """
+    if live.size and live[-1] >= current_len:
+        raise PolicyError(f"candidate position {live[-1]} >= current_len {current_len}")
+    atoms = policy.atoms
+    if PolicyAtom.FULL in atoms:
+        return np.ones(live.size, dtype=bool)
+    keep = np.zeros(live.size, dtype=bool)
+    if PolicyAtom.SPECIAL in atoms or PolicyAtom.PUNCTUATION in atoms:
+        live_codes = codes[live]
+        if PolicyAtom.SPECIAL in atoms:
+            keep |= live_codes == CLASS_CODE[TokenClass.SPECIAL]
+        if PolicyAtom.PUNCTUATION in atoms:
+            keep |= live_codes == CLASS_CODE[TokenClass.PUNCTUATION]
+    if PolicyAtom.LOCAL in atoms:
+        keep |= live >= current_len - _budget(policy.r_l, prompt_len)
+    if PolicyAtom.FREQUENT in atoms and live.size:
+        live_scores = scores[live]
+        # min/max are NaN when any score is, and NaN fails both comparisons.
+        if not (live_scores.min() >= 0.0 and live_scores.max() < np.inf):
+            raise PolicyError("cumulative_scores must be finite and >= 0")
+        budget = _budget(policy.r_f, current_len)
+        if budget >= live.size:
+            keep[:] = True
+        else:
+            # Stable sort on descending score keeps ties in ascending order.
+            keep[np.argsort(-live_scores, kind="stable")[:budget]] = True
+    return keep
 
 
 def retained_indices(
@@ -249,22 +248,15 @@ def retained_indices(
     """Positions the policy keeps in the cache.
 
     ``candidates`` restricts selection to positions that are still alive;
-    the engine passes its live cache positions so that evicted rows never
-    re-enter. Budgets are unchanged by the restriction.
+    budgets are unchanged by the restriction.
     """
-    cand: Sequence[int] | None
     if candidates is None:
-        cand = None
+        live = np.arange(ctx.current_len)
     else:
-        cand = sorted({int(p) for p in candidates})
-        if cand and cand[-1] >= ctx.current_len:
-            raise PolicyError(
-                f"candidate position {cand[-1]} >= current_len {ctx.current_len}"
-            )
-    retained: set[int] = set()
-    for atom in policy.atoms:
-        retained.update(_atom_indices(atom, policy, ctx, cand))
-    return RetainedSet.of(retained)
+        live = np.unique(np.fromiter(candidates, dtype=np.intp))
+    scores, codes = ctx.cumulative_scores, ctx.class_codes
+    keep = retained_mask(policy, live, codes, scores, ctx.prompt_len, ctx.current_len)
+    return RetainedSet.of(live[keep].tolist())
 
 
 def apply_policy(K, V, retained: RetainedSet) -> tuple[np.ndarray, np.ndarray]:

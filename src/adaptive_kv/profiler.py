@@ -48,25 +48,6 @@ class RowAveraging(Enum):
     LAST_ROW = "last"
 
 
-def tv_distance_row(p, retained: RetainedSet) -> float:
-    """Total variation between a probability row and its compressed form.
-
-    The compressed row renormalizes p over the retained positions and is
-    zero elsewhere; the distance identically equals 1 minus the retained
-    mass. Empty retained mass is defined as distance 1.
-    """
-    row = np.asarray(p, dtype=np.float64)
-    if row.ndim != 1:
-        raise ProfilerError("probability row must be 1-D")
-    idx = [i for i in retained.indices if i < row.size]
-    mass = float(row[idx].sum()) if idx else 0.0
-    if mass <= 0.0:
-        return 1.0
-    compressed = np.zeros_like(row)
-    compressed[idx] = row[idx] / mass
-    return float(0.5 * np.abs(row - compressed).sum())
-
-
 def recovery_ratio(
     A: AttentionMap,
     retained: RetainedSet,
@@ -87,26 +68,15 @@ def recovery_ratio(
     return float(per_row.mean())
 
 
-@dataclass(frozen=True)
-class RecoveryReport:
-    """Evaluation of one candidate policy on one head."""
-
-    policy: CompressionPolicy
-    recovery: float
-    cost_tokens: int
-    pruned_ratio: float
-
-
 def evaluate_policy(
     A: AttentionMap,
     ctx: PolicyContext,
     policy: CompressionPolicy,
     rows: RowAveraging = RowAveraging.ALL_ROWS,
-) -> RecoveryReport:
+) -> HeadDecision:
+    """Recovery and cache cost of one policy on one head."""
     retained = retained_indices(policy, ctx)
-    recovery = recovery_ratio(A, retained, rows)
-    cost = len(retained)
-    return RecoveryReport(policy, recovery, cost, 1.0 - cost / ctx.current_len)
+    return HeadDecision(policy, recovery_ratio(A, retained, rows), len(retained))
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,18 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable
 
+import numpy as np
+
 
 class TokenClass(Enum):
     SPECIAL = "special"
     PUNCTUATION = "punctuation"
     OTHER = "other"
+
+
+# Small-integer code of each class: the class byte of AKVT trace files and
+# the per-position class array of the compressed cache.
+CLASS_CODE = {TokenClass.SPECIAL: 0, TokenClass.PUNCTUATION: 1, TokenClass.OTHER: 2}
 
 
 @dataclass(frozen=True)
@@ -63,3 +70,13 @@ def classify_tokens(
         TokenAnnotation(position=pos, token_id=tid, klass=vocab.classify_id(tid))
         for pos, tid in enumerate(token_ids)
     ]
+
+
+def class_codes(annotations: Iterable[TokenAnnotation], length: int) -> np.ndarray:
+    """``CLASS_CODE`` of positions ``0..length-1``; unannotated ones are OTHER."""
+    other = TokenClass.OTHER
+    codes = np.full(length, CLASS_CODE[other], dtype=np.int8)
+    for a in annotations:
+        if a.klass is not other and a.position < length:
+            codes[a.position] = CLASS_CODE[a.klass]
+    return codes

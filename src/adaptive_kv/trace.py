@@ -18,13 +18,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import ModelConfig, ModelError, linear_head_weights
-from .tokens import TokenAnnotation, TokenClass, VocabMetadata
+from .tokens import CLASS_CODE, TokenAnnotation, TokenClass, VocabMetadata
 
 MAGIC = b"AKVT"
 VERSION = 1
 
-_CLASS_CODE = {TokenClass.SPECIAL: 0, TokenClass.PUNCTUATION: 1, TokenClass.OTHER: 2}
-_CODE_CLASS = {v: k for k, v in _CLASS_CODE.items()}
+_CODE_CLASS = {v: k for k, v in CLASS_CODE.items()}
 
 
 class TraceError(Exception):
@@ -110,7 +109,7 @@ def _write_binary(trace: AttentionTrace, buf: io.BufferedIOBase):
     )
     buf.write(struct.pack("<I", len(trace.tokens)))
     for tok in trace.tokens:
-        buf.write(struct.pack("<IB", tok.token_id, _CLASS_CODE[tok.klass]))
+        buf.write(struct.pack("<IB", tok.token_id, CLASS_CODE[tok.klass]))
     for (layer, head) in sorted(trace.blocks):
         for block in trace.blocks[(layer, head)]:
             buf.write(struct.pack("<HHI", layer, head, block.step))
@@ -227,6 +226,10 @@ def _read_binary(buf: io.BufferedIOBase) -> AttentionTrace:
     return AttentionTrace(config, tokens, blocks)
 
 
+# Raised by parsing JSON and reading fields of the wrong shape or type.
+_NDJSON_ERRORS = (ValueError, KeyError, TypeError, AttributeError, OverflowError)
+
+
 def _read_ndjson(text: str) -> AttentionTrace:
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
@@ -242,21 +245,21 @@ def _read_ndjson(text: str) -> AttentionTrace:
     if header.get("version") != VERSION:
         raise TraceHeaderError(f"unsupported version {header.get('version')}")
     try:
-        config = ModelConfig(**header["config"])
-    except (TypeError, KeyError, ModelError) as exc:
+        fields = header["config"]
+        if not all(type(v) is int for v in fields.values()):
+            raise TypeError(f"config values must be integers: {fields}")
+        config = ModelConfig(**fields)
+    except _NDJSON_ERRORS as exc:  # ModelError is a ValueError
         raise TraceHeaderError(f"malformed header: {exc}") from exc
     if len(lines) < 2:
         raise TraceTruncatedError("truncated payload: missing token table")
-    table = json.loads(lines[1])
     tokens = []
-    for pos, entry in enumerate(table.get("tokens", [])):
-        try:
+    try:
+        for pos, entry in enumerate(json.loads(lines[1]).get("tokens", [])):
             klass = TokenClass(entry["klass"])
-        except ValueError as exc:
-            raise TraceHeaderError(
-                f"token {pos}: unknown class {entry['klass']!r}"
-            ) from exc
-        tokens.append(TokenAnnotation(pos, int(entry["id"]), klass))
+            tokens.append(TokenAnnotation(pos, int(entry["id"]), klass))
+    except _NDJSON_ERRORS as exc:
+        raise TraceHeaderError(f"token {len(tokens)}: malformed entry ({exc!r})") from exc
     blocks: dict[tuple[int, int], list[TraceBlock]] = {}
     for line in lines[2:]:
         try:
@@ -268,7 +271,7 @@ def _read_ndjson(text: str) -> AttentionTrace:
                 np.asarray(rec["q"], dtype=np.float64),
             )
             key = (int(rec["layer"]), int(rec["head"]))
-        except (json.JSONDecodeError, KeyError, ValueError) as exc:
+        except _NDJSON_ERRORS as exc:
             raise TraceTruncatedError(f"truncated payload: bad block line: {exc}")
         blocks.setdefault(key, []).append(block)
     return AttentionTrace(config, tokens, blocks)

@@ -18,6 +18,7 @@ from adaptive_kv.policies import (
     full_policy,
     parse_policy,
     retained_indices,
+    retained_mask,
     update_cumulative_scores,
 )
 from adaptive_kv.tokens import TokenClass
@@ -62,6 +63,10 @@ def test_frequent_ties_break_toward_lower_index():
     ctx = ctx_of([O] * 6, scores=[1.0, 2.0, 2.0, 2.0, 1.0, 1.0])
     got = retained_indices(atom_policy(PolicyAtom.FREQUENT, r_f=0.5), ctx)
     assert got.indices == (1, 2, 3)
+    # A tie at the budget cut goes to the lowest tied index.
+    ctx = ctx_of([O] * 6, scores=[1.0, 2.0, 1.0, 1.0, 2.0, 1.0])
+    got = retained_indices(atom_policy(PolicyAtom.FREQUENT, r_f=0.5), ctx)
+    assert got.indices == (0, 1, 4)
 
 
 def test_hybrid_union_of_atoms():
@@ -119,6 +124,20 @@ def test_candidates_restrict_selection_without_changing_budgets():
     assert unrestricted.indices == (0, 1, 2)
     restricted = retained_indices(policy, ctx, candidates=[2, 5, 7, 9])
     assert restricted.indices == (2, 5, 7)
+
+
+def test_retained_mask_rejects_bad_candidates_and_live_scores():
+    policy = atom_policy(PolicyAtom.FREQUENT)
+    codes = np.zeros(4, dtype=np.int8)
+    live = np.array([0, 2, 3])
+    with pytest.raises(PolicyError, match="candidate position 3 >= current_len 3"):
+        retained_mask(policy, live, codes, np.zeros(4), 3, 3)
+    # Evicted positions are not checked; live ones are.
+    assert retained_mask(policy, live, codes, np.array([1.0, -1.0, 0.0, 2.0]), 4, 4).any()
+    for bad in (-1.0, np.nan, np.inf):
+        scores = np.array([1.0, 0.0, bad, 2.0])
+        with pytest.raises(PolicyError, match="finite and >= 0"):
+            retained_mask(policy, live, codes, scores, 4, 4)
 
 
 def test_apply_policy_identity_empty_and_selection():

@@ -1,11 +1,20 @@
 from __future__ import annotations
 
 import io
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from adaptive_kv.engine import GenerationConfig, generate, reference_generate
+from adaptive_kv.engine import (
+    GenerationConfig,
+    Nucleus,
+    generate,
+    generate_fixed_baseline,
+    reference_generate,
+)
+from adaptive_kv.policies import full_policy
 from adaptive_kv.model import ModelConfig
 from adaptive_kv.profiler import ProfilerConfig
 from adaptive_kv.tokens import TokenAnnotation, TokenClass
@@ -13,6 +22,7 @@ from adaptive_kv.trace import (
     AttentionTrace,
     TraceBlock,
     TraceDimensionError,
+    TraceError,
     TraceHeaderError,
     TraceModel,
     TraceTruncatedError,
@@ -160,3 +170,69 @@ def test_trace_replay_reproduces_synthetic_run(small_model, tmp_path):
     from_trace = generate(replay, prompt, cfg, gen)
     assert from_trace.tokens == from_model.tokens
     assert from_trace.profile.to_csv() == from_model.profile.to_csv()
+
+
+FIXTURE_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "fixture"
+
+
+def test_golden_fixture_replay():
+    # The benchmark's pinned fixture: any token drift fails here first.
+    golden = json.loads((FIXTURE_DIR / "golden.json").read_text(encoding="utf-8"))
+    model = TraceModel(read_trace(FIXTURE_DIR / "small.akvt"))
+    prompt = model.prompt_token_ids(golden["prompt_len"])
+    greedy = GenerationConfig(golden["steps"])
+    nucleus = GenerationConfig(golden["steps"], Nucleus(seed=golden["nucleus_seed"]))
+    cfg = ProfilerConfig()
+    assert generate(model, prompt, cfg, greedy).tokens == golden["adaptive_greedy"]
+    assert (
+        generate_fixed_baseline(model, prompt, full_policy(), greedy).tokens
+        == golden["full_greedy"]
+    )
+    assert generate(model, prompt, cfg, nucleus).tokens == golden["adaptive_nucleus"]
+
+
+_FUZZ_SNIPPETS = (
+    "[", "]", "{", "}", ",", ":", '"', "null", "true", "1.5", "-1", "1e999",
+    "Infinity", '"x"', "[]", "{}", "[[1]]", '{"a": 1}', "99999999999999999999",
+)
+
+
+def _mutate(text: str, rng: np.random.Generator) -> str:
+    lines = text.splitlines()
+    kind = int(rng.integers(0, 6))
+    if kind == 0:  # drop a line
+        del lines[int(rng.integers(0, len(lines)))]
+        return "\n".join(lines)
+    if kind == 1:  # duplicate a line
+        i = int(rng.integers(0, len(lines)))
+        lines.insert(i, lines[i])
+        return "\n".join(lines)
+    # Edit inside one line, mostly the header and token table.
+    i = int(rng.integers(0, min(len(lines), 3))) if rng.random() < 0.7 else int(
+        rng.integers(0, len(lines))
+    )
+    line = lines[i]
+    at = int(rng.integers(0, len(line) + 1))
+    span = int(rng.integers(1, 12))
+    snippet = _FUZZ_SNIPPETS[int(rng.integers(0, len(_FUZZ_SNIPPETS)))]
+    if kind == 2:  # delete a span
+        line = line[:at] + line[at + span :]
+    elif kind == 3:  # insert a snippet
+        line = line[:at] + snippet + line[at:]
+    else:  # replace a span with a snippet
+        line = line[:at] + snippet + line[at + span :]
+    lines[i] = line
+    return "\n".join(lines)
+
+
+def test_ndjson_reader_raises_only_trace_errors():
+    buf = io.StringIO()
+    write_trace_ndjson(build_trace(np.random.default_rng(9), positions=3), buf)
+    text = buf.getvalue()
+    rng = np.random.default_rng(2310)
+    for _ in range(500):
+        mutated = _mutate(text, rng).encode("utf-8")
+        try:
+            read_trace(io.BytesIO(mutated))
+        except TraceError:
+            pass
