@@ -38,9 +38,6 @@ from .policies import (
     PolicyAtom,
     PolicyContext,
     PolicyError,
-    RetainedSet,
-    apply_policy,
-    cache_memory_cost,
     feasible_set,
     format_policy,
     full_policy,
@@ -56,7 +53,6 @@ from .profiler import (
     profile_model,
     recovery_ratio,
     select_policy,
-    select_policy_by_similarity,
 )
 from .tokens import TokenAnnotation, TokenClass, VocabMetadata, classify_tokens
 from .trace import (
@@ -68,6 +64,7 @@ from .trace import (
     TraceModel,
     TraceTruncatedError,
     read_trace,
+    record_trace,
     write_trace,
     write_trace_ndjson,
 )

@@ -58,19 +58,11 @@ from .profiler import (
     RowAveraging,
     SelectionCriterion,
 )
-from .tokens import TokenAnnotation
-from .trace import AttentionTrace, TraceBlock, TraceError, TraceModel, read_trace, write_trace
+from .trace import TraceError, TraceModel, read_trace, record_trace, write_trace
 
 logger = logging.getLogger("adaptive_kv")
 
 _LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
-
-_ATOM_NAMES = {
-    "special": PolicyAtom.SPECIAL,
-    "punct": PolicyAtom.PUNCTUATION,
-    "frequent": PolicyAtom.FREQUENT,
-    "local": PolicyAtom.LOCAL,
-}
 
 
 class CliError(Exception):
@@ -274,15 +266,12 @@ def _parse_feasible(spec: str, r_l: float, r_f: float):
     kind, _, rest = text.partition(":")
     names = [t.strip() for t in rest.split(",") if t.strip()]
     try:
-        atoms = [_ATOM_NAMES[name] for name in names]
-    except KeyError as exc:
-        raise CliError(f"unknown policy atom {exc.args[0]!r} in --feasible") from None
-    try:
+        atoms = [PolicyAtom(name) for name in names]
         if kind == "drop":
             return feasible_set(r_l=r_l, r_f=r_f, drop=atoms)
         if kind == "order":
             return feasible_set(r_l=r_l, r_f=r_f, atom_order=atoms)
-    except PolicyError as exc:
+    except ValueError as exc:
         raise CliError(f"bad --feasible spec: {exc}") from exc
     raise CliError(f"bad --feasible spec {spec!r}; use default, drop:..., or order:...")
 
@@ -336,12 +325,11 @@ def _out_dir(settings: _Settings) -> Path:
 
         out = f"akv-run-{time.strftime('%Y%m%d-%H%M%S')}-{os.getpid()}"
     path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CliError(f"cannot create output directory {path}: {exc}") from exc
     return path
-
-
-def _threads(settings: _Settings) -> int:
-    return settings.get("threads", os.cpu_count() or 1, int)
 
 
 def _write(path: Path, content: str):
@@ -371,28 +359,10 @@ def cmd_synth(settings: _Settings) -> int:
         model, prompt, GenerationConfig(max_new_tokens=steps)
     )
     all_tokens = prompt + result.tokens[: max(0, steps - 1)]
-    annotations = [
-        TokenAnnotation(pos, tid, model.vocab.classify_id(tid))
-        for pos, tid in enumerate(all_tokens)
-    ]
-    n_positions = len(all_tokens)
-    blocks = {}
-    for layer, head in model.config.head_grid():
-        entries = []
-        for pos in range(n_positions):
-            entries.append(
-                TraceBlock(
-                    step=pos,
-                    k=model.k_row(layer, head, pos, annotations[pos].klass, prompt_len),
-                    v=model.v_row(layer, head, pos),
-                    q=model.q_row(layer, head, pos, prompt_len),
-                )
-            )
-        blocks[(layer, head)] = entries
-    trace = AttentionTrace(model.config, annotations, blocks)
+    trace = record_trace(model, all_tokens, prompt_len)
     trace_path = out / "trace.akvt"
     write_trace(trace, trace_path)
-    print(f"trace written: {trace_path} ({n_positions} positions)")
+    print(f"trace written: {trace_path} ({len(all_tokens)} positions)")
     return 0
 
 
@@ -403,9 +373,7 @@ def cmd_profile(settings: _Settings) -> int:
     prompt = model.prompt_token_ids(prompt_len)
     from .engine import encode_prompt
 
-    profile, _ = encode_prompt(
-        model, prompt, cfg, threads=_threads(settings), diagnostics=False
-    )
+    profile, _ = encode_prompt(model, prompt, cfg, diagnostics=False)
     fmt = settings.get("format", "csv", str)
     _write(out / "head_profile.csv", profile.to_csv())
     dist = layer_distribution_report(profile)
@@ -420,9 +388,7 @@ def cmd_generate(settings: _Settings) -> int:
     gen_cfg = _generation_config(settings)
     out = _out_dir(settings)
     prompt = model.prompt_token_ids(prompt_len)
-    baseline = settings.get("baseline", None, str, sections=("generate", "global"))
-    forced = settings.get("policy", None, str, sections=("generate", "global"))
-    policy_text = baseline or forced
+    policy_text = settings.get("policy", None, str, sections=("generate", "global"))
     if policy_text is not None:
         try:
             policy = parse_policy(policy_text)
@@ -431,9 +397,7 @@ def cmd_generate(settings: _Settings) -> int:
         result = generate_fixed_baseline(model, prompt, policy, gen_cfg)
     else:
         cfg = _profiler_config(settings)
-        result = generate(
-            model, prompt, cfg, gen_cfg, threads=_threads(settings)
-        )
+        result = generate(model, prompt, cfg, gen_cfg)
     fmt = settings.get("format", "csv", str)
     _write(out / "head_profile.csv", result.profile.to_csv())
     _write(
@@ -476,9 +440,7 @@ def cmd_report(settings: _Settings) -> int:
             T_values = [float(t) for t in tradeoff_spec.split(",") if t.strip()]
         except ValueError:
             raise CliError(f"bad --tradeoff list {tradeoff_spec!r}") from None
-        points = tradeoff_curve(
-            model, prompt, T_values, base_cfg=cfg, threads=_threads(settings)
-        )
+        points = tradeoff_curve(model, prompt, T_values, base_cfg=cfg)
         columns, rows = tradeoff_rows(points)
         _emit_report(out, "tradeoff", columns, rows, fmt)
         wrote_any = True
@@ -520,8 +482,7 @@ def cmd_report(settings: _Settings) -> int:
                 )
                 extra[f"adaptive[{part}]"] = variant_cfg
         rows_data = compare_adaptive_vs_fixed(
-            model, prompt, cfg, fixed, gen_cfg, extra_adaptive=extra,
-            threads=_threads(settings),
+            model, prompt, cfg, fixed, gen_cfg, extra_adaptive=extra
         )
         columns, rows = comparison_rows(rows_data)
         _emit_report(out, "comparison", columns, rows, fmt)
@@ -582,7 +543,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--config", help="key=value config file (INI sections)")
         p.add_argument("--seed", type=int, help="sampling seed")
-        p.add_argument("--threads", type=int, help="per-head parallelism")
         p.add_argument("--out", help="output directory (default: fresh run dir)")
         p.add_argument("--format", choices=["csv", "json"], help="report format")
 
@@ -623,9 +583,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_model(p_generate)
     add_profiler(p_generate)
     add_generation(p_generate)
-    p_generate.add_argument("--policy", help="force one policy on every head")
     p_generate.add_argument(
-        "--baseline", help="fixed-policy baseline, e.g. local+frequent"
+        "--policy", help="force one policy on every head, e.g. special+local(r_l=0.3)"
     )
 
     p_report = sub.add_parser("report", help="tradeoff / consistency / comparison")
@@ -667,9 +626,8 @@ def main(argv: list[str] | None = None) -> int:
     _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
-    settings = _Settings(args, args.command)
     try:
-        return _COMMANDS[args.command](settings)
+        return _COMMANDS[args.command](_Settings(args, args.command))
     except CliError as exc:
         print(f"akv: error: {exc}", file=sys.stderr)
         return 1

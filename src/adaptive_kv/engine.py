@@ -29,7 +29,6 @@ from .policies import (
     CompressionPolicy,
     PolicyAtom,
     PolicyContext,
-    apply_policy,
     retained_indices,
     retained_mask,
     # Decode folds scores in place; the name stays bound here because
@@ -221,7 +220,6 @@ def encode_prompt(
     prompt_tokens: list[int],
     profiler_cfg: ProfilerConfig | None,
     fixed_policy: CompressionPolicy | None = None,
-    threads: int | None = None,
     diagnostics: bool = True,
 ) -> tuple[HeadProfile, CompressedCache]:
     """Prompt encoding with one-shot profiling and cache compression.
@@ -242,18 +240,14 @@ def encode_prompt(
             decisions[key] = evaluate_policy(A, ctx, fixed_policy)
         profile = HeadProfile(decisions)
     else:
-        profile = profile_model(
-            head_data, profiler_cfg, grid=cfg.head_grid(), threads=threads
-        )
+        profile = profile_model(head_data, profiler_cfg, grid=cfg.head_grid())
 
     heads = {}
     shadow = {} if diagnostics else None
     for key, (K, V, A_matrix) in full_rows.items():
         _, ctx = head_data[key]
         policy = profile[key].policy
-        retained = retained_indices(policy, ctx)
-        K_C, V_C = apply_policy(K, V, retained)
-        idx = retained.as_array()
+        idx = retained_indices(policy, ctx)
         scores = (
             ctx.cumulative_scores.copy()
             if PolicyAtom.FREQUENT in policy.atoms
@@ -262,8 +256,8 @@ def encode_prompt(
         last_row = A_matrix[n - 1]
         heads[key] = HeadCacheState(
             policy=policy,
-            K=K_C,
-            V=V_C,
+            K=K[idx],
+            V=V[idx],
             pos=idx,
             n=idx.size,
             scores=scores,
@@ -400,12 +394,11 @@ def generate(
     prompt_tokens: list[int],
     profiler_cfg: ProfilerConfig,
     gen_cfg: GenerationConfig,
-    threads: int | None = None,
     diagnostics: bool = True,
 ) -> GenerationResult:
     """Encode the prompt once, then run max_new_tokens decoding steps."""
     profile, cache = encode_prompt(
-        model, prompt_tokens, profiler_cfg, threads=threads, diagnostics=diagnostics
+        model, prompt_tokens, profiler_cfg, diagnostics=diagnostics
     )
     return _run_decode(model, cache, profile, gen_cfg)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,14 +23,7 @@ from .engine import (
     reference_generate,
 )
 from .policies import CompressionPolicy, format_policy
-from .profiler import (
-    HeadProfile,
-    ProfilerConfig,
-    SelectionCriterion,
-    profile_model,
-    select_policy,
-    select_policy_by_similarity,
-)
+from .profiler import HeadProfile, ProfilerConfig, profile_model, select_policy
 
 
 class MetricsError(ValueError):
@@ -168,11 +161,7 @@ def consistency_report(
         length = n + step - 1
         _, _, head_data = prompt_head_data(model, all_tokens[:length], prompt_len=n)
         for key in sorted(head_data):
-            A, ctx = head_data[key]
-            if profiler_cfg.criterion is SelectionCriterion.COSINE_SIMILARITY:
-                policy = select_policy_by_similarity(A, profiler_cfg.feasible, ctx)
-            else:
-                policy, _ = select_policy(A, ctx, profiler_cfg)
+            policy = select_policy(*head_data[key], profiler_cfg).policy
             if step == steps[0]:
                 first_policies[key] = policy
             entries.append(
@@ -199,7 +188,6 @@ def tradeoff_curve(
     prompt_tokens: list[int],
     T_values: list[float],
     base_cfg: ProfilerConfig | None = None,
-    threads: int | None = None,
 ) -> list[TradeoffPoint]:
     """Profiling-time pruning/recovery trade-off at each threshold."""
     base = base_cfg if base_cfg is not None else ProfilerConfig()
@@ -207,13 +195,7 @@ def tradeoff_curve(
     n = len(prompt_tokens)
     points = []
     for T in T_values:
-        cfg = ProfilerConfig(
-            recovery_threshold=T,
-            feasible=base.feasible,
-            criterion=base.criterion,
-            rows=base.rows,
-        )
-        profile = profile_model(head_data, cfg, threads=threads)
+        profile = profile_model(head_data, replace(base, recovery_threshold=T))
         costs = [d.cost_tokens for _, d in profile.items()]
         recoveries = [d.recovery for _, d in profile.items()]
         points.append(
@@ -265,7 +247,6 @@ def compare_adaptive_vs_fixed(
     fixed_policies: list[CompressionPolicy],
     gen_cfg: GenerationConfig,
     extra_adaptive: dict[str, ProfilerConfig] | None = None,
-    threads: int | None = None,
 ) -> list[ComparisonRow]:
     """Adaptive profiling against fixed single-policy baselines.
 
@@ -274,7 +255,7 @@ def compare_adaptive_vs_fixed(
     """
     n = len(prompt_tokens)
     rows = []
-    adaptive = generate(model, prompt_tokens, profiler_cfg, gen_cfg, threads=threads)
+    adaptive = generate(model, prompt_tokens, profiler_cfg, gen_cfg)
     rows.append(
         ComparisonRow(
             method=f"adaptive[T={profiler_cfg.recovery_threshold:g}]",
@@ -283,7 +264,7 @@ def compare_adaptive_vs_fixed(
         )
     )
     for name, cfg in (extra_adaptive or {}).items():
-        result = generate(model, prompt_tokens, cfg, gen_cfg, threads=threads)
+        result = generate(model, prompt_tokens, cfg, gen_cfg)
         rows.append(
             ComparisonRow(
                 method=name,

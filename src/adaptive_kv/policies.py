@@ -133,32 +133,6 @@ def parse_policy(text: str) -> CompressionPolicy:
 
 
 @dataclass(frozen=True)
-class RetainedSet:
-    """Sorted, deduplicated cache positions."""
-
-    indices: tuple[int, ...]
-
-    def __post_init__(self):
-        idx = tuple(sorted(set(int(i) for i in self.indices)))
-        if idx and idx[0] < 0:
-            raise PolicyError(f"negative position {idx[0]}")
-        object.__setattr__(self, "indices", idx)
-
-    @classmethod
-    def of(cls, indices: Iterable[int]) -> "RetainedSet":
-        return cls(tuple(indices))
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def __iter__(self):
-        return iter(self.indices)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.indices, dtype=np.intp)
-
-
-@dataclass(frozen=True)
 class PolicyContext:
     """State a policy decision is evaluated against.
 
@@ -240,49 +214,12 @@ def retained_mask(
     return keep
 
 
-def retained_indices(
-    policy: CompressionPolicy,
-    ctx: PolicyContext,
-    candidates: Iterable[int] | None = None,
-) -> RetainedSet:
-    """Positions the policy keeps in the cache.
-
-    ``candidates`` restricts selection to positions that are still alive;
-    budgets are unchanged by the restriction.
-    """
-    if candidates is None:
-        live = np.arange(ctx.current_len)
-    else:
-        live = np.unique(np.fromiter(candidates, dtype=np.intp))
+def retained_indices(policy: CompressionPolicy, ctx: PolicyContext) -> np.ndarray:
+    """Ascending positions the policy keeps in the cache."""
+    live = np.arange(ctx.current_len)
     scores, codes = ctx.cumulative_scores, ctx.class_codes
     keep = retained_mask(policy, live, codes, scores, ctx.prompt_len, ctx.current_len)
-    return RetainedSet.of(live[keep].tolist())
-
-
-def apply_policy(K, V, retained: RetainedSet) -> tuple[np.ndarray, np.ndarray]:
-    """Select the retained rows of K and V, in ascending position order.
-
-    The retained set itself records the original position of each row,
-    which callers keep alongside for causal masking and score bookkeeping.
-    """
-    k = np.asarray(K, dtype=np.float64)
-    v = np.asarray(V, dtype=np.float64)
-    if k.shape[0] != v.shape[0]:
-        raise PolicyError(
-            f"K has {k.shape[0]} rows but V has {v.shape[0]}"
-        )
-    if len(retained) and retained.indices[-1] >= k.shape[0]:
-        raise PolicyError(
-            f"retained position {retained.indices[-1]} out of range for "
-            f"{k.shape[0]} rows"
-        )
-    idx = retained.as_array()
-    return k[idx], v[idx]
-
-
-def cache_memory_cost(policy: CompressionPolicy, ctx: PolicyContext) -> int:
-    """Cache budget of a policy on this context, in retained tokens."""
-    return len(retained_indices(policy, ctx))
+    return live[keep]
 
 
 DEFAULT_FEASIBLE_ORDER = (
@@ -306,8 +243,8 @@ def feasible_set(
     """
     dropped = set(drop)
     order = [a for a in atom_order if a not in dropped]
-    if PolicyAtom.FULL in order:
-        raise PolicyError("full is always the family backstop; omit it from the order")
+    if PolicyAtom.FULL in order or PolicyAtom.FULL in dropped:
+        raise PolicyError("full is the family backstop; it cannot be ordered or dropped")
     if len(set(order)) != len(order):
         raise PolicyError("atom_order has duplicates")
     if not order:
@@ -324,28 +261,29 @@ def feasible_set(
 def update_cumulative_scores(
     ctx: PolicyContext,
     new_attention_row: Sequence[float] | np.ndarray,
-    retained: RetainedSet,
+    retained: np.ndarray,
 ) -> PolicyContext:
     """Fold one decoding step's attention row into the frequency signal.
 
+    ``retained`` holds the distinct positions the row attended, ascending.
     Retained positions accumulate their new scores; evicted positions stay
     frozen at their last value (they cannot re-enter unless another atom
     re-retains them); one zero-initialized slot is appended for the token
     whose row was just cached.
     """
     row = np.asarray(new_attention_row, dtype=np.float64)
-    if row.shape != (len(retained),):
+    if row.shape != (retained.size,):
         raise PolicyError(
-            f"attention row has length {row.shape}, expected {len(retained)} "
+            f"attention row has length {row.shape}, expected {retained.size} "
             "(one score per retained position)"
         )
-    if len(retained) and retained.indices[-1] >= ctx.current_len:
+    if retained.size and not 0 <= retained[0] <= retained[-1] < ctx.current_len:
         raise PolicyError(
-            f"retained position {retained.indices[-1]} >= current_len "
-            f"{ctx.current_len}"
+            f"retained positions {retained[0]}..{retained[-1]} outside "
+            f"[0, {ctx.current_len})"
         )
     scores = ctx.cumulative_scores.copy()
-    scores[retained.as_array()] += row
+    scores[retained] += row
     scores = np.append(scores, 0.0)
     return replace(
         ctx, cumulative_scores=scores, current_len=ctx.current_len + 1

@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import csv
 import io
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -25,8 +24,6 @@ from .attention import AttentionMap
 from .policies import (
     CompressionPolicy,
     PolicyContext,
-    RetainedSet,
-    cache_memory_cost,
     feasible_set,
     format_policy,
     parse_policy,
@@ -48,21 +45,31 @@ class RowAveraging(Enum):
     LAST_ROW = "last"
 
 
+def _columns(A: AttentionMap, retained: np.ndarray) -> np.ndarray:
+    """``retained`` as column indices of ``A``, rejecting any out of range."""
+    idx = np.asarray(retained, dtype=np.intp)
+    # numpy wraps negative indices, so they are checked here.
+    if idx.size and (idx.min() < 0 or idx.max() >= A.size):
+        raise ProfilerError(
+            f"retained positions {idx.min()}..{idx.max()} outside [0, {A.size})"
+        )
+    return idx
+
+
 def recovery_ratio(
     A: AttentionMap,
-    retained: RetainedSet,
+    retained: np.ndarray,
     rows: RowAveraging = RowAveraging.ALL_ROWS,
 ) -> float:
-    """Fraction of attention mass the retained set preserves.
+    """Fraction of attention mass the retained positions preserve.
 
     Mean over query rows of the retained (causally visible) mass; the
     ``rows`` option restricts to the final query row for sensitivity runs.
     """
-    m = A.matrix
-    idx = [i for i in retained.indices if i < A.size]
-    if not idx:
+    idx = _columns(A, retained)
+    if not idx.size:
         return 0.0
-    per_row = m[:, idx].sum(axis=1)
+    per_row = A.matrix[:, idx].sum(axis=1)
     if rows is RowAveraging.LAST_ROW:
         return float(per_row[-1])
     return float(per_row.mean())
@@ -76,7 +83,7 @@ def evaluate_policy(
 ) -> HeadDecision:
     """Recovery and cache cost of one policy on one head."""
     retained = retained_indices(policy, ctx)
-    return HeadDecision(policy, recovery_ratio(A, retained, rows), len(retained))
+    return HeadDecision(policy, recovery_ratio(A, retained, rows), retained.size)
 
 
 @dataclass(frozen=True)
@@ -102,20 +109,7 @@ class ProfilerConfig:
             )
 
 
-def select_policy(
-    A: AttentionMap, ctx: PolicyContext, cfg: ProfilerConfig
-) -> tuple[CompressionPolicy, float]:
-    """First policy in the nested family meeting the recovery threshold."""
-    for policy in cfg.feasible:
-        retained = retained_indices(policy, ctx)
-        recovery = recovery_ratio(A, retained, cfg.rows)
-        if recovery >= cfg.recovery_threshold:
-            return policy, recovery
-    # Unreachable given the full-cache backstop; keep a hard failure anyway.
-    raise ProfilerError("no feasible policy met the threshold")
-
-
-def masked_cosine_similarity(A: AttentionMap, retained: RetainedSet) -> float:
+def masked_cosine_similarity(A: AttentionMap, retained: np.ndarray) -> float:
     """Cosine between the flattened map and its column-masked copy.
 
     Masking zeroes entries outside the retained columns without
@@ -123,29 +117,38 @@ def masked_cosine_similarity(A: AttentionMap, retained: RetainedSet) -> float:
     ratio; it is 1 exactly when nothing is masked.
     """
     m = A.matrix
-    idx = [i for i in retained.indices if i < A.size]
+    idx = _columns(A, retained)
     total = float(np.linalg.norm(m))
-    masked = float(np.linalg.norm(m[:, idx])) if idx else 0.0
+    masked = float(np.linalg.norm(m[:, idx])) if idx.size else 0.0
     if masked == 0.0:
         return 0.0
     return masked / total
 
 
-def select_policy_by_similarity(
-    A: AttentionMap,
-    schemes: Sequence[CompressionPolicy],
-    ctx: PolicyContext,
-) -> CompressionPolicy:
-    """Argmax of masked cosine similarity; ties go to the earlier scheme."""
-    if not schemes:
-        raise ProfilerError("schemes list is empty")
-    best = schemes[0]
+def select_policy(
+    A: AttentionMap, ctx: PolicyContext, cfg: ProfilerConfig
+) -> HeadDecision:
+    """The head's policy under ``cfg.criterion``, with its recovery and cost.
+
+    Recovery mass keeps the first policy in the nested family meeting the
+    recovery threshold. Cosine similarity keeps the argmax of masked
+    cosine similarity, ties going to the earlier policy.
+    """
+    if cfg.criterion is SelectionCriterion.RECOVERY_MASS:
+        for policy in cfg.feasible:
+            decision = evaluate_policy(A, ctx, policy, cfg.rows)
+            if decision.recovery >= cfg.recovery_threshold:
+                return decision
+        # Unreachable given the full-cache backstop; keep a hard failure anyway.
+        raise ProfilerError("no feasible policy met the threshold")
     best_sim = -1.0
-    for policy in schemes:
-        sim = masked_cosine_similarity(A, retained_indices(policy, ctx))
+    for policy in cfg.feasible:
+        retained = retained_indices(policy, ctx)
+        sim = masked_cosine_similarity(A, retained)
         if sim > best_sim:
-            best, best_sim = policy, sim
-    return best
+            best, best_sim = (policy, retained), sim
+    policy, retained = best
+    return HeadDecision(policy, recovery_ratio(A, retained, cfg.rows), retained.size)
 
 
 @dataclass(frozen=True)
@@ -198,42 +201,22 @@ class HeadProfile:
         return cls(decisions)
 
 
-def _profile_one(
-    args: tuple[AttentionMap, PolicyContext, ProfilerConfig]
-) -> HeadDecision:
-    A, ctx, cfg = args
-    if cfg.criterion is SelectionCriterion.COSINE_SIMILARITY:
-        policy = select_policy_by_similarity(A, cfg.feasible, ctx)
-        recovery = recovery_ratio(A, retained_indices(policy, ctx), cfg.rows)
-    else:
-        policy, recovery = select_policy(A, ctx, cfg)
-    return HeadDecision(policy, recovery, cache_memory_cost(policy, ctx))
-
-
 def profile_model(
     head_data: Mapping[tuple[int, int], tuple[AttentionMap, PolicyContext]],
     cfg: ProfilerConfig,
     grid: Iterable[tuple[int, int]] | None = None,
-    threads: int | None = None,
 ) -> HeadProfile:
     """Select a policy independently for every head of the model.
 
     Profiling happens exactly once per generation session; the resulting
-    profile is immutable. Heads are processed concurrently when
-    ``threads`` > 1, with results assembled in (layer, head) order so the
-    outcome is independent of scheduling.
+    profile is immutable.
     """
-    keys = sorted(head_data)
     if grid is not None:
         for key in grid:
             if key not in head_data:
                 raise ProfilerError(
                     f"missing profiling data for head (layer={key[0]}, head={key[1]})"
                 )
-    jobs = [(head_data[k][0], head_data[k][1], cfg) for k in keys]
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_profile_one, jobs))
-    else:
-        results = [_profile_one(job) for job in jobs]
-    return HeadProfile(dict(zip(keys, results)))
+    return HeadProfile(
+        {key: select_policy(*head_data[key], cfg) for key in sorted(head_data)}
+    )

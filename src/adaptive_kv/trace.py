@@ -293,6 +293,32 @@ def read_trace(source) -> AttentionTrace:
     return _read_ndjson(text)
 
 
+def record_trace(model, tokens: list[int], prompt_len: int) -> AttentionTrace:
+    """Every head's K, V and Q rows at each position of ``tokens``.
+
+    Rows are anchored to ``prompt_len`` as in a generation session whose
+    prompt is the first ``prompt_len`` tokens, so replaying the trace
+    with that prompt reproduces the session.
+    """
+    annotations = [
+        TokenAnnotation(pos, tid, model.vocab.classify_id(tid))
+        for pos, tid in enumerate(tokens)
+    ]
+    blocks = {
+        (layer, head): [
+            TraceBlock(
+                step=pos,
+                k=model.k_row(layer, head, pos, a.klass, prompt_len),
+                v=model.v_row(layer, head, pos),
+                q=model.q_row(layer, head, pos, prompt_len),
+            )
+            for pos, a in enumerate(annotations)
+        ]
+        for layer, head in model.config.head_grid()
+    }
+    return AttentionTrace(model.config, annotations, blocks)
+
+
 class TraceModel:
     """Model handle backed by recorded rows.
 

@@ -18,7 +18,6 @@ from adaptive_kv.policies import (
     CompressionPolicy,
     PolicyAtom,
     PolicyContext,
-    RetainedSet,
     _budget,
     feasible_set,
     full_policy,
@@ -123,7 +122,7 @@ def test_cache_matches_list_reference_every_step(small_model, policy):
             weights = softmax_vector((K @ q) / np.sqrt(float(d)))
             old_ctx = PolicyContext(annotations[:pos], PROMPT_LEN, pos, ref_scores[key])
             ref_scores[key] = update_cumulative_scores(
-                old_ctx, weights[:-1], RetainedSet.of(previous[key])
+                old_ctx, weights[:-1], np.array(previous[key], dtype=np.intp)
             ).cumulative_scores
             ctx = PolicyContext(annotations, PROMPT_LEN, pos + 1, ref_scores[key])
 

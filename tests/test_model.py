@@ -15,7 +15,6 @@ from adaptive_kv.model import (
     synth_model,
     uniform_plan,
 )
-from adaptive_kv.policies import RetainedSet
 from adaptive_kv.profiler import recovery_ratio
 from adaptive_kv.tokens import TokenClass, classify_tokens
 
@@ -94,7 +93,7 @@ def test_special_dominance_holds_at_every_step(model, decoded_maps):
         ]
         per_row = A.matrix[:, specials].sum(axis=1)
         assert per_row.min() >= DOMINANCE, f"step {step}"
-        assert recovery_ratio(A, RetainedSet.of(specials)) >= DOMINANCE
+        assert recovery_ratio(A, np.array(specials)) >= DOMINANCE
 
 
 def test_local_dominance_holds_at_every_step(model, decoded_maps):

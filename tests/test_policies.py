@@ -10,9 +10,6 @@ from adaptive_kv.policies import (
     PolicyAtom,
     PolicyContext,
     PolicyError,
-    RetainedSet,
-    apply_policy,
-    cache_memory_cost,
     feasible_set,
     format_policy,
     full_policy,
@@ -46,7 +43,7 @@ def atom_policy(atom, **kw):
 def test_local_keeps_last_ceil_budget():
     ctx = ctx_of([O] * 10)
     got = retained_indices(atom_policy(PolicyAtom.LOCAL, r_l=0.3), ctx)
-    assert got.indices == (7, 8, 9)
+    assert got.tolist() == [7, 8, 9]
 
 
 def test_frequent_top_half_by_cumulative_score():
@@ -56,17 +53,17 @@ def test_frequent_top_half_by_cumulative_score():
         sorted(range(4), key=lambda j: (-ctx.cumulative_scores[j], j))[:2]
     )
     got = retained_indices(atom_policy(PolicyAtom.FREQUENT, r_f=0.5), ctx)
-    assert got.indices == tuple(expected) == (0, 1)
+    assert got.tolist() == expected == [0, 1]
 
 
 def test_frequent_ties_break_toward_lower_index():
     ctx = ctx_of([O] * 6, scores=[1.0, 2.0, 2.0, 2.0, 1.0, 1.0])
     got = retained_indices(atom_policy(PolicyAtom.FREQUENT, r_f=0.5), ctx)
-    assert got.indices == (1, 2, 3)
+    assert got.tolist() == [1, 2, 3]
     # A tie at the budget cut goes to the lowest tied index.
     ctx = ctx_of([O] * 6, scores=[1.0, 2.0, 1.0, 1.0, 2.0, 1.0])
     got = retained_indices(atom_policy(PolicyAtom.FREQUENT, r_f=0.5), ctx)
-    assert got.indices == (0, 1, 4)
+    assert got.tolist() == [0, 1, 4]
 
 
 def test_hybrid_union_of_atoms():
@@ -76,12 +73,12 @@ def test_hybrid_union_of_atoms():
         frozenset({PolicyAtom.SPECIAL, PolicyAtom.PUNCTUATION, PolicyAtom.LOCAL}),
         r_l=0.2,
     )
-    assert retained_indices(hybrid, ctx).indices == (0, 5, 8, 9)
+    assert retained_indices(hybrid, ctx).tolist() == [0, 5, 8, 9]
 
 
 def test_full_retains_everything():
     ctx = ctx_of([O] * 7)
-    assert retained_indices(full_policy(), ctx).indices == tuple(range(7))
+    assert retained_indices(full_policy(), ctx).tolist() == list(range(7))
 
 
 def test_empty_class_sets_yield_empty_retained():
@@ -111,19 +108,22 @@ def test_union_commutative_idempotent_at_retained_level():
         ab = retained_indices(a.union(b), ctx)
         ba = retained_indices(b.union(a), ctx)
         aa = retained_indices(a.union(a), ctx)
-        assert ab.indices == ba.indices
-        assert aa.indices == retained_indices(a, ctx).indices
+        assert np.array_equal(ab, ba)
+        assert np.array_equal(aa, retained_indices(a, ctx))
         union = set(retained_indices(a, ctx)) | set(retained_indices(b, ctx))
         assert set(ab) == union
 
 
 def test_candidates_restrict_selection_without_changing_budgets():
-    ctx = ctx_of([O] * 10, scores=[9, 8, 7, 6, 5, 4, 3, 2, 1, 0])
+    scores = np.array([9, 8, 7, 6, 5, 4, 3, 2, 1, 0], dtype=float)
+    codes = np.zeros(10, dtype=np.int8)
     policy = atom_policy(PolicyAtom.FREQUENT, r_f=0.3)
-    unrestricted = retained_indices(policy, ctx)
-    assert unrestricted.indices == (0, 1, 2)
-    restricted = retained_indices(policy, ctx, candidates=[2, 5, 7, 9])
-    assert restricted.indices == (2, 5, 7)
+    everything = np.arange(10)
+    unrestricted = retained_mask(policy, everything, codes, scores, 10, 10)
+    assert everything[unrestricted].tolist() == [0, 1, 2]
+    live = np.array([2, 5, 7, 9])
+    restricted = retained_mask(policy, live, codes, scores, 10, 10)
+    assert live[restricted].tolist() == [2, 5, 7]
 
 
 def test_retained_mask_rejects_bad_candidates_and_live_scores():
@@ -140,39 +140,10 @@ def test_retained_mask_rejects_bad_candidates_and_live_scores():
             retained_mask(policy, live, codes, scores, 4, 4)
 
 
-def test_apply_policy_identity_empty_and_selection():
-    K = np.arange(8.0).reshape(4, 2)
-    V = -K
-    all_idx = RetainedSet.of(range(4))
-    K_C, V_C = apply_policy(K, V, all_idx)
-    assert np.array_equal(K_C, K) and np.array_equal(V_C, V)
-    K_E, V_E = apply_policy(K, V, RetainedSet.of([]))
-    assert K_E.shape == (0, 2) and V_E.shape == (0, 2)
-    K_S, _ = apply_policy(K, V, RetainedSet.of([0, 3]))
-    assert np.array_equal(K_S, K[[0, 3]])
-
-
-def test_apply_policy_out_of_range():
-    K = np.zeros((4, 2))
-    with pytest.raises(PolicyError, match="out of range"):
-        apply_policy(K, K, RetainedSet.of([4]))
-
-
-def test_reexpanding_by_position_reproduces_rows():
-    rng = np.random.default_rng(21)
-    K = rng.normal(size=(12, 3))
-    V = rng.normal(size=(12, 3))
-    retained = RetainedSet.of([0, 3, 4, 9])
-    K_C, V_C = apply_policy(K, V, retained)
-    for row, pos in enumerate(retained.indices):
-        assert np.array_equal(K_C[row], K[pos])
-        assert np.array_equal(V_C[row], V[pos])
-
-
 def test_memory_cost_examples():
-    assert cache_memory_cost(full_policy(), ctx_of([O] * 512)) == 512
+    assert len(retained_indices(full_policy(), ctx_of([O] * 512))) == 512
     ctx = ctx_of([S, S, O, S, O])
-    assert cache_memory_cost(atom_policy(PolicyAtom.SPECIAL), ctx) == 3
+    assert len(retained_indices(atom_policy(PolicyAtom.SPECIAL), ctx)) == 3
 
 
 def test_nested_family_and_nondecreasing_cost():
@@ -181,7 +152,7 @@ def test_nested_family_and_nondecreasing_cost():
     for _ in range(200):
         ctx = random_context(rng)
         sets = [set(retained_indices(p, ctx)) for p in family]
-        costs = [cache_memory_cost(p, ctx) for p in family]
+        costs = [len(retained_indices(p, ctx)) for p in family]
         for earlier, later in zip(sets, sets[1:]):
             assert earlier <= later
         assert costs == sorted(costs)
@@ -193,8 +164,9 @@ def test_hybrid_cost_at_least_each_atom():
     b = atom_policy(PolicyAtom.LOCAL)
     for _ in range(50):
         ctx = random_context(rng)
-        cost_union = cache_memory_cost(a.union(b), ctx)
-        assert cost_union >= max(cache_memory_cost(a, ctx), cache_memory_cost(b, ctx))
+        cost_union = len(retained_indices(a.union(b), ctx))
+        costs = [len(retained_indices(p, ctx)) for p in (a, b)]
+        assert cost_union >= max(costs)
 
 
 def test_exact_budget_counts():
@@ -259,7 +231,7 @@ def test_feasible_set_drop_ablation():
 def test_update_scores_conserves_mass_when_all_retained():
     ctx = ctx_of([O] * 4, scores=[0.3, 0.3, 0.2, 0.2])
     row = np.array([0.4, 0.3, 0.2, 0.1])
-    out = update_cumulative_scores(ctx, row, RetainedSet.of(range(4)))
+    out = update_cumulative_scores(ctx, row, np.arange(4))
     assert out.current_len == 5
     assert out.cumulative_scores.sum() == pytest.approx(1.0 + 1.0)
     assert out.cumulative_scores[-1] == 0.0
@@ -267,7 +239,7 @@ def test_update_scores_conserves_mass_when_all_retained():
 
 def test_update_scores_empty_retained_appends_only():
     ctx = ctx_of([O] * 3, scores=[1.0, 2.0, 3.0])
-    out = update_cumulative_scores(ctx, np.zeros(0), RetainedSet.of([]))
+    out = update_cumulative_scores(ctx, np.zeros(0), np.arange(0))
     assert out.cumulative_scores.tolist() == [1.0, 2.0, 3.0, 0.0]
 
 
@@ -275,23 +247,30 @@ def test_update_scores_two_steps_hand_summed():
     # three tokens, two decode steps; final scores are elementwise sums
     ctx = ctx_of([O] * 3, scores=[0.5, 0.25, 0.25])
     r1 = np.array([0.6, 0.3, 0.1])
-    ctx = update_cumulative_scores(ctx, r1, RetainedSet.of([0, 1, 2]))
+    ctx = update_cumulative_scores(ctx, r1, np.arange(3))
     r2 = np.array([0.5, 0.2, 0.2, 0.1])
-    ctx = update_cumulative_scores(ctx, r2, RetainedSet.of([0, 1, 2, 3]))
+    ctx = update_cumulative_scores(ctx, r2, np.arange(4))
     expected = [0.5 + 0.6 + 0.5, 0.25 + 0.3 + 0.2, 0.25 + 0.1 + 0.2, 0.0 + 0.1, 0.0]
     assert ctx.cumulative_scores == pytest.approx(expected)
 
 
 def test_update_scores_frozen_for_evicted_positions():
     ctx = ctx_of([O] * 4, scores=[5.0, 1.0, 1.0, 1.0])
-    out = update_cumulative_scores(ctx, np.array([0.7, 0.3]), RetainedSet.of([1, 3]))
+    out = update_cumulative_scores(ctx, np.array([0.7, 0.3]), np.array([1, 3]))
     assert out.cumulative_scores.tolist() == [5.0, 1.7, 1.0, 1.3, 0.0]
 
 
 def test_update_scores_length_mismatch():
     ctx = ctx_of([O] * 3)
     with pytest.raises(PolicyError, match="one score per retained"):
-        update_cumulative_scores(ctx, np.zeros(3), RetainedSet.of([0, 1]))
+        update_cumulative_scores(ctx, np.zeros(3), np.array([0, 1]))
+
+
+@pytest.mark.parametrize("retained", [[-1, 0], [1, 3]])
+def test_update_scores_rejects_positions_out_of_range(retained):
+    ctx = ctx_of([O] * 3)
+    with pytest.raises(PolicyError, match=r"outside \[0, 3\)"):
+        update_cumulative_scores(ctx, np.zeros(2), np.array(retained))
 
 
 def test_policy_invariants():

@@ -1,0 +1,96 @@
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from adaptive_kv.engine import prompt_head_data
+from adaptive_kv.policies import (
+    feasible_set,
+    full_policy,
+    parse_policy,
+    retained_indices,
+)
+from adaptive_kv.profiler import (
+    HeadProfile,
+    ProfilerConfig,
+    ProfilerError,
+    RowAveraging,
+    SelectionCriterion,
+    masked_cosine_similarity,
+    profile_model,
+    recovery_ratio,
+    select_policy,
+)
+
+PROMPT_LEN = 40
+
+
+@pytest.fixture(scope="module")
+def head_data(mixed_model):
+    _, _, data = prompt_head_data(mixed_model, mixed_model.prompt_token_ids(PROMPT_LEN))
+    return data
+
+
+@pytest.mark.parametrize("rows", list(RowAveraging))
+@pytest.mark.parametrize("T", [0.5, 0.9, 0.95, 0.99])
+def test_recovery_criterion_picks_first_policy_meeting_threshold(head_data, T, rows):
+    cfg = ProfilerConfig(recovery_threshold=T, rows=rows)
+    for A, ctx in head_data.values():
+        sets = [retained_indices(p, ctx) for p in cfg.feasible]
+        recoveries = [recovery_ratio(A, idx, rows) for idx in sets]
+        first = next(i for i, r in enumerate(recoveries) if r >= T)
+        decision = select_policy(A, ctx, cfg)
+        assert decision.policy == cfg.feasible[first]
+        assert decision.recovery == recoveries[first]
+        assert decision.cost_tokens == len(sets[first])
+
+
+# frequent(r_f=1) keeps every position, so it ties with full and wins.
+TIED_FAMILY = [parse_policy("special"), parse_policy("frequent(r_f=1)"), full_policy()]
+
+
+@pytest.mark.parametrize(
+    "feasible", [feasible_set(), TIED_FAMILY], ids=["default", "tie"]
+)
+def test_cosine_criterion_picks_first_most_similar_policy(head_data, feasible):
+    cosine = SelectionCriterion.COSINE_SIMILARITY
+    cfg = ProfilerConfig(feasible=feasible, criterion=cosine)
+    for A, ctx in head_data.values():
+        sets = [retained_indices(p, ctx) for p in cfg.feasible]
+        sims = [masked_cosine_similarity(A, idx) for idx in sets]
+        best = sims.index(max(sims))
+        decision = select_policy(A, ctx, cfg)
+        assert decision.policy == cfg.feasible[best]
+        assert decision.recovery == recovery_ratio(A, sets[best], cfg.rows)
+        assert decision.cost_tokens == len(sets[best])
+
+
+def test_profile_model_selects_every_head_and_checks_the_grid(head_data):
+    cfg = ProfilerConfig()
+    profile = profile_model(head_data, cfg, grid=sorted(head_data))
+    assert len(profile) == len(head_data)
+    for key, (A, ctx) in head_data.items():
+        assert profile[key] == select_policy(A, ctx, cfg)
+    with pytest.raises(ProfilerError, match="missing profiling data"):
+        profile_model(head_data, cfg, grid=[(9, 9)])
+
+
+def test_head_profile_csv_round_trips(head_data):
+    for cfg in (ProfilerConfig(), ProfilerConfig(recovery_threshold=0.5)):
+        profile = profile_model(head_data, cfg)
+        text = profile.to_csv()
+        again = HeadProfile.from_csv(text)
+        assert again.decisions == profile.decisions
+        assert again.to_csv() == text
+    with pytest.raises(ProfilerError, match="bad profile CSV header"):
+        HeadProfile.from_csv("layer,head,policy\n")
+
+
+@pytest.mark.parametrize("measure", [recovery_ratio, masked_cosine_similarity])
+def test_positions_outside_the_map_are_rejected(head_data, measure):
+    A, _ = head_data[(0, 0)]
+    assert measure(A, np.arange(0)) == 0.0
+    assert measure(A, np.arange(A.size)) == pytest.approx(1.0)
+    for bad in ([-1], [0, A.size], [A.size + 5]):
+        with pytest.raises(ProfilerError, match="outside"):
+            measure(A, np.array(bad))

@@ -27,6 +27,7 @@ from adaptive_kv.trace import (
     TraceModel,
     TraceTruncatedError,
     read_trace,
+    record_trace,
     write_trace,
     write_trace_ndjson,
 )
@@ -143,23 +144,7 @@ def test_trace_replay_reproduces_synthetic_run(small_model, tmp_path):
     prompt_len, steps = 24, 8
     prompt = small_model.prompt_token_ids(prompt_len)
     ref = reference_generate(small_model, prompt, GenerationConfig(max_new_tokens=steps))
-    all_tokens = prompt + ref.tokens[: steps - 1]
-    annotations = [
-        TokenAnnotation(pos, tid, small_model.vocab.classify_id(tid))
-        for pos, tid in enumerate(all_tokens)
-    ]
-    blocks = {}
-    for layer, head in small_model.config.head_grid():
-        blocks[(layer, head)] = [
-            TraceBlock(
-                step=pos,
-                k=small_model.k_row(layer, head, pos, annotations[pos].klass, prompt_len),
-                v=small_model.v_row(layer, head, pos),
-                q=small_model.q_row(layer, head, pos, prompt_len),
-            )
-            for pos in range(len(all_tokens))
-        ]
-    trace = AttentionTrace(small_model.config, annotations, blocks)
+    trace = record_trace(small_model, prompt + ref.tokens[: steps - 1], prompt_len)
     path = tmp_path / "run.akvt"
     write_trace(trace, path)
 
