@@ -8,11 +8,14 @@ row-major order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 ROW_SUM_TOL = 1e-9
+# Rows of a causal softmax processed as one whole-array block.
+_SOFTMAX_BLOCK_ROWS = 128
 
 
 class AttentionError(ValueError):
@@ -51,7 +54,7 @@ class AttentionMap:
             raise AttentionError("attention map has negative entries")
         if np.any(np.abs(m.sum(axis=1) - 1.0) > ROW_SUM_TOL):
             raise AttentionError("attention map rows must sum to 1")
-        if np.any(np.triu(m, k=1) != 0.0):
+        if np.any(m[_above_diagonal(m.shape[0])]):
             raise AttentionError("attention map must be causal (zero above diagonal)")
         object.__setattr__(self, "matrix", m)
         self.matrix.setflags(write=False)
@@ -61,11 +64,25 @@ class AttentionMap:
         return self.matrix.shape[0]
 
 
+@lru_cache(maxsize=8)
+def _above_diagonal(n: int) -> np.ndarray:
+    """Read-only boolean mask of the entries above an n x n diagonal."""
+    mask = np.triu(np.ones((n, n), dtype=bool), k=1)
+    mask.setflags(write=False)
+    return mask
+
+
 def softmax_rows(m, causal_lengths: Sequence[int] | None = None) -> np.ndarray:
     """Row-wise softmax with max-subtraction for overflow safety.
 
     When ``causal_lengths`` is given, row i is normalized over its first
     ``causal_lengths[i]`` columns and the rest are set to exactly zero.
+    Rows then go in blocks of ``_SOFTMAX_BLOCK_ROWS``, each cut to its
+    longest row: masked entries become ``-inf`` (so their ``exp`` is
+    exactly zero) and the max, shift, ``exp`` and division are whole-block
+    operations. Each row's normalizer is still summed in Python over
+    exactly its own prefix: numpy's pairwise sum groups terms by length,
+    so summing the zero-padded row would change the last bits.
     """
     logits = as_matrix(m, "softmax input")
     n_rows, n_cols = logits.shape
@@ -78,14 +95,20 @@ def softmax_rows(m, causal_lengths: Sequence[int] | None = None) -> np.ndarray:
         raise AttentionError(
             f"causal_lengths has {len(causal_lengths)} entries for {n_rows} rows"
         )
+    lengths = np.asarray(causal_lengths)
+    bad = np.flatnonzero((lengths < 1) | (lengths > n_cols))
+    if bad.size:
+        i = bad[0]
+        raise AttentionError(f"row {i}: causal length {lengths[i]} out of range")
     out = np.zeros_like(logits)
-    for i, length in enumerate(causal_lengths):
-        if not 1 <= length <= n_cols:
-            raise AttentionError(f"row {i}: causal length {length} out of range")
-        row = logits[i, :length]
-        shifted = row - row.max()
-        exp = np.exp(shifted)
-        out[i, :length] = exp / exp.sum()
+    for start in range(0, n_rows, _SOFTMAX_BLOCK_ROWS):
+        block = lengths[start : start + _SOFTMAX_BLOCK_ROWS]
+        rows, width = slice(start, start + block.size), block.max()
+        x = np.where(np.arange(width) < block[:, None], logits[rows, :width], -np.inf)
+        x -= x.max(axis=1, keepdims=True)
+        np.exp(x, out=x)
+        sums = [x[i, :length].sum() for i, length in enumerate(block.tolist())]
+        np.divide(x, np.array(sums)[:, None], out=out[rows, :width])
     return out
 
 
@@ -99,29 +122,24 @@ def softmax_vector(v) -> np.ndarray:
     return exp / exp.sum()
 
 
-def causal_attention(Q, K, V, d_k: int) -> tuple[AttentionMap, np.ndarray]:
-    """Scaled dot-product attention with a causal mask.
+def causal_attention(Q, K, d_k: int) -> AttentionMap:
+    """Scaled dot-product attention weights under a causal mask.
 
-    Returns the full attention map A = softmax(Q K^T / sqrt(d_k)) and the
-    attended output A @ V.
+    Returns the full attention map A = softmax(Q K^T / sqrt(d_k)); a
+    caller wanting the attended output takes ``A.matrix @ V``.
     """
     q = as_matrix(Q, "Q")
     k = as_matrix(K, "K")
-    v = as_matrix(V, "V")
     if d_k < 1:
         raise AttentionError(f"d_k must be >= 1, got {d_k}")
     if q.shape[1] != d_k:
         raise AttentionError(f"Q has {q.shape[1]} columns, expected d_k={d_k}")
     if k.shape[1] != d_k:
         raise AttentionError(f"K has {k.shape[1]} columns, expected d_k={d_k}")
-    if k.shape[0] != v.shape[0]:
-        raise AttentionError(
-            f"V has {v.shape[0]} rows, expected {k.shape[0]} to match K"
-        )
     if q.shape[0] != k.shape[0]:
         raise AttentionError(
             f"Q has {q.shape[0]} rows, expected {k.shape[0]} to match K"
         )
     logits = q @ k.T / np.sqrt(float(d_k))
     weights = softmax_rows(logits, causal_lengths=range(1, q.shape[0] + 1))
-    return AttentionMap(weights), weights @ v
+    return AttentionMap(weights)

@@ -195,15 +195,15 @@ def prompt_head_data(model, tokens: list[int], prompt_len: int | None = None):
     matrices: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
     head_data = {}
     for layer, head in cfg.head_grid():
-        K = np.vstack(
+        K = np.array(
             [
                 model.k_row(layer, head, pos, annotations[pos].klass, p)
                 for pos in range(n)
             ]
         )
-        V = np.vstack([model.v_row(layer, head, pos) for pos in range(n)])
-        Q = np.vstack([model.q_row(layer, head, pos, p) for pos in range(n)])
-        A, _ = causal_attention(Q, K, V, cfg.head_dim)
+        V = np.array([model.v_row(layer, head, pos) for pos in range(n)])
+        Q = np.array([model.q_row(layer, head, pos, p) for pos in range(n)])
+        A = causal_attention(Q, K, cfg.head_dim)
         ctx = PolicyContext(
             annotations=tuple(annotations),
             prompt_len=p,
@@ -443,13 +443,10 @@ def reference_generate(
     cfg = model.config
     n = len(prompt_tokens)
     annotations, matrices, _ = prompt_head_data(model, prompt_tokens)
-    keys: dict[tuple[int, int], list[np.ndarray]] = {}
-    values: dict[tuple[int, int], list[np.ndarray]] = {}
-    pending: dict[tuple[int, int], np.ndarray] = {}
-    for key, (K, V, A_matrix) in matrices.items():
-        keys[key] = [K[i] for i in range(n)]
-        values[key] = [V[i] for i in range(n)]
-        pending[key] = A_matrix[n - 1] @ V
+    # Per-head K/V rows ``[:seq_len]``, in buffers grown by ``_room``.
+    keys = {key: K for key, (K, _, _) in matrices.items()}
+    values = {key: V for key, (_, V, _) in matrices.items()}
+    pending = {key: A[n - 1] @ V for key, (_, V, A) in matrices.items()}
 
     sampler = _Sampler(gen_cfg.sampling)
     tokens: list[int] = []
@@ -464,13 +461,13 @@ def reference_generate(
             annotations.append(TokenAnnotation(pos, last, klass))
             for key in keys:
                 layer, head = key
-                keys[key].append(model.k_row(layer, head, pos, klass, n))
-                values[key].append(model.v_row(layer, head, pos))
+                keys[key] = K = _room(keys[key], pos)
+                values[key] = V = _room(values[key], pos)
+                K[pos] = model.k_row(layer, head, pos, klass, n)
+                V[pos] = model.v_row(layer, head, pos)
                 q = model.q_row(layer, head, pos, n)
-                K_att = np.vstack(keys[key])
-                V_att = np.vstack(values[key])
-                weights, output = _attend_row(q, K_att, V_att, cfg.head_dim)
-                pending[key] = output
+                m = pos + 1
+                _, pending[key] = _attend_row(q, K[:m], V[:m], cfg.head_dim)
             seq_len += 1
         concat = np.concatenate([pending[key] for key in sorted(pending)])
         token = sampler(model.head_logits(concat))
@@ -489,8 +486,8 @@ def reference_generate(
     final_heads = {
         key: HeadCacheState(
             policy=CompressionPolicy(frozenset({PolicyAtom.FULL})),
-            K=np.vstack(keys[key]),
-            V=np.vstack(values[key]),
+            K=keys[key][:seq_len],
+            V=values[key][:seq_len],
             pos=np.arange(seq_len),
             n=seq_len,
             scores=None,

@@ -47,9 +47,9 @@ def test_softmax_causal_lengths_mask_exact_zero():
 
 def test_causal_attention_single_token():
     V = np.array([[4.0, -1.0]])
-    A, out = causal_attention(np.array([[1.0, 0.0]]), np.array([[2.0, 3.0]]), V, 2)
+    A = causal_attention(np.array([[1.0, 0.0]]), np.array([[2.0, 3.0]]), 2)
     assert A.matrix.shape == (1, 1) and A.matrix[0, 0] == 1.0
-    assert out[0] == pytest.approx(V[0])
+    assert (A.matrix @ V)[0] == pytest.approx(V[0])
 
 
 def test_causal_attention_two_by_two_hand_evaluated():
@@ -58,12 +58,12 @@ def test_causal_attention_two_by_two_hand_evaluated():
     Q = np.array([[1.0], [2.0]])
     K = np.array([[1.0], [-1.0]])
     V = np.array([[3.0], [5.0]])
-    A, out = causal_attention(Q, K, V, 1)
+    A = causal_attention(Q, K, 1)
     w0 = math.exp(2.0) / (math.exp(2.0) + math.exp(-2.0))
     w1 = math.exp(-2.0) / (math.exp(2.0) + math.exp(-2.0))
     assert A.matrix[0] == pytest.approx([1.0, 0.0], abs=1e-15)
     assert A.matrix[1] == pytest.approx([w0, w1], abs=1e-15)
-    assert out[1, 0] == pytest.approx(3.0 * w0 + 5.0 * w1, abs=1e-12)
+    assert (A.matrix @ V)[1, 0] == pytest.approx(3.0 * w0 + 5.0 * w1, abs=1e-12)
 
 
 def test_causal_attention_rows_sum_to_one():
@@ -73,23 +73,20 @@ def test_causal_attention_rows_sum_to_one():
         d = int(rng.integers(1, 6))
         Q = rng.normal(size=(n, d))
         K = rng.normal(size=(n, d))
-        V = rng.normal(size=(n, d))
-        A, _ = causal_attention(Q, K, V, d)
+        A = causal_attention(Q, K, d)
         assert np.abs(A.matrix.sum(axis=1) - 1.0).max() <= 1e-9
         assert np.all(A.matrix >= 0.0)
         assert np.all(np.triu(A.matrix, k=1) == 0.0)
 
 
 def test_causal_attention_dimension_errors_name_operand():
-    Q = np.zeros((2, 3))
     K = np.zeros((2, 3))
-    V = np.zeros((3, 3))
-    with pytest.raises(AttentionError, match="V has 3 rows"):
-        causal_attention(Q, K, V, 3)
+    with pytest.raises(AttentionError, match="Q has 3 rows, expected 2"):
+        causal_attention(np.zeros((3, 3)), K, 3)
     with pytest.raises(AttentionError, match="K has 3 columns"):
-        causal_attention(np.zeros((2, 2)), K, np.zeros((2, 2)), 2)
+        causal_attention(np.zeros((2, 2)), K, 2)
     with pytest.raises(AttentionError, match="Q has 3 columns"):
-        causal_attention(np.zeros((2, 3)), np.zeros((2, 2)), np.zeros((2, 2)), 2)
+        causal_attention(np.zeros((2, 3)), np.zeros((2, 2)), 2)
 
 
 def test_attention_map_invariants_enforced():
@@ -103,6 +100,51 @@ def test_attention_map_invariants_enforced():
         AttentionMap(np.array([[1.0, 0.0], [-0.5, 1.5]]))
     with pytest.raises(AttentionError, match="non-finite"):
         AttentionMap(np.array([[np.nan, 0.0], [0.5, 0.5]]))
+
+
+def reference_causal_softmax(logits, lengths):
+    """Row-by-row causal softmax, kept as the bitwise reference."""
+    out = np.zeros_like(logits)
+    for i, length in enumerate(lengths):
+        row = logits[i, :length]
+        exp = np.exp(row - row.max())
+        out[i, :length] = exp / exp.sum()
+    return out
+
+
+@pytest.mark.parametrize("n", list(range(1, 21)) + [127, 128, 129, 257])
+def test_causal_softmax_is_bitwise_the_per_row_softmax(n):
+    rng = np.random.default_rng(n)
+    logits = rng.normal(scale=4.0, size=(n, n))
+    lengths = range(1, n + 1)
+    assert np.array_equal(
+        softmax_rows(logits, causal_lengths=lengths),
+        reference_causal_softmax(logits, lengths),
+    )
+    # Lengths other than i + 1, over more columns than rows.
+    wide = rng.normal(scale=4.0, size=(n, n + 7))
+    lengths = rng.integers(1, n + 8, size=n)
+    assert np.array_equal(
+        softmax_rows(wide, causal_lengths=lengths),
+        reference_causal_softmax(wide, lengths),
+    )
+
+
+def test_causal_lengths_are_checked_row_by_row():
+    with pytest.raises(AttentionError, match="row 1: causal length 0 out of range"):
+        softmax_rows(np.ones((3, 3)), causal_lengths=[1, 0, 4])
+    with pytest.raises(AttentionError, match="causal_lengths has 2 entries for 3 rows"):
+        softmax_rows(np.ones((3, 3)), causal_lengths=[1, 2])
+
+
+@pytest.mark.parametrize("n, at", [(129, (0, 128)), (200, (127, 128)), (2, (0, 1))])
+def test_attention_map_rejects_one_entry_above_the_diagonal(n, at):
+    m = np.eye(n)
+    m[at] = 1e-12
+    with pytest.raises(AttentionError, match="causal"):
+        AttentionMap(m)
+    m[at] = -0.0
+    assert np.array_equal(AttentionMap(m).matrix, np.eye(n))
 
 
 def test_attention_map_is_immutable():

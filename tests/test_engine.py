@@ -150,6 +150,24 @@ def test_full_policy_matches_reference(mixed_model, sampling):
     ]
 
 
+def test_reference_cache_holds_every_model_row_across_buffer_growth(small_model):
+    model = small_model
+    prompt = model.prompt_token_ids(PROMPT_LEN)
+    cfg = GenerationConfig(STEPS)
+    ref = reference_generate(model, prompt, cfg)
+    full = generate_fixed_baseline(model, prompt, full_policy(), cfg, diagnostics=False)
+    assert ref.tokens == full.tokens
+    cache = ref.cache
+    seq_len = PROMPT_LEN + STEPS - 1
+    assert cache.seq_len == seq_len
+    rows = Rows(model, PROMPT_LEN)
+    for (layer, head), state in cache.heads.items():
+        expected = [rows(layer, head, a.position, a.klass) for a in cache.annotations]
+        assert state.n == seq_len and state.pos.tolist() == list(range(seq_len))
+        assert np.array_equal(state.K, np.array([r[0] for r in expected]))
+        assert np.array_equal(state.V, np.array([r[1] for r in expected]))
+
+
 @pytest.mark.parametrize("sampling", [None, Nucleus(seed=3)], ids=["greedy", "nucleus"])
 def test_diagnostics_do_not_change_decoding(mixed_model, sampling):
     prompt = mixed_model.prompt_token_ids(48)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from adaptive_kv.attention import causal_attention
 from adaptive_kv.engine import prompt_head_data
 from adaptive_kv.policies import (
     feasible_set,
@@ -94,3 +95,35 @@ def test_positions_outside_the_map_are_rejected(head_data, measure):
     for bad in ([-1], [0, A.size], [A.size + 5]):
         with pytest.raises(ProfilerError, match="outside"):
             measure(A, np.array(bad))
+
+
+@pytest.mark.parametrize("rows", list(RowAveraging))
+def test_threshold_one_keeps_the_full_cache_on_every_head(head_data, rows):
+    # Several heads' full-cache recovery lands a hair below 1.0 here.
+    profile = profile_model(head_data, ProfilerConfig(recovery_threshold=1.0, rows=rows))
+    for _, decision in profile.items():
+        assert decision.policy == full_policy()
+        assert decision.cost_tokens == PROMPT_LEN
+
+
+def reference_recovery(A, idx, rows):
+    """Column-gather recovery, kept as the bitwise reference."""
+    if not len(idx):
+        return 0.0
+    per_row = A.matrix[:, idx].sum(axis=1)
+    return float(per_row[-1] if rows is RowAveraging.LAST_ROW else per_row.mean())
+
+
+@pytest.mark.parametrize("rows", list(RowAveraging))
+def test_recovery_ratio_is_bitwise_the_column_gather_sum(head_data, rows):
+    rng = np.random.default_rng(17)
+    n = 300
+    big = causal_attention(rng.normal(size=(n, 8)), rng.normal(size=(n, 8)), 8)
+    maps = [A for A, _ in head_data.values()] + [big]
+    for A in maps:
+        sizes = [0, 1, 2, 8, 9, A.size // 3, A.size - 1, A.size]
+        for k in sizes:
+            idx = np.sort(rng.choice(A.size, size=k, replace=False))
+            assert np.array_equal(
+                recovery_ratio(A, idx, rows), reference_recovery(A, idx, rows)
+            )
