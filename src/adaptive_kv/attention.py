@@ -140,6 +140,7 @@ def causal_attention(Q, K, d_k: int) -> AttentionMap:
         raise AttentionError(
             f"Q has {q.shape[0]} rows, expected {k.shape[0]} to match K"
         )
-    logits = q @ k.T / np.sqrt(float(d_k))
+    logits = q @ k.T
+    logits /= np.sqrt(float(d_k))
     weights = softmax_rows(logits, causal_lengths=range(1, q.shape[0] + 1))
     return AttentionMap(weights)

@@ -553,7 +553,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_profiler(p):
         p.add_argument("--threshold", type=float, help="recovery threshold T")
-        p.add_argument("--criterion", choices=["recovery", "cosine"])
+        p.add_argument(
+            "--criterion",
+            choices=["recovery", "cosine"],
+            help="cosine ignores --threshold and keeps full on a nested family",
+        )
         p.add_argument("--rows", choices=["all", "last"], help="row averaging")
         p.add_argument(
             "--feasible", help="feasible family: default | drop:atom,... | order:atom,..."

@@ -1,12 +1,14 @@
 """Dual-phase generation over a compressed KV cache.
 
-Phase one encodes the prompt, profiles every head once, and compresses
-each head's cache under its chosen policy. Phase two generates token by
-token: each step appends the incoming token's K/V row, attends over the
-retained positions plus that row, folds the attention row into the
-frequency bookkeeping, re-applies the head's frozen policy to the grown
-cache, and finally samples the next token. Evicted rows are dropped for
-good; re-application only ever selects among live positions.
+Phase one streams the prompt pass head by head: it builds each head's
+P x P attention map, profiles the head once, compresses its cache under
+the chosen policy and drops the map before the next head's, so one map
+is alive at a time. Phase two generates token by token: each step
+appends the incoming token's K/V row, attends over the retained
+positions plus that row, folds the attention row into the frequency
+bookkeeping, re-applies the head's frozen policy to the grown cache, and
+finally samples the next token. Evicted rows are dropped for good;
+re-application only ever selects among live positions.
 
 Each head keeps preallocated float64 K/V row buffers and an int position
 buffer; rows ``[:n]`` are the live entries in ascending position order.
@@ -35,7 +37,10 @@ from .policies import (
     # perfbench/tracer.py patches it by attribute.
     update_cumulative_scores,  # noqa: F401
 )
-from .profiler import HeadProfile, ProfilerConfig, evaluate_policy, profile_model
+from .profiler import HeadProfile, ProfilerConfig, evaluate_policy, select_policy
+# Profiling goes head by head through select_policy; this name stays bound
+# here because perfbench/tracer.py patches it by attribute.
+from .profiler import profile_model  # noqa: F401
 from .tokens import CLASS_CODE, TokenAnnotation, class_codes, classify_tokens
 
 # Rows added to a full cache buffer at a time.
@@ -174,15 +179,16 @@ class CompressedCache:
 
 
 def prompt_head_data(model, tokens: list[int], prompt_len: int | None = None):
-    """Full-context pass: per-head (K, V, A) plus profiling inputs.
+    """Full-context pass, streamed one head at a time in ``head_grid()`` order.
 
     ``prompt_len`` defaults to the full token list; diagnostic callers
     re-encoding a prompt plus generated tokens pass the true prompt length
     so model rows and policy budgets stay anchored to it.
 
-    Returns (annotations, matrices, head_data) where matrices maps each
-    (layer, head) to its (K, V, A-matrix) and head_data to the
-    (AttentionMap, PolicyContext) pair the profiler consumes.
+    Yields ``(key, K, V, A, ctx)`` per head: its K/V rows, AttentionMap and
+    the PolicyContext the profiler consumes. Each map is built when its
+    head is asked for and dropped before the next, so one map is alive at
+    a time if the consumer drops it too.
     """
     if not tokens:
         raise EngineError("empty prompt")
@@ -191,9 +197,7 @@ def prompt_head_data(model, tokens: list[int], prompt_len: int | None = None):
     p = n if prompt_len is None else prompt_len
     if not 1 <= p <= n:
         raise EngineError(f"prompt_len {p} out of range for {n} tokens")
-    annotations = classify_tokens(tokens, model.vocab)
-    matrices: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-    head_data = {}
+    annotations = tuple(classify_tokens(tokens, model.vocab))
     for layer, head in cfg.head_grid():
         K = np.array(
             [
@@ -205,14 +209,13 @@ def prompt_head_data(model, tokens: list[int], prompt_len: int | None = None):
         Q = np.array([model.q_row(layer, head, pos, p) for pos in range(n)])
         A = causal_attention(Q, K, cfg.head_dim)
         ctx = PolicyContext(
-            annotations=tuple(annotations),
+            annotations=annotations,
             prompt_len=p,
             current_len=n,
             cumulative_scores=A.matrix.sum(axis=0),
         )
-        matrices[(layer, head)] = (K, V, A.matrix)
-        head_data[(layer, head)] = (A, ctx)
-    return annotations, matrices, head_data
+        yield (layer, head), K, V, A, ctx
+        del A
 
 
 def encode_prompt(
@@ -224,36 +227,31 @@ def encode_prompt(
 ) -> tuple[HeadProfile, CompressedCache]:
     """Prompt encoding with one-shot profiling and cache compression.
 
-    For every head: compute K, Q, V and the full attention map, select the
-    head's policy (or impose ``fixed_policy``), and store the compressed
-    rows. The profile is immutable afterwards.
+    For every head, as the prompt pass streams it: select the head's
+    policy (or impose ``fixed_policy``) on its attention map, store the
+    compressed rows and the last query's output, then drop the map. The
+    profile is immutable afterwards.
     """
     if profiler_cfg is None and fixed_policy is None:
         raise EngineError("need a profiler config or a fixed policy")
-    cfg = model.config
     n = len(prompt_tokens)
-    annotations, full_rows, head_data = prompt_head_data(model, prompt_tokens)
-
-    if fixed_policy is not None:
-        decisions = {}
-        for key, (A, ctx) in head_data.items():
-            decisions[key] = evaluate_policy(A, ctx, fixed_policy)
-        profile = HeadProfile(decisions)
-    else:
-        profile = profile_model(head_data, profiler_cfg, grid=cfg.head_grid())
-
+    annotations = classify_tokens(prompt_tokens, model.vocab)
+    decisions = {}
     heads = {}
     shadow = {} if diagnostics else None
-    for key, (K, V, A_matrix) in full_rows.items():
-        _, ctx = head_data[key]
-        policy = profile[key].policy
+    for key, K, V, A, ctx in prompt_head_data(model, prompt_tokens):
+        if fixed_policy is not None:
+            decisions[key] = evaluate_policy(A, ctx, fixed_policy)
+        else:
+            decisions[key] = select_policy(A, ctx, profiler_cfg)
+        policy = decisions[key].policy
         idx = retained_indices(policy, ctx)
         scores = (
             ctx.cumulative_scores.copy()
             if PolicyAtom.FREQUENT in policy.atoms
             else None
         )
-        last_row = A_matrix[n - 1]
+        last_row = A.matrix[n - 1]
         heads[key] = HeadCacheState(
             policy=policy,
             K=K[idx],
@@ -266,11 +264,14 @@ def encode_prompt(
         )
         if diagnostics:
             shadow[key] = K
+        # Release the map (``last_row`` is a view of it) before the next head.
+        del A, last_row
 
+    profile = HeadProfile(decisions)
     cache = CompressedCache(
         prompt_len=n,
         seq_len=n,
-        annotations=list(annotations),
+        annotations=annotations,
         codes=class_codes(annotations, n),
         heads=heads,
         profile=profile,
@@ -442,11 +443,14 @@ def reference_generate(
     """
     cfg = model.config
     n = len(prompt_tokens)
-    annotations, matrices, _ = prompt_head_data(model, prompt_tokens)
-    # Per-head K/V rows ``[:seq_len]``, in buffers grown by ``_room``.
-    keys = {key: K for key, (K, _, _) in matrices.items()}
-    values = {key: V for key, (_, V, _) in matrices.items()}
-    pending = {key: A[n - 1] @ V for key, (_, V, A) in matrices.items()}
+    annotations = classify_tokens(prompt_tokens, model.vocab)
+    # Per-head K/V rows ``[:seq_len]``, in buffers grown by ``_room``; of
+    # each head's map only the last query's output is kept.
+    keys, values, pending = {}, {}, {}
+    for key, K, V, A, _ in prompt_head_data(model, prompt_tokens):
+        keys[key], values[key] = K, V
+        pending[key] = A.matrix[n - 1] @ V
+        del A
 
     sampler = _Sampler(gen_cfg.sampling)
     tokens: list[int] = []

@@ -23,7 +23,7 @@ from .engine import (
     reference_generate,
 )
 from .policies import CompressionPolicy, format_policy
-from .profiler import HeadProfile, ProfilerConfig, profile_model, select_policy
+from .profiler import HeadProfile, ProfilerConfig, select_policy
 
 
 class MetricsError(ValueError):
@@ -155,25 +155,23 @@ def consistency_report(
     )
     n = len(prompt_tokens)
     all_tokens = prompt_tokens + reference.tokens
-    entries: list[ConsistencyEntry] = []
-    first_policies: dict[tuple[int, int], CompressionPolicy] = {}
-    for step in steps:
-        length = n + step - 1
-        _, _, head_data = prompt_head_data(model, all_tokens[:length], prompt_len=n)
-        for key in sorted(head_data):
-            policy = select_policy(*head_data[key], profiler_cfg).policy
+    # One lazy prompt-pass stream per listed step, each advanced a head at
+    # a time, so one attention map is alive at a time.
+    streams = [
+        prompt_head_data(model, all_tokens[: n + step - 1], prompt_len=n)
+        for step in steps
+    ]
+    per_step: list[list[ConsistencyEntry]] = [[] for _ in steps]
+    for layer, head in model.config.head_grid():
+        for entries, step, stream in zip(per_step, steps, streams):
+            _, _, _, A, ctx = next(stream)
+            policy = select_policy(A, ctx, profiler_cfg).policy
+            del A
             if step == steps[0]:
-                first_policies[key] = policy
-            entries.append(
-                ConsistencyEntry(
-                    layer=key[0],
-                    head=key[1],
-                    step=step,
-                    policy=format_policy(policy),
-                    matches_first=policy == first_policies[key],
-                )
-            )
-    return entries
+                first = policy
+            name = format_policy(policy)
+            entries.append(ConsistencyEntry(layer, head, step, name, policy == first))
+    return [entry for entries in per_step for entry in entries]
 
 
 def stability_fraction(entries: list[ConsistencyEntry]) -> float:
@@ -191,13 +189,18 @@ def tradeoff_curve(
 ) -> list[TradeoffPoint]:
     """Profiling-time pruning/recovery trade-off at each threshold."""
     base = base_cfg if base_cfg is not None else ProfilerConfig()
-    _, _, head_data = prompt_head_data(model, prompt_tokens)
+    cfgs = [replace(base, recovery_threshold=T) for T in T_values]
+    # Each head is profiled at every threshold while its map is alive.
+    per_T: list[list] = [[] for _ in cfgs]
+    for _, _, _, A, ctx in prompt_head_data(model, prompt_tokens):
+        for decisions, cfg in zip(per_T, cfgs):
+            decisions.append(select_policy(A, ctx, cfg))
+        del A
     n = len(prompt_tokens)
     points = []
-    for T in T_values:
-        profile = profile_model(head_data, replace(base, recovery_threshold=T))
-        costs = [d.cost_tokens for _, d in profile.items()]
-        recoveries = [d.recovery for _, d in profile.items()]
+    for T, decisions in zip(T_values, per_T):
+        costs = [d.cost_tokens for d in decisions]
+        recoveries = [d.recovery for d in decisions]
         points.append(
             TradeoffPoint(
                 T=T,

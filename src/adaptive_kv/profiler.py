@@ -36,6 +36,13 @@ class ProfilerError(ValueError):
 
 
 class SelectionCriterion(Enum):
+    """How ``select_policy`` picks a head's policy.
+
+    Cosine similarity ignores the recovery threshold: on a nested family
+    it never decreases and is exactly 1 for ``full``, so every head keeps
+    ``full`` unless an earlier policy also keeps every attended position.
+    """
+
     RECOVERY_MASS = "recovery"
     COSINE_SIMILARITY = "cosine"
 

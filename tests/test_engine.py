@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,8 +25,10 @@ from adaptive_kv.policies import (
     full_policy,
     update_cumulative_scores,
 )
+from adaptive_kv.model import Archetype, ModelConfig, SyntheticModel, cycling_plan
 from adaptive_kv.profiler import ProfilerConfig
 from adaptive_kv.tokens import TokenClass
+from adaptive_kv.trace import TraceModel, record_trace
 
 PROMPT_LEN = 24
 # Long enough for the full policy's buffers to grow twice: once on the
@@ -96,11 +100,11 @@ def test_cache_matches_list_reference_every_step(small_model, policy):
     d = model.config.head_dim
     prompt = model.prompt_token_ids(PROMPT_LEN)
     _, cache = encode_prompt(model, prompt, None, fixed_policy=policy, diagnostics=False)
-    _, _, head_data = prompt_head_data(model, prompt)
+    contexts = {key: ctx for key, _, _, _, ctx in prompt_head_data(model, prompt)}
     rows = Rows(model, PROMPT_LEN)
-    ref_scores = {key: ctx.cumulative_scores for key, (_, ctx) in head_data.items()}
+    ref_scores = {key: ctx.cumulative_scores for key, ctx in contexts.items()}
     for key, state in cache.heads.items():
-        ctx = head_data[key][1]
+        ctx = contexts[key]
         assert state.live.tolist() == reference_retained(policy, ctx)
 
     growths = 0
@@ -198,3 +202,30 @@ def test_direct_generate_step_records_are_numbered_from_one(small_model):
     assert steps == [1, 2, 3, 4, 5, 6]
     run = generate(small_model, prompt, ProfilerConfig(), GenerationConfig(6))
     assert [r.step for r in run.records] == [1, 2, 3, 4, 5, 6]
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_prompt_pass_keeps_one_attention_map_alive():
+    # 32 heads at P=256, replayed from a recorded trace so the traced
+    # runs allocate for the engine, not for row synthesis.
+    P = 256
+    config = ModelConfig(num_layers=4, num_heads=8, head_dim=32, vocab_size=64, seed=5)
+    synth = SyntheticModel(config, cycling_plan(config, list(Archetype)), 0.97)
+    prompt = synth.prompt_token_ids(P)
+    model = TraceModel(record_trace(synth, prompt, P))
+    all_maps = len(config.head_grid()) * P * P * 8
+    encode = _traced_peak(lambda: encode_prompt(model, prompt, ProfilerConfig()))
+    reference = _traced_peak(
+        lambda: reference_generate(model, prompt, GenerationConfig(0))
+    )
+    # Holding every head's float64 map at once would exceed 1.0.
+    assert encode < 0.5 * all_maps, encode / all_maps
+    assert reference < 0.5 * all_maps, reference / all_maps

@@ -43,10 +43,12 @@ def decoded_maps(model):
     maps = {}
     for step in (1, 10, 20, 30):
         length = PROMPT_LEN + step - 1
-        _, _, head_data = prompt_head_data(
-            model, all_tokens[:length], prompt_len=PROMPT_LEN
-        )
-        maps[step] = head_data
+        maps[step] = {
+            key: (A, ctx)
+            for key, _, _, A, ctx in prompt_head_data(
+                model, all_tokens[:length], prompt_len=PROMPT_LEN
+            )
+        }
     return maps
 
 
@@ -129,8 +131,8 @@ def test_diffuse_single_column_bound():
     config = ModelConfig(num_layers=1, num_heads=1, head_dim=16, vocab_size=32, seed=3)
     model = synth_model(config, uniform_plan(config, Archetype.DIFFUSE), 0.97)
     prompt = model.prompt_token_ids(10)
-    _, _, head_data = prompt_head_data(model, prompt)
-    A = head_data[(0, 0)][0].matrix
+    [(_, _, _, A, _)] = prompt_head_data(model, prompt)
+    A = A.matrix
     assert A[-1].max() <= 0.2
 
 

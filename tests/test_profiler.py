@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from adaptive_kv.attention import causal_attention
-from adaptive_kv.engine import prompt_head_data
+from adaptive_kv.engine import encode_prompt, prompt_head_data
 from adaptive_kv.policies import (
     feasible_set,
     full_policy,
@@ -28,8 +28,8 @@ PROMPT_LEN = 40
 
 @pytest.fixture(scope="module")
 def head_data(mixed_model):
-    _, _, data = prompt_head_data(mixed_model, mixed_model.prompt_token_ids(PROMPT_LEN))
-    return data
+    prompt = mixed_model.prompt_token_ids(PROMPT_LEN)
+    return {key: (A, ctx) for key, _, _, A, ctx in prompt_head_data(mixed_model, prompt)}
 
 
 @pytest.mark.parametrize("rows", list(RowAveraging))
@@ -74,6 +74,17 @@ def test_profile_model_selects_every_head_and_checks_the_grid(head_data):
         assert profile[key] == select_policy(A, ctx, cfg)
     with pytest.raises(ProfilerError, match="missing profiling data"):
         profile_model(head_data, cfg, grid=[(9, 9)])
+
+
+@pytest.mark.parametrize("rows", list(RowAveraging))
+@pytest.mark.parametrize("criterion", list(SelectionCriterion))
+def test_streamed_encode_profile_equals_profile_over_all_maps(
+    mixed_model, head_data, criterion, rows
+):
+    cfg = ProfilerConfig(recovery_threshold=0.9, criterion=criterion, rows=rows)
+    prompt = mixed_model.prompt_token_ids(PROMPT_LEN)
+    profile, _ = encode_prompt(mixed_model, prompt, cfg, diagnostics=False)
+    assert profile.to_csv() == profile_model(head_data, cfg).to_csv()
 
 
 def test_head_profile_csv_round_trips(head_data):
