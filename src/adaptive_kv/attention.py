@@ -14,24 +14,32 @@ from typing import Sequence
 import numpy as np
 
 ROW_SUM_TOL = 1e-9
-# Rows of a causal softmax processed as one whole-array block.
-_SOFTMAX_BLOCK_ROWS = 128
+# Rows of a causal matrix processed as one whole-array block.
+BLOCK_ROWS = 128
 
 
 class AttentionError(ValueError):
     """Raised on malformed matrices or dimension mismatches."""
 
 
-def as_matrix(data, name: str = "matrix") -> np.ndarray:
-    """Coerce input to a finite float64 2-D array."""
+def _finite_matrix(data, name: str) -> tuple[np.ndarray, float]:
+    """``data`` as a finite float64 2-D array, with its smallest entry."""
     m = np.asarray(data, dtype=np.float64)
     if m.ndim != 2:
         raise AttentionError(f"{name} must be 2-D, got ndim={m.ndim}")
     if m.size == 0:
         raise AttentionError("empty input")
-    if not np.all(np.isfinite(m)):
+    # NaN and +-inf propagate through min and max, so two reductions check
+    # every entry without a boolean temporary the size of the matrix.
+    lo = m.min()
+    if not (np.isfinite(lo) and np.isfinite(m.max())):
         raise AttentionError(f"{name} contains non-finite entries")
-    return m
+    return m, float(lo)
+
+
+def as_matrix(data, name: str = "matrix") -> np.ndarray:
+    """Coerce input to a finite float64 2-D array."""
+    return _finite_matrix(data, name)[0]
 
 
 @dataclass(frozen=True)
@@ -39,23 +47,27 @@ class AttentionMap:
     """Square row-stochastic causal matrix of attention scores.
 
     Row i holds the attention distribution of query position i over key
-    positions 0..i; entries above the diagonal are exactly zero.
+    positions 0..i; entries above the diagonal are exactly zero. The checks
+    are reductions and ``BLOCK_ROWS``-row slices that read every entry, so
+    they need no temporary the size of the map.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = as_matrix(self.matrix, "attention map")
-        if m.shape[0] != m.shape[1]:
-            raise AttentionError(
-                f"attention map must be square, got {m.shape[0]}x{m.shape[1]}"
-            )
-        if np.any(m < 0.0):
+        m, lo = _finite_matrix(self.matrix, "attention map")
+        n = m.shape[0]
+        if n != m.shape[1]:
+            raise AttentionError(f"attention map must be square, got {n}x{m.shape[1]}")
+        if lo < 0.0:
             raise AttentionError("attention map has negative entries")
         if np.any(np.abs(m.sum(axis=1) - 1.0) > ROW_SUM_TOL):
             raise AttentionError("attention map rows must sum to 1")
-        if np.any(m[_above_diagonal(m.shape[0])]):
-            raise AttentionError("attention map must be causal (zero above diagonal)")
+        for start in range(0, n, BLOCK_ROWS):
+            stop = min(start + BLOCK_ROWS, n)
+            diagonal = m[start:stop, start:stop][_above_diagonal(stop - start)]
+            if m[start:stop, stop:].any() or diagonal.any():
+                raise AttentionError("attention map must be causal (zero above diagonal)")
         object.__setattr__(self, "matrix", m)
         self.matrix.setflags(write=False)
 
@@ -72,25 +84,41 @@ def _above_diagonal(n: int) -> np.ndarray:
     return mask
 
 
+def _softmax_in_place(x: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Softmax row i of ``x`` in place over its first ``lengths[i]`` columns.
+
+    Rows go in ``BLOCK_ROWS``-row blocks cut to their longest row; masked
+    entries become ``-inf``, so they and all later columns end exactly zero.
+    """
+    for start in range(0, x.shape[0], BLOCK_ROWS):
+        block = lengths[start : start + BLOCK_ROWS]
+        rows, width = slice(start, start + block.size), block.max()
+        visible = np.arange(width) < block[:, None]
+        xb = x[rows, :width]
+        np.copyto(xb, -np.inf, where=~visible)
+        xb -= xb.max(axis=1, keepdims=True)
+        np.exp(xb, out=xb)
+        # The masked reduce hands each row's visible prefix to the pairwise
+        # loop ``row[:length].sum()`` runs; summing the zero padding too
+        # would regroup the terms and change the last bits.
+        xb /= np.add.reduce(xb, axis=1, where=visible, initial=0.0)[:, None]
+        x[rows, width:] = 0.0
+    return x
+
+
 def softmax_rows(m, causal_lengths: Sequence[int] | None = None) -> np.ndarray:
     """Row-wise softmax with max-subtraction for overflow safety.
 
     When ``causal_lengths`` is given, row i is normalized over its first
     ``causal_lengths[i]`` columns and the rest are set to exactly zero.
-    Rows then go in blocks of ``_SOFTMAX_BLOCK_ROWS``, each cut to its
-    longest row: masked entries become ``-inf`` (so their ``exp`` is
-    exactly zero) and the max, shift, ``exp`` and division are whole-block
-    operations. Each row's normalizer is still summed in Python over
-    exactly its own prefix: numpy's pairwise sum groups terms by length,
-    so summing the zero-padded row would change the last bits.
+    The input is copied and normalised in place by the routine
+    ``causal_attention`` uses, so each row's bits are those of a per-row
+    softmax over its own prefix.
     """
-    logits = as_matrix(m, "softmax input")
+    logits = as_matrix(m, "softmax input").copy()
     n_rows, n_cols = logits.shape
     if causal_lengths is None:
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        exp = np.exp(shifted)
-        return exp / exp.sum(axis=1, keepdims=True)
-
+        causal_lengths = [n_cols] * n_rows
     if len(causal_lengths) != n_rows:
         raise AttentionError(
             f"causal_lengths has {len(causal_lengths)} entries for {n_rows} rows"
@@ -100,16 +128,7 @@ def softmax_rows(m, causal_lengths: Sequence[int] | None = None) -> np.ndarray:
     if bad.size:
         i = bad[0]
         raise AttentionError(f"row {i}: causal length {lengths[i]} out of range")
-    out = np.zeros_like(logits)
-    for start in range(0, n_rows, _SOFTMAX_BLOCK_ROWS):
-        block = lengths[start : start + _SOFTMAX_BLOCK_ROWS]
-        rows, width = slice(start, start + block.size), block.max()
-        x = np.where(np.arange(width) < block[:, None], logits[rows, :width], -np.inf)
-        x -= x.max(axis=1, keepdims=True)
-        np.exp(x, out=x)
-        sums = [x[i, :length].sum() for i, length in enumerate(block.tolist())]
-        np.divide(x, np.array(sums)[:, None], out=out[rows, :width])
-    return out
+    return _softmax_in_place(logits, lengths)
 
 
 def softmax_vector(v) -> np.ndarray:
@@ -142,5 +161,4 @@ def causal_attention(Q, K, d_k: int) -> AttentionMap:
         )
     logits = q @ k.T
     logits /= np.sqrt(float(d_k))
-    weights = softmax_rows(logits, causal_lengths=range(1, q.shape[0] + 1))
-    return AttentionMap(weights)
+    return AttentionMap(_softmax_in_place(logits, np.arange(1, q.shape[0] + 1)))

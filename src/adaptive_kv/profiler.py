@@ -20,7 +20,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .attention import AttentionMap
+from .attention import BLOCK_ROWS, AttentionMap
 from .policies import (
     CompressionPolicy,
     PolicyContext,
@@ -72,16 +72,23 @@ def recovery_ratio(
 
     Mean over query rows of the retained (causally visible) mass; the
     ``rows`` option restricts to the final query row for sensitivity runs.
+    Each row's mass is a left-to-right running sum of its retained entries
+    in the caller's order. A ``BLOCK_ROWS``-row block gathers only the
+    columns left of its end; the ones it skips are exact zeros above the
+    diagonal, so the sums keep the bits of a gather over every column.
     """
     idx = _columns(A, retained)
     if not idx.size:
         return 0.0
-    # The running sum adds each row's retained entries strictly left to
-    # right (no pairwise regrouping) and reuses the gathered copy.
-    kept = np.take(A.matrix, idx, axis=1)
-    per_row = np.cumsum(kept, axis=1, out=kept)[:, -1]
     if rows is RowAveraging.LAST_ROW:
-        return float(per_row[-1])
+        return float(np.cumsum(A.matrix[-1, idx])[-1])
+    per_row = np.zeros(A.size)
+    for start in range(0, A.size, BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, A.size)
+        cols = idx[idx < stop]
+        if cols.size:
+            kept = np.take(A.matrix[start:stop], cols, axis=1)
+            per_row[start:stop] = np.cumsum(kept, axis=1, out=kept)[:, -1]
     return float(per_row.mean())
 
 

@@ -128,13 +128,17 @@ def reference_recovery(A, idx, rows):
 @pytest.mark.parametrize("rows", list(RowAveraging))
 def test_recovery_ratio_is_bitwise_the_column_gather_sum(head_data, rows):
     rng = np.random.default_rng(17)
-    n = 300
-    big = causal_attention(rng.normal(size=(n, 8)), rng.normal(size=(n, 8)), 8)
-    maps = [A for A, _ in head_data.values()] + [big]
+    big = [
+        causal_attention(rng.normal(size=(n, 8)), rng.normal(size=(n, 8)), 8)
+        for n in (300, 1024)
+    ]
+    maps = [A for A, _ in head_data.values()] + big
     for A in maps:
         sizes = [0, 1, 2, 8, 9, A.size // 3, A.size - 1, A.size]
         for k in sizes:
-            idx = np.sort(rng.choice(A.size, size=k, replace=False))
-            assert np.array_equal(
-                recovery_ratio(A, idx, rows), reference_recovery(A, idx, rows)
-            )
+            idx = rng.choice(A.size, size=k, replace=False)
+            # Sorted, in the caller's order, and with repeats.
+            for cols in (np.sort(idx), idx, rng.choice(A.size, size=k)):
+                assert np.array_equal(
+                    recovery_ratio(A, cols, rows), reference_recovery(A, cols, rows)
+                )
