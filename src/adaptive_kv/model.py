@@ -7,16 +7,23 @@ archetype's attention-mass bound holds at every decoding step by
 construction rather than by sampling. All randomness is derived from
 ``SeedSequence(config.seed, spawn_key=...)`` streams, making every row a
 pure function of (seed, layer, head, position) regardless of call order.
+Row streams build no ``SeedSequence``: ``SyntheticModel._rng`` replays its
+entropy mixing from a memoised per-stream pool and hands the resulting
+state words to ``PCG64``, so each row's generator and draws equal those
+of ``PCG64(SeedSequence(seed, spawn_key=key))``, as
+``tests/test_row_seeding.py`` checks against numpy.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .tokens import TokenClass, VocabMetadata
 
@@ -127,6 +134,151 @@ def linear_head_weights(config: ModelConfig) -> np.ndarray:
     return rng.uniform(-1.0, 1.0, (config.vocab_size, dim)) / math.sqrt(dim)
 
 
+# SeedSequence's pool size and hash constants (numpy's bit_generator.pyx).
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+
+
+def _entropy_words(n: int) -> list[int]:
+    """``n`` as little-endian uint32 words, as SeedSequence splits entropy."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _hash_consts(
+    hash_const: int, mult: int, count: int
+) -> tuple[tuple[int, int], ...]:
+    """(xor, multiplier) of ``count`` hashes in a row, from ``hash_const``.
+
+    SeedSequence advances its hash constant once per hash whatever the
+    data, so these are fixed by the hash's place in the sequence.
+    """
+    consts = []
+    for _ in range(count):
+        step = hash_const * mult & _MASK32
+        consts.append((hash_const, step))
+        hash_const = step
+    return tuple(consts)
+
+
+# The seed phase hashes one word per pool lane, then mixes every ordered
+# pair of distinct lanes.
+_SEED_CONSTS = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE)
+_CROSS_MIX = tuple(
+    zip(
+        [
+            (src, dst)
+            for src in range(_POOL_SIZE)
+            for dst in range(_POOL_SIZE)
+            if src != dst
+        ],
+        _SEED_CONSTS[_POOL_SIZE:],
+    )
+)
+
+
+@lru_cache(maxsize=1 << 13)
+def _word_hashes(word: int, hash_const: int) -> tuple[tuple[int, ...], int]:
+    """One entropy word hashed for each pool lane, times ``_MIX_MULT_R``.
+
+    They depend only on the word and the hash constant reached before it,
+    so every row stream of a model shares them for its position word.
+    """
+    consts = _hash_consts(hash_const, _MULT_A, _POOL_SIZE)
+    hashes = []
+    for xor, mult in consts:
+        value = (word ^ xor) * mult & _MASK32
+        hashes.append(_MIX_MULT_R * (value ^ value >> 16))
+    return tuple(hashes), consts[-1][1]
+
+
+def _absorb(
+    pool: tuple[int, ...], hash_const: int, words: list[int]
+) -> tuple[tuple[int, ...], int]:
+    """Mix entropy words past the pool size into every pool lane."""
+    for word in words:
+        (h0, h1, h2, h3), hash_const = _word_hashes(word, hash_const)
+        p0, p1, p2, p3 = pool
+        p0 = (_MIX_MULT_L * p0 - h0) & _MASK32
+        p1 = (_MIX_MULT_L * p1 - h1) & _MASK32
+        p2 = (_MIX_MULT_L * p2 - h2) & _MASK32
+        p3 = (_MIX_MULT_L * p3 - h3) & _MASK32
+        pool = (p0 ^ p0 >> 16, p1 ^ p1 >> 16, p2 ^ p2 >> 16, p3 ^ p3 >> 16)
+    return pool, hash_const
+
+
+def _seed_pool(seed: int) -> tuple[tuple[int, ...], int]:
+    """SeedSequence's pool and hash constant after the run entropy.
+
+    The entropy is zero-padded to the pool size, as numpy does whenever a
+    spawn key follows it.
+    """
+    words = _entropy_words(seed)
+    words += [0] * (_POOL_SIZE - len(words))
+    pool = []
+    for word, (xor, mult) in zip(words[:_POOL_SIZE], _SEED_CONSTS):
+        value = (word ^ xor) * mult & _MASK32
+        pool.append(value ^ value >> 16)
+    for (src, dst), (xor, mult) in _CROSS_MIX:
+        value = (pool[src] ^ xor) * mult & _MASK32
+        value = _MIX_MULT_R * (value ^ value >> 16)
+        mixed = (_MIX_MULT_L * pool[dst] - value) & _MASK32
+        pool[dst] = mixed ^ mixed >> 16
+    return _absorb(tuple(pool), _SEED_CONSTS[-1][1], words[_POOL_SIZE:])
+
+
+# generate_state's (xor, multiplier) for each of the eight uint32 words
+# PCG64 asks for.
+((_X0, _M0), (_X1, _M1), (_X2, _M2), (_X3, _M3),
+ (_X4, _M4), (_X5, _M5), (_X6, _M6), (_X7, _M7)) = _hash_consts(
+    _INIT_B, _MULT_B, 2 * _POOL_SIZE
+)  # fmt: skip
+
+
+def _state_words(pool: tuple[int, ...]) -> np.ndarray:
+    """``generate_state(4, np.uint64)`` of a finished pool."""
+    p0, p1, p2, p3 = pool
+    a = (p0 ^ _X0) * _M0 & _MASK32
+    b = (p1 ^ _X1) * _M1 & _MASK32
+    c = (p2 ^ _X2) * _M2 & _MASK32
+    d = (p3 ^ _X3) * _M3 & _MASK32
+    e = (p0 ^ _X4) * _M4 & _MASK32
+    f = (p1 ^ _X5) * _M5 & _MASK32
+    g = (p2 ^ _X6) * _M6 & _MASK32
+    h = (p3 ^ _X7) * _M7 & _MASK32
+    return np.array(
+        (
+            a ^ a >> 16 | (b ^ b >> 16) << 32,
+            c ^ c >> 16 | (d ^ d >> 16) << 32,
+            e ^ e >> 16 | (f ^ f >> 16) << 32,
+            g ^ g >> 16 | (h ^ h >> 16) << 32,
+        ),
+        dtype=np.uint64,
+    )
+
+
+class _StateWords(ISeedSequence):
+    """Hands PCG64 the state words its SeedSequence would have generated."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        # PCG64 makes exactly one request: four uint64 words.
+        return self.words
+
+
 def _indicator_logit(dominance: float, max_context: int) -> float:
     # Mass on the planted set stays >= dominance even when max_context - 1
     # noise-boosted competitors are visible.
@@ -205,10 +357,30 @@ class SyntheticModel:
         self._indicator = _indicator_logit(dominance, max_context)
         self._sqrt_d = math.sqrt(float(config.head_dim))
         self._head_weights: np.ndarray | None = None
+        self._pools: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
+
+    def _pool(self, prefix: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+        """SeedSequence pool after the seed and the spawn-key ``prefix``."""
+        state = self._pools.get(prefix)
+        if state is None:
+            if prefix:
+                pool, hash_const = self._pool(prefix[:-1])
+                state = _absorb(pool, hash_const, _entropy_words(prefix[-1]))
+            else:
+                state = _seed_pool(self.config.seed)
+            self._pools[prefix] = state
+        return state
 
     def _rng(self, role: int, *key: int) -> np.random.Generator:
-        seq = np.random.SeedSequence(entropy=self.config.seed, spawn_key=(role, *key))
-        return np.random.Generator(np.random.PCG64(seq))
+        """``Generator(PCG64(SeedSequence(seed, spawn_key=(role, *key))))``.
+
+        Only the last key entry is mixed per call; the pool before it is
+        memoised per stream.
+        """
+        stream = (role, *key)
+        pool, hash_const = self._pool(stream[:-1])
+        pool, _ = _absorb(pool, hash_const, _entropy_words(stream[-1]))
+        return np.random.Generator(np.random.PCG64(_StateWords(_state_words(pool))))
 
     def _check_position(self, pos: int):
         if pos >= self.max_context:

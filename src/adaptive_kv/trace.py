@@ -50,6 +50,54 @@ class TraceBlock:
     q: np.ndarray
 
 
+def _check_block(layer: int, head: int, block: TraceBlock, prev_step: int, d: int):
+    """Raise for a block's first fault: its step, then K, V, Q shape and values."""
+    if block.step <= prev_step:
+        raise TraceDimensionError(
+            f"steps not strictly increasing at (layer={layer}, "
+            f"head={head}, step={block.step})"
+        )
+    for name, row in (("K", block.k), ("V", block.v), ("Q", block.q)):
+        if row.shape != (d,):
+            raise TraceDimensionError(
+                f"{name} row at (layer={layer}, head={head}, "
+                f"step={block.step}) has length {row.shape}, "
+                f"expected {d}"
+            )
+        if not np.all(np.isfinite(row)):
+            raise TraceDimensionError(
+                f"{name} row at (layer={layer}, head={head}, "
+                f"step={block.step}) has non-finite entries"
+            )
+
+
+def _first_faulty_block(entries: list[TraceBlock], d: int) -> int | None:
+    """Index of the first block ``_check_block`` rejects, or None.
+
+    Steps and shapes are checked block by block up to the first fault;
+    the rows before it are checked for finiteness in one concatenated pass.
+    """
+    shape = (d,)
+    end = len(entries)
+    prev_step = -1
+    for i, block in enumerate(entries):
+        if (
+            block.step <= prev_step
+            or block.k.shape != shape
+            or block.v.shape != shape
+            or block.q.shape != shape
+        ):
+            end = i
+            break
+        prev_step = block.step
+    if end:
+        rows = np.concatenate([row for b in entries[:end] for row in (b.k, b.v, b.q)])
+        finite = np.isfinite(rows).reshape(-1, d).all(axis=1)
+        if not finite.all():
+            return int(np.argmin(finite)) // 3
+    return end if end < len(entries) else None
+
+
 @dataclass
 class AttentionTrace:
     config: ModelConfig
@@ -63,26 +111,10 @@ class AttentionTrace:
                 raise TraceDimensionError(f"layer {layer} out of range")
             if not 0 <= head < self.config.num_heads:
                 raise TraceDimensionError(f"head {head} out of range")
-            prev_step = -1
-            for block in entries:
-                if block.step <= prev_step:
-                    raise TraceDimensionError(
-                        f"steps not strictly increasing at (layer={layer}, "
-                        f"head={head}, step={block.step})"
-                    )
-                prev_step = block.step
-                for name, row in (("K", block.k), ("V", block.v), ("Q", block.q)):
-                    if row.shape != (d,):
-                        raise TraceDimensionError(
-                            f"{name} row at (layer={layer}, head={head}, "
-                            f"step={block.step}) has length {row.shape}, "
-                            f"expected {d}"
-                        )
-                    if not np.all(np.isfinite(row)):
-                        raise TraceDimensionError(
-                            f"{name} row at (layer={layer}, head={head}, "
-                            f"step={block.step}) has non-finite entries"
-                        )
+            bad = _first_faulty_block(entries, d)
+            if bad is not None:
+                prev_step = entries[bad - 1].step if bad else -1
+                _check_block(layer, head, entries[bad], prev_step, d)
 
     def vocab_metadata(self) -> VocabMetadata:
         """Reconstruct the special/punctuation id sets from the token table."""

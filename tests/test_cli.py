@@ -100,3 +100,14 @@ def test_bad_feasible_atom_is_one_error_line(tmp_path, capsys, spec):
         capsys,
         "--feasible",
     )
+
+
+def test_negative_model_seed_is_one_error_line(tmp_path, capsys):
+    plan = tmp_path / "plan.ini"
+    text = (DATA / "plan.ini").read_text(encoding="utf-8")
+    plan.write_text(text.replace("seed = 2310", "seed = -3"), encoding="utf-8")
+    expect_one_error_line(
+        ["generate", "--plan", str(plan), "--out", str(tmp_path / "out")],
+        capsys,
+        "non-negative",
+    )

@@ -221,3 +221,46 @@ def test_ndjson_reader_raises_only_trace_errors():
             read_trace(io.BytesIO(mutated))
         except TraceError:
             pass
+
+
+def faulty_blocks(faults: dict[int, dict[str, np.ndarray]], count: int = 6):
+    """Blocks at steps 0..count-1 with finite rows, except where ``faults`` says."""
+    rows = dict(k=np.ones(2), v=np.ones(2), q=np.ones(2))
+    return [TraceBlock(step=i, **{**rows, **faults.get(i, {})}) for i in range(count)]
+
+
+def test_non_finite_row_in_middle_block_rejected():
+    config = ModelConfig(num_layers=1, num_heads=2, head_dim=2, vocab_size=16, seed=0)
+    blocks = {
+        (0, 0): faulty_blocks({}),
+        (0, 1): faulty_blocks({3: dict(v=np.array([0.0, np.inf]))}),
+    }
+    with pytest.raises(
+        TraceDimensionError,
+        match=r"^V row at \(layer=0, head=1, step=3\) has non-finite entries$",
+    ):
+        AttentionTrace(config, [], blocks)
+
+
+def test_first_fault_wins_in_block_then_row_order():
+    config = ModelConfig(num_layers=1, num_heads=1, head_dim=2, vocab_size=16, seed=0)
+    nan_row = np.array([np.nan, 0.0])
+    # A non-finite Q at step 2 comes before a short K at step 4.
+    blocks = faulty_blocks({2: dict(q=nan_row), 4: dict(k=np.ones(3))})
+    with pytest.raises(TraceDimensionError, match=r"^Q row .*step=2\) has non-finite"):
+        AttentionTrace(config, [], {(0, 0): blocks})
+    # Within one block the K shape is checked before a non-finite V.
+    blocks = faulty_blocks({1: dict(k=np.ones(3), v=nan_row)})
+    with pytest.raises(
+        TraceDimensionError, match=r"^K row .*step=1\) has length \(3,\)"
+    ):
+        AttentionTrace(config, [], {(0, 0): blocks})
+    # A shape fault after a non-finite row in an earlier block loses to it.
+    blocks = faulty_blocks({1: dict(k=nan_row), 3: dict(v=np.ones(1))})
+    with pytest.raises(TraceDimensionError, match=r"^K row .*step=1\) has non-finite"):
+        AttentionTrace(config, [], {(0, 0): blocks})
+    # A step fault is reported before the same block's rows.
+    blocks = faulty_blocks({2: dict(q=nan_row)})
+    blocks[2] = TraceBlock(step=1, k=blocks[2].k, v=blocks[2].v, q=blocks[2].q)
+    with pytest.raises(TraceDimensionError, match="strictly increasing.*step=1"):
+        AttentionTrace(config, [], {(0, 0): blocks})
