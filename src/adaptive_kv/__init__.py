@@ -31,7 +31,6 @@ from .model import (
     ModelConfig,
     ModelError,
     SyntheticModel,
-    synth_model,
 )
 from .policies import (
     CompressionPolicy,
@@ -49,7 +48,6 @@ from .profiler import (
     HeadProfile,
     ProfilerConfig,
     RowAveraging,
-    SelectionCriterion,
     profile_model,
     recovery_ratio,
     select_policy,
@@ -66,7 +64,6 @@ from .trace import (
     read_trace,
     record_trace,
     write_trace,
-    write_trace_ndjson,
 )
 
 __version__ = "0.1.0"

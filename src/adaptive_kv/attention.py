@@ -145,7 +145,10 @@ def causal_attention(Q, K, d_k: int) -> AttentionMap:
     """Scaled dot-product attention weights under a causal mask.
 
     Returns the full attention map A = softmax(Q K^T / sqrt(d_k)); a
-    caller wanting the attended output takes ``A.matrix @ V``.
+    caller wanting the attended output takes ``A.matrix @ V``. The bits of
+    ``q @ k.T``, and so of the map, can depend on the BLAS thread count
+    at larger sizes; ``perfbench/run.py`` pins one thread, the library and
+    the CLI do not.
     """
     q = as_matrix(Q, "Q")
     k = as_matrix(K, "K")

@@ -1,7 +1,14 @@
 """Command-line entry point.
 
 Subcommands: synth, profile, generate, report, memory. Every option can
-also live in a key=value config file (INI sections); explicit flags win.
+also live in an INI config file (``--config``), under its flag's name
+with underscores. An option's value is its flag if given, else the
+option's section of the file, else the file's [global] section, else the
+flag's default. Model options (plan, trace, prompt_len, steps) live in
+[model], profiler options (threshold, rows, feasible, r_l, r_f) in
+[profiler], generation options (max_new_tokens, sampling, temperature,
+top_p, seed) in [generate], and every other option, out and format
+included, in the command's own section, e.g. [report] tradeoff.
 Artifacts land in a fresh run directory unless --out forces a path, and
 re-running a command with the same config and seed overwrites them with
 byte-identical content.
@@ -53,16 +60,23 @@ from .model import (
     SyntheticModel,
 )
 from .policies import PolicyAtom, PolicyError, feasible_set, parse_policy
-from .profiler import (
-    ProfilerConfig,
-    RowAveraging,
-    SelectionCriterion,
-)
+from .profiler import ProfilerConfig, RowAveraging
 from .trace import TraceError, TraceModel, read_trace, record_trace, write_trace
 
 logger = logging.getLogger("adaptive_kv")
 
 _LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
+
+# The config section of each option not read from its command's own section.
+_SECTIONS = {
+    **dict.fromkeys(("plan", "trace", "prompt_len", "steps"), "model"),
+    **dict.fromkeys(("threshold", "rows", "feasible", "r_l", "r_f"), "profiler"),
+    **dict.fromkeys(
+        ("max_new_tokens", "sampling", "temperature", "top_p", "seed"), "generate"
+    ),
+}
+# The --max-new-tokens default, which also sizes a trace's default prompt.
+_MAX_NEW_TOKENS = 32
 
 
 class CliError(Exception):
@@ -76,50 +90,36 @@ def _setup_logging():
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
-def _read_config_file(path: str) -> configparser.ConfigParser:
+def _read_ini(path: str, what: str) -> configparser.ConfigParser:
+    """The INI file at ``path``; ``what`` names it in error lines."""
     parser = configparser.ConfigParser()
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh, source=path)
     except OSError as exc:
-        raise CliError(f"cannot read config {path}: {exc}") from exc
+        raise CliError(f"cannot read {what} {path}: {exc}") from exc
     except configparser.Error as exc:
-        raise CliError(f"config parse error: {exc}") from exc
+        raise CliError(f"{what} parse error: {exc}") from exc
     return parser
 
 
-class _Settings:
-    """Flag values with config-file fallback: flags > file > defaults."""
-
-    def __init__(self, args: argparse.Namespace, section: str):
-        self.args = args
-        self.file = configparser.ConfigParser()
-        if getattr(args, "config", None):
-            self.file = _read_config_file(args.config)
-        self.section = section
-
-    def get(self, key: str, default=None, cast=str, sections=None):
-        flag = key.replace(".", "_").replace("-", "_")
-        value = getattr(self.args, flag, None)
-        if value is not None:
-            return value
-        for section in sections or (self.section, "global"):
-            if self.file.has_option(section, key):
-                raw = self.file.get(section, key)
+def _config_defaults(path: str, command: str, actions: dict) -> dict:
+    """Each option the config file sets for ``command``, checked as its flag is."""
+    file = _read_ini(path, "config")
+    values = {}
+    for dest, action in actions.items():
+        for section in (_SECTIONS.get(dest, command), "global"):
+            if file.has_option(section, dest):
+                raw = file.get(section, dest)
                 try:
-                    return cast(raw) if cast is not bool else _parse_bool(raw)
+                    value = raw if action.type is None else action.type(raw)
+                    if action.choices is not None and value not in action.choices:
+                        raise ValueError(raw)
                 except ValueError as exc:
-                    raise CliError(f"bad value for {section}.{key}: {raw!r}") from exc
-        return default
-
-
-def _parse_bool(raw: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(raw)
+                    raise CliError(f"bad value for {section}.{dest}: {raw!r}") from exc
+                values[dest] = value
+                break
+    return values
 
 
 def _parse_head_key(raw: str) -> tuple[int, int]:
@@ -165,14 +165,7 @@ def _parse_archetype_token(raw: str, where: str) -> HeadPlan:
 
 def load_plan(path: str):
     """Parse a synthetic-model plan file into a model and run lengths."""
-    parser = configparser.ConfigParser()
-    try:
-        with open(path, encoding="utf-8") as fh:
-            parser.read_file(fh, source=path)
-    except OSError as exc:
-        raise CliError(f"cannot read plan {path}: {exc}") from exc
-    except configparser.Error as exc:
-        raise CliError(f"plan parse error: {exc}") from exc
+    parser = _read_ini(path, "plan")
     if not parser.has_section("model"):
         raise CliError("plan parse error: missing [model] section")
 
@@ -235,28 +228,19 @@ def load_plan(path: str):
     return model, prompt_len, steps
 
 
-def _load_model(settings: _Settings):
-    plan_path = settings.get("plan", sections=("model", "global"))
-    trace_path = settings.get("trace", sections=("model", "global"))
-    if (plan_path is None) == (trace_path is None):
+def _load_model(args: argparse.Namespace):
+    if (args.plan is None) == (args.trace is None):
         raise CliError("exactly one model source required: --plan or --trace")
-    if plan_path is not None:
-        model, plan_prompt_len, _ = load_plan(plan_path)
-        prompt_len = settings.get(
-            "prompt_len", plan_prompt_len, int, sections=("model", "global")
-        )
-        return model, prompt_len
-    try:
-        trace = read_trace(trace_path)
-    except (TraceError, OSError) as exc:
-        raise CliError(f"cannot read trace {trace_path}: {exc}") from exc
-    model = TraceModel(trace)
-    max_new = settings.get("max_new_tokens", 32, int, sections=("generate", "global"))
-    default_prompt = max(1, len(trace.tokens) - max(max_new - 1, 0))
-    prompt_len = settings.get(
-        "prompt_len", default_prompt, int, sections=("model", "global")
-    )
-    return model, prompt_len
+    if args.plan is not None:
+        model, prompt_len, _ = load_plan(args.plan)
+    else:
+        try:
+            trace = read_trace(args.trace)
+        except (TraceError, OSError) as exc:
+            raise CliError(f"cannot read trace {args.trace}: {exc}") from exc
+        model = TraceModel(trace)
+        prompt_len = max(1, len(trace.tokens) - max(args.max_new_tokens - 1, 0))
+    return model, prompt_len if args.prompt_len is None else args.prompt_len
 
 
 def _parse_feasible(spec: str, r_l: float, r_f: float):
@@ -276,50 +260,29 @@ def _parse_feasible(spec: str, r_l: float, r_f: float):
     raise CliError(f"bad --feasible spec {spec!r}; use default, drop:..., or order:...")
 
 
-def _profiler_config(settings: _Settings) -> ProfilerConfig:
-    threshold = settings.get("threshold", 0.95, float, sections=("profiler", "global"))
-    r_l = settings.get("r_l", 0.3, float, sections=("profiler", "global"))
-    r_f = settings.get("r_f", 0.3, float, sections=("profiler", "global"))
-    criterion = settings.get(
-        "criterion", "recovery", str, sections=("profiler", "global")
-    )
-    rows = settings.get("rows", "all", str, sections=("profiler", "global"))
-    feasible_spec = settings.get(
-        "feasible", "default", str, sections=("profiler", "global")
-    )
+def _profiler_config(args: argparse.Namespace) -> ProfilerConfig:
     try:
         return ProfilerConfig(
-            recovery_threshold=threshold,
-            feasible=tuple(_parse_feasible(feasible_spec, r_l, r_f)),
-            criterion=SelectionCriterion(criterion),
-            rows=RowAveraging(rows),
+            recovery_threshold=args.threshold,
+            feasible=tuple(_parse_feasible(args.feasible, args.r_l, args.r_f)),
+            rows=RowAveraging(args.rows),
         )
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
 
-def _generation_config(settings: _Settings) -> GenerationConfig:
-    max_new = settings.get("max_new_tokens", 32, int, sections=("generate", "global"))
-    sampling_name = settings.get(
-        "sampling", "greedy", str, sections=("generate", "global")
-    )
-    if sampling_name == "greedy":
-        sampling = GreedyArgmax()
-    elif sampling_name == "nucleus":
+def _generation_config(args: argparse.Namespace) -> GenerationConfig:
+    if args.sampling == "nucleus":
         sampling = Nucleus(
-            temperature=settings.get(
-                "temperature", 0.6, float, sections=("generate", "global")
-            ),
-            top_p=settings.get("top_p", 0.9, float, sections=("generate", "global")),
-            seed=settings.get("seed", 0, int, sections=("generate", "global")),
+            temperature=args.temperature, top_p=args.top_p, seed=args.seed
         )
     else:
-        raise CliError(f"unknown sampling {sampling_name!r}; use greedy or nucleus")
-    return GenerationConfig(max_new_tokens=max_new, sampling=sampling)
+        sampling = GreedyArgmax()
+    return GenerationConfig(max_new_tokens=args.max_new_tokens, sampling=sampling)
 
 
-def _out_dir(settings: _Settings) -> Path:
-    out = settings.get("out", None, str)
+def _out_dir(args: argparse.Namespace) -> Path:
+    out = args.out
     if out is None:
         import time
 
@@ -344,16 +307,15 @@ def _emit_report(out: Path, name: str, columns, rows, fmt: str):
         _write(out / f"{name}.csv", rows_to_csv(columns, rows))
 
 
-def cmd_synth(settings: _Settings) -> int:
-    plan_path = settings.get("plan", sections=("model", "global"))
-    if plan_path is None:
+def cmd_synth(args: argparse.Namespace) -> int:
+    if args.plan is None:
         raise CliError("synth requires --plan")
-    model, prompt_len, steps = load_plan(plan_path)
-    prompt_len = settings.get(
-        "prompt_len", prompt_len, int, sections=("model", "global")
-    )
-    steps = settings.get("steps", steps, int, sections=("model", "global"))
-    out = _out_dir(settings)
+    model, prompt_len, steps = load_plan(args.plan)
+    if args.prompt_len is not None:
+        prompt_len = args.prompt_len
+    if args.steps is not None:
+        steps = args.steps
+    out = _out_dir(args)
     prompt = model.prompt_token_ids(prompt_len)
     result = reference_generate(
         model, prompt, GenerationConfig(max_new_tokens=steps)
@@ -366,39 +328,36 @@ def cmd_synth(settings: _Settings) -> int:
     return 0
 
 
-def cmd_profile(settings: _Settings) -> int:
-    model, prompt_len = _load_model(settings)
-    cfg = _profiler_config(settings)
-    out = _out_dir(settings)
+def cmd_profile(args: argparse.Namespace) -> int:
+    model, prompt_len = _load_model(args)
+    cfg = _profiler_config(args)
+    out = _out_dir(args)
     prompt = model.prompt_token_ids(prompt_len)
     from .engine import encode_prompt
 
     profile, _ = encode_prompt(model, prompt, cfg, diagnostics=False)
-    fmt = settings.get("format", "csv", str)
     _write(out / "head_profile.csv", profile.to_csv())
     dist = layer_distribution_report(profile)
     columns, rows = layer_distribution_rows(dist)
-    _emit_report(out, "layer_distribution", columns, rows, fmt)
+    _emit_report(out, "layer_distribution", columns, rows, args.format)
     print(f"profiled {len(profile)} heads at T={cfg.recovery_threshold:g}")
     return 0
 
 
-def cmd_generate(settings: _Settings) -> int:
-    model, prompt_len = _load_model(settings)
-    gen_cfg = _generation_config(settings)
-    out = _out_dir(settings)
+def cmd_generate(args: argparse.Namespace) -> int:
+    model, prompt_len = _load_model(args)
+    gen_cfg = _generation_config(args)
+    out = _out_dir(args)
     prompt = model.prompt_token_ids(prompt_len)
-    policy_text = settings.get("policy", None, str, sections=("generate", "global"))
-    if policy_text is not None:
+    if args.policy is not None:
         try:
-            policy = parse_policy(policy_text)
+            policy = parse_policy(args.policy)
         except PolicyError as exc:
             raise CliError(str(exc)) from exc
         result = generate_fixed_baseline(model, prompt, policy, gen_cfg)
     else:
-        cfg = _profiler_config(settings)
+        cfg = _profiler_config(args)
         result = generate(model, prompt, cfg, gen_cfg)
-    fmt = settings.get("format", "csv", str)
     _write(out / "head_profile.csv", result.profile.to_csv())
     _write(
         out / "diagnostics.ndjson",
@@ -418,7 +377,7 @@ def cmd_generate(settings: _Settings) -> int:
         ]
     else:
         summary = [[0.0, 1.0, 0]]
-    _emit_report(out, "summary", summary_cols, summary, fmt)
+    _emit_report(out, "summary", summary_cols, summary, args.format)
     print(
         f"generated {len(result.tokens)} tokens; "
         f"pruned_ratio={summary[0][0]:.4f} mean_recovery={summary[0][1]:.4f}"
@@ -426,59 +385,49 @@ def cmd_generate(settings: _Settings) -> int:
     return 0
 
 
-def cmd_report(settings: _Settings) -> int:
-    model, prompt_len = _load_model(settings)
-    out = _out_dir(settings)
-    fmt = settings.get("format", "csv", str)
+def cmd_report(args: argparse.Namespace) -> int:
+    model, prompt_len = _load_model(args)
+    out = _out_dir(args)
+    fmt = args.format
     prompt = model.prompt_token_ids(prompt_len)
-    cfg = _profiler_config(settings)
+    cfg = _profiler_config(args)
     wrote_any = False
 
-    tradeoff_spec = settings.get("tradeoff", None, str, sections=("report", "global"))
-    if tradeoff_spec:
+    if args.tradeoff:
         try:
-            T_values = [float(t) for t in tradeoff_spec.split(",") if t.strip()]
+            T_values = [float(t) for t in args.tradeoff.split(",") if t.strip()]
         except ValueError:
-            raise CliError(f"bad --tradeoff list {tradeoff_spec!r}") from None
+            raise CliError(f"bad --tradeoff list {args.tradeoff!r}") from None
         points = tradeoff_curve(model, prompt, T_values, base_cfg=cfg)
         columns, rows = tradeoff_rows(points)
         _emit_report(out, "tradeoff", columns, rows, fmt)
         wrote_any = True
 
-    consistency_spec = settings.get(
-        "consistency", None, str, sections=("report", "global")
-    )
-    if consistency_spec:
+    if args.consistency:
         try:
-            steps = [int(s) for s in consistency_spec.split(",") if s.strip()]
+            steps = [int(s) for s in args.consistency.split(",") if s.strip()]
         except ValueError:
-            raise CliError(f"bad --consistency list {consistency_spec!r}") from None
+            raise CliError(f"bad --consistency list {args.consistency!r}") from None
         entries = consistency_report(model, prompt, steps, cfg)
         columns, rows = consistency_rows(entries)
         _emit_report(out, "consistency", columns, rows, fmt)
         print(f"profile stability: {stability_fraction(entries):.4f}")
         wrote_any = True
 
-    compare_spec = settings.get("compare", None, str, sections=("report", "global"))
-    if compare_spec:
+    if args.compare:
         try:
-            fixed = [parse_policy(text) for text in compare_spec.split(",") if text.strip()]
+            fixed = [parse_policy(text) for text in args.compare.split(",") if text.strip()]
         except PolicyError as exc:
             raise CliError(str(exc)) from exc
-        gen_cfg = _generation_config(settings)
+        gen_cfg = _generation_config(args)
         extra = {}
-        variant_spec = settings.get(
-            "compare_feasible", None, str, sections=("report", "global")
-        )
-        if variant_spec:
-            r_l = settings.get("r_l", 0.3, float, sections=("profiler", "global"))
-            r_f = settings.get("r_f", 0.3, float, sections=("profiler", "global"))
-            for part in variant_spec.split(";"):
+        if args.compare_feasible:
+            for part in args.compare_feasible.split(";"):
                 part = part.strip()
                 if not part:
                     continue
                 variant_cfg = replace(
-                    cfg, feasible=tuple(_parse_feasible(part, r_l, r_f))
+                    cfg, feasible=tuple(_parse_feasible(part, args.r_l, args.r_f))
                 )
                 extra[f"adaptive[{part}]"] = variant_cfg
         rows_data = compare_adaptive_vs_fixed(
@@ -495,45 +444,40 @@ def cmd_report(settings: _Settings) -> int:
     return 0
 
 
-def cmd_memory(settings: _Settings) -> int:
-    shape_name = settings.get("shape", None, str, sections=("memory", "global"))
-    if shape_name is not None:
-        key = shape_name.lower()
+def cmd_memory(args: argparse.Namespace) -> int:
+    if args.shape is not None:
+        key = args.shape.lower()
         if key not in WELL_KNOWN_SHAPES:
             raise CliError(
-                f"unknown shape {shape_name!r}; known: {', '.join(sorted(WELL_KNOWN_SHAPES))}"
+                f"unknown shape {args.shape!r}; known: {', '.join(sorted(WELL_KNOWN_SHAPES))}"
             )
         shape = WELL_KNOWN_SHAPES[key]
     else:
         shape = MemoryModel(
-            num_layers=settings.get("layers", 32, int, sections=("memory", "global")),
-            num_heads=settings.get("heads", 32, int, sections=("memory", "global")),
-            head_dim=settings.get("head_dim", 128, int, sections=("memory", "global")),
-            batch_size=settings.get("batch", 16, int, sections=("memory", "global")),
-            seq_len=settings.get("seq_len", 512, int, sections=("memory", "global")),
-            bytes_per_scalar=settings.get(
-                "bytes", 2, int, sections=("memory", "global")
-            ),
+            num_layers=args.layers,
+            num_heads=args.heads,
+            head_dim=args.head_dim,
+            batch_size=args.batch,
+            seq_len=args.seq_len,
+            bytes_per_scalar=args.bytes,
         )
     total = full_cache_bytes(shape)
     overhead = sidecar_overhead_fraction(shape)
     print(f"full_cache_bytes={total} ({total / 1e9:.2f}e9)")
     print(f"sidecar_overhead_fraction={overhead:.6f}")
-    out_path = settings.get("out", None, str)
-    if out_path is not None:
-        out = _out_dir(settings)
-        fmt = settings.get("format", "csv", str)
+    if args.out is not None:
         _emit_report(
-            out,
+            _out_dir(args),
             "memory",
             ["full_cache_bytes", "sidecar_overhead_fraction"],
             [[total, overhead]],
-            fmt,
+            args.format,
         )
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The ``akv`` parser, and a dict of its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="akv",
         description="Adaptive KV-cache compression: profiling, generation, reports.",
@@ -541,10 +485,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--config", help="key=value config file (INI sections)")
-        p.add_argument("--seed", type=int, help="sampling seed")
+        p.add_argument("--config", help="INI config file; flags win over it")
+        p.add_argument("--seed", type=int, default=0, help="sampling seed")
         p.add_argument("--out", help="output directory (default: fresh run dir)")
-        p.add_argument("--format", choices=["csv", "json"], help="report format")
+        p.add_argument(
+            "--format", choices=["csv", "json"], default="csv", help="report format"
+        )
 
     def add_model(p):
         p.add_argument("--plan", help="synthetic model plan file")
@@ -552,24 +498,25 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--prompt-len", type=int, help="prompt length")
 
     def add_profiler(p):
-        p.add_argument("--threshold", type=float, help="recovery threshold T")
         p.add_argument(
-            "--criterion",
-            choices=["recovery", "cosine"],
-            help="cosine ignores --threshold and keeps full on a nested family",
+            "--threshold", type=float, default=0.95, help="recovery threshold T"
         )
-        p.add_argument("--rows", choices=["all", "last"], help="row averaging")
         p.add_argument(
-            "--feasible", help="feasible family: default | drop:atom,... | order:atom,..."
+            "--rows", choices=["all", "last"], default="all", help="row averaging"
         )
-        p.add_argument("--r-l", type=float, help="local window ratio")
-        p.add_argument("--r-f", type=float, help="frequent budget ratio")
+        p.add_argument(
+            "--feasible",
+            default="default",
+            help="feasible family: default | drop:atom,... | order:atom,...",
+        )
+        p.add_argument("--r-l", type=float, default=0.3, help="local window ratio")
+        p.add_argument("--r-f", type=float, default=0.3, help="frequent budget ratio")
 
     def add_generation(p):
-        p.add_argument("--max-new-tokens", type=int)
-        p.add_argument("--sampling", choices=["greedy", "nucleus"])
-        p.add_argument("--temperature", type=float)
-        p.add_argument("--top-p", type=float)
+        p.add_argument("--max-new-tokens", type=int, default=_MAX_NEW_TOKENS)
+        p.add_argument("--sampling", choices=["greedy", "nucleus"], default="greedy")
+        p.add_argument("--temperature", type=float, default=0.6)
+        p.add_argument("--top-p", type=float, default=0.9)
 
     p_synth = sub.add_parser("synth", help="write a deterministic trace from a plan")
     add_common(p_synth)
@@ -581,6 +528,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_profile)
     add_model(p_profile)
     add_profiler(p_profile)
+    # No flag: only a config file sets it, for a trace's default prompt.
+    p_profile.set_defaults(max_new_tokens=_MAX_NEW_TOKENS)
 
     p_generate = sub.add_parser("generate", help="dual-phase generation")
     add_common(p_generate)
@@ -607,14 +556,33 @@ def build_parser() -> argparse.ArgumentParser:
     p_memory = sub.add_parser("memory", help="full-cache byte accounting")
     add_common(p_memory)
     p_memory.add_argument("--shape", help="well-known shape: 7b, 13b, 30b, 65b")
-    p_memory.add_argument("--layers", type=int)
-    p_memory.add_argument("--heads", type=int)
-    p_memory.add_argument("--head-dim", type=int)
-    p_memory.add_argument("--batch", type=int)
-    p_memory.add_argument("--seq-len", type=int)
-    p_memory.add_argument("--bytes", type=int)
+    p_memory.add_argument("--layers", type=int, default=32)
+    p_memory.add_argument("--heads", type=int, default=32)
+    p_memory.add_argument("--head-dim", type=int, default=128)
+    p_memory.add_argument("--batch", type=int, default=16)
+    p_memory.add_argument("--seq-len", type=int, default=512)
+    p_memory.add_argument("--bytes", type=int, default=2)
 
-    return parser
+    return parser, sub.choices
+
+
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """Flags, over the config file's values, over the flags' defaults."""
+    parser, commands = build_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        # An option is checked by its flag in any subcommand, so a config
+        # value reaches a command that reads it without having the flag.
+        actions = {
+            action.dest: action
+            for command in commands.values()
+            for action in command._actions
+            if action.dest != "help"
+        }
+        values = _config_defaults(args.config, args.command, actions)
+        commands[args.command].set_defaults(**values)
+        args = parser.parse_args(argv)
+    return args
 
 
 _COMMANDS = {
@@ -628,15 +596,14 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     _setup_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](_Settings(args, args.command))
-    except CliError as exc:
-        print(f"akv: error: {exc}", file=sys.stderr)
-        return 1
-    except (ModelError, PolicyError, TraceError, ValueError) as exc:
-        print(f"akv: error: {exc}", file=sys.stderr)
+        args = parse_args(argv)
+        return _COMMANDS[args.command](args)
+    except (
+        CliError, ModelError, PolicyError, TraceError, ValueError, configparser.Error
+    ) as exc:
+        # configparser errors span several lines; the error stays one line.
+        print(f"akv: error: {'; '.join(str(exc).splitlines())}", file=sys.stderr)
         return 1
 
 

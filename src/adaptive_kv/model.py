@@ -339,10 +339,12 @@ class SyntheticModel:
         normalized: dict[tuple[int, int], HeadPlan] = {}
         for key, value in plan.items():
             normalized[key] = value if isinstance(value, HeadPlan) else HeadPlan(value)
-        missing = [key for key in config.head_grid() if key not in normalized]
+        grid = config.head_grid()
+        missing = [key for key in grid if key not in normalized]
         if missing:
             raise ModelError(f"plan does not cover heads {missing}")
-        extra = [key for key in normalized if key not in set(config.head_grid())]
+        grid_keys = set(grid)
+        extra = [key for key in normalized if key not in grid_keys]
         if extra:
             raise ModelError(f"plan names heads outside the model grid: {extra}")
 
@@ -460,16 +462,6 @@ class SyntheticModel:
         if self._head_weights is None:
             self._head_weights = linear_head_weights(self.config)
         return self._head_weights @ concat_outputs
-
-
-def synth_model(
-    config: ModelConfig,
-    archetype_plan: dict[tuple[int, int], HeadPlan | Archetype],
-    dominance: float,
-    **kwargs,
-) -> SyntheticModel:
-    """Build a deterministic planted-structure model handle."""
-    return SyntheticModel(config, archetype_plan, dominance, **kwargs)
 
 
 def uniform_plan(

@@ -1,7 +1,8 @@
 """One-shot per-head policy selection.
 
-Selection keeps the cheapest policy in a nested feasible family whose
-retained attention mass reaches the recovery threshold. Because the
+Selection has one criterion, recovered attention mass: it keeps the
+cheapest policy in a nested feasible family whose retained attention
+mass reaches the recovery threshold T. Because the
 family is nested, memory cost is nondecreasing along it, so the first
 feasible policy is the cost argmin; the full-cache backstop at the end
 guarantees feasibility. The per-row distance between the original and
@@ -35,32 +36,9 @@ class ProfilerError(ValueError):
     """Raised on invalid profiler configuration or inputs."""
 
 
-class SelectionCriterion(Enum):
-    """How ``select_policy`` picks a head's policy.
-
-    Cosine similarity ignores the recovery threshold: on a nested family
-    it never decreases and is exactly 1 for ``full``, so every head keeps
-    ``full`` unless an earlier policy also keeps every attended position.
-    """
-
-    RECOVERY_MASS = "recovery"
-    COSINE_SIMILARITY = "cosine"
-
-
 class RowAveraging(Enum):
     ALL_ROWS = "all"
     LAST_ROW = "last"
-
-
-def _columns(A: AttentionMap, retained: np.ndarray) -> np.ndarray:
-    """``retained`` as column indices of ``A``, rejecting any out of range."""
-    idx = np.asarray(retained, dtype=np.intp)
-    # numpy wraps negative indices, so they are checked here.
-    if idx.size and (idx.min() < 0 or idx.max() >= A.size):
-        raise ProfilerError(
-            f"retained positions {idx.min()}..{idx.max()} outside [0, {A.size})"
-        )
-    return idx
 
 
 def recovery_ratio(
@@ -77,9 +55,14 @@ def recovery_ratio(
     columns left of its end; the ones it skips are exact zeros above the
     diagonal, so the sums keep the bits of a gather over every column.
     """
-    idx = _columns(A, retained)
+    idx = np.asarray(retained, dtype=np.intp)
     if not idx.size:
         return 0.0
+    # numpy wraps negative indices, so they are checked here.
+    if idx.min() < 0 or idx.max() >= A.size:
+        raise ProfilerError(
+            f"retained positions {idx.min()}..{idx.max()} outside [0, {A.size})"
+        )
     if rows is RowAveraging.LAST_ROW:
         return float(np.cumsum(A.matrix[-1, idx])[-1])
     per_row = np.zeros(A.size)
@@ -109,7 +92,6 @@ class ProfilerConfig:
     feasible: tuple[CompressionPolicy, ...] = field(
         default_factory=lambda: tuple(feasible_set())
     )
-    criterion: SelectionCriterion = SelectionCriterion.RECOVERY_MASS
     rows: RowAveraging = RowAveraging.ALL_ROWS
 
     def __post_init__(self):
@@ -126,46 +108,16 @@ class ProfilerConfig:
             )
 
 
-def masked_cosine_similarity(A: AttentionMap, retained: np.ndarray) -> float:
-    """Cosine between the flattened map and its column-masked copy.
-
-    Masking zeroes entries outside the retained columns without
-    renormalizing, so the similarity reduces to the masked-to-full norm
-    ratio; it is 1 exactly when nothing is masked.
-    """
-    m = A.matrix
-    idx = _columns(A, retained)
-    total = float(np.linalg.norm(m))
-    masked = float(np.linalg.norm(m[:, idx])) if idx.size else 0.0
-    if masked == 0.0:
-        return 0.0
-    return masked / total
-
-
 def select_policy(
     A: AttentionMap, ctx: PolicyContext, cfg: ProfilerConfig
 ) -> HeadDecision:
-    """The head's policy under ``cfg.criterion``, with its recovery and cost.
-
-    Recovery mass keeps the first policy in the nested family meeting the
-    recovery threshold. Cosine similarity keeps the argmax of masked
-    cosine similarity, ties going to the earlier policy.
-    """
-    if cfg.criterion is SelectionCriterion.RECOVERY_MASS:
-        for policy in cfg.feasible:
-            decision = evaluate_policy(A, ctx, policy, cfg.rows)
-            # The full backstop is always accepted: its recovery is a float
-            # mean of row sums and can land a hair below T=1.
-            if decision.recovery >= cfg.recovery_threshold or policy.is_full:
-                return decision
-    best_sim = -1.0
+    """The first policy in the nested family meeting the recovery threshold."""
     for policy in cfg.feasible:
-        retained = retained_indices(policy, ctx)
-        sim = masked_cosine_similarity(A, retained)
-        if sim > best_sim:
-            best, best_sim = (policy, retained), sim
-    policy, retained = best
-    return HeadDecision(policy, recovery_ratio(A, retained, cfg.rows), retained.size)
+        decision = evaluate_policy(A, ctx, policy, cfg.rows)
+        # The full backstop is always accepted: its recovery is a float
+        # mean of row sums and can land a hair below T=1.
+        if decision.recovery >= cfg.recovery_threshold or policy.is_full:
+            return decision
 
 
 @dataclass(frozen=True)

@@ -4,16 +4,14 @@ Binary container: magic ``AKVT``, version u16, the model config as
 fixed-width little-endian integers, a token table, then per
 (layer, head, step) blocks of length-prefixed float64 arrays holding the
 K, V, and Q rows of that position. Round-trips are lossless bit-for-bit.
-An NDJSON variant with the same fields is accepted for hand-written
-fixtures.
 """
 
 from __future__ import annotations
 
 import io
-import json
 import struct
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -160,55 +158,6 @@ def write_trace(trace: AttentionTrace, sink):
             _write_binary(trace, fh)
 
 
-def write_trace_ndjson(trace: AttentionTrace, sink):
-    """Write the NDJSON text variant of the trace."""
-    lines = [
-        json.dumps(
-            {
-                "magic": "AKVT",
-                "version": VERSION,
-                "config": {
-                    "num_layers": trace.config.num_layers,
-                    "num_heads": trace.config.num_heads,
-                    "head_dim": trace.config.head_dim,
-                    "vocab_size": trace.config.vocab_size,
-                    "seed": trace.config.seed,
-                },
-            },
-            sort_keys=True,
-        ),
-        json.dumps(
-            {
-                "tokens": [
-                    {"id": t.token_id, "klass": t.klass.value} for t in trace.tokens
-                ]
-            },
-            sort_keys=True,
-        ),
-    ]
-    for (layer, head) in sorted(trace.blocks):
-        for block in trace.blocks[(layer, head)]:
-            lines.append(
-                json.dumps(
-                    {
-                        "layer": layer,
-                        "head": head,
-                        "step": block.step,
-                        "k": block.k.tolist(),
-                        "v": block.v.tolist(),
-                        "q": block.q.tolist(),
-                    },
-                    sort_keys=True,
-                )
-            )
-    text = "\n".join(lines) + "\n"
-    if hasattr(sink, "write"):
-        sink.write(text)
-    else:
-        with open(sink, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
 def _read_exact(buf: io.BufferedIOBase, count: int, what: str) -> bytes:
     data = buf.read(count)
     if len(data) != count:
@@ -258,71 +207,10 @@ def _read_binary(buf: io.BufferedIOBase) -> AttentionTrace:
     return AttentionTrace(config, tokens, blocks)
 
 
-# Raised by parsing JSON and reading fields of the wrong shape or type.
-_NDJSON_ERRORS = (ValueError, KeyError, TypeError, AttributeError, OverflowError)
-
-
-def _read_ndjson(text: str) -> AttentionTrace:
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise TraceHeaderError("malformed header: empty file")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise TraceHeaderError(
-            f"malformed header: no AKVT magic and first line is not JSON ({exc})"
-        ) from exc
-    if not isinstance(header, dict) or header.get("magic") != "AKVT":
-        raise TraceHeaderError("malformed header: missing AKVT magic")
-    if header.get("version") != VERSION:
-        raise TraceHeaderError(f"unsupported version {header.get('version')}")
-    try:
-        fields = header["config"]
-        if not all(type(v) is int for v in fields.values()):
-            raise TypeError(f"config values must be integers: {fields}")
-        config = ModelConfig(**fields)
-    except _NDJSON_ERRORS as exc:  # ModelError is a ValueError
-        raise TraceHeaderError(f"malformed header: {exc}") from exc
-    if len(lines) < 2:
-        raise TraceTruncatedError("truncated payload: missing token table")
-    tokens = []
-    try:
-        for pos, entry in enumerate(json.loads(lines[1]).get("tokens", [])):
-            klass = TokenClass(entry["klass"])
-            tokens.append(TokenAnnotation(pos, int(entry["id"]), klass))
-    except _NDJSON_ERRORS as exc:
-        raise TraceHeaderError(f"token {len(tokens)}: malformed entry ({exc!r})") from exc
-    blocks: dict[tuple[int, int], list[TraceBlock]] = {}
-    for line in lines[2:]:
-        try:
-            rec = json.loads(line)
-            block = TraceBlock(
-                int(rec["step"]),
-                np.asarray(rec["k"], dtype=np.float64),
-                np.asarray(rec["v"], dtype=np.float64),
-                np.asarray(rec["q"], dtype=np.float64),
-            )
-            key = (int(rec["layer"]), int(rec["head"]))
-        except _NDJSON_ERRORS as exc:
-            raise TraceTruncatedError(f"truncated payload: bad block line: {exc}")
-        blocks.setdefault(key, []).append(block)
-    return AttentionTrace(config, tokens, blocks)
-
-
 def read_trace(source) -> AttentionTrace:
-    """Read a trace from a path or binary file object (binary or NDJSON)."""
-    if hasattr(source, "read"):
-        data = source.read()
-    else:
-        with open(source, "rb") as fh:
-            data = fh.read()
-    if data[:4] == MAGIC:
-        return _read_binary(io.BytesIO(data))
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise TraceHeaderError("malformed header: neither AKVT binary nor NDJSON") from exc
-    return _read_ndjson(text)
+    """Read a trace from a path or binary file object."""
+    data = source.read() if hasattr(source, "read") else Path(source).read_bytes()
+    return _read_binary(io.BytesIO(data))
 
 
 def record_trace(model, tokens: list[int], prompt_len: int) -> AttentionTrace:

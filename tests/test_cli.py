@@ -26,9 +26,8 @@ CASES = (
     ("synth", ["synth", "--plan", PLAN, "--out", "synth"]),
     ("profile", ["profile", "--trace", "synth/trace.akvt", "--prompt-len", "32",
                  "--out", "profile"]),
-    ("profile_cosine", ["profile", "--plan", PLAN, "--criterion", "cosine",
-                        "--rows", "last", "--format", "json",
-                        "--out", "profile_cosine"]),
+    ("profile_last", ["profile", "--plan", PLAN, "--rows", "last", "--format", "json",
+                      "--out", "profile_last"]),
     ("generate", ["generate", "--plan", PLAN, "--max-new-tokens", "6",
                   "--out", "generate"]),
     ("generate_policy", ["generate", "--plan", PLAN, "--max-new-tokens", "6",
@@ -85,6 +84,24 @@ def test_missing_config_file_is_one_error_line(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "flag, text, match",
+    [
+        ("--config", "no section header\n", "config parse error"),
+        ("--config", "[profile]\nout = a%b\n", "'%' must be followed"),
+        ("--plan", None, "cannot read plan"),
+        ("--plan", "no section header\n", "plan parse error"),
+    ],
+    ids=["config-parse", "config-interpolation", "plan-missing", "plan-parse"],
+)
+def test_unreadable_ini_file_is_one_error_line(tmp_path, capsys, flag, text, match):
+    path = tmp_path / "file.ini"
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    argv = ["profile", "--plan", PLAN, "--out", str(tmp_path / "out")]
+    expect_one_error_line(argv + [flag, str(path)], capsys, match)
+
+
 def test_out_naming_a_file_is_one_error_line(tmp_path, capsys):
     taken = tmp_path / "taken"
     taken.write_text("", encoding="utf-8")
@@ -111,3 +128,77 @@ def test_negative_model_seed_is_one_error_line(tmp_path, capsys):
         capsys,
         "non-negative",
     )
+
+
+def run_with_config(tmp_path, capsys, argv, ini: str):
+    """Run ``argv`` with ``--config`` naming a file holding ``ini``; return stdout."""
+    config = tmp_path / "akv.ini"
+    config.write_text(ini, encoding="utf-8")
+    assert cli.main(argv + ["--config", str(config)]) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "ini, flags, expected",
+    [
+        ("[global]\nthreshold = 0.5\n", [], "0.5"),
+        ("[global]\nthreshold = 0.5\n[profiler]\nthreshold = 0.7\n", [], "0.7"),
+        (
+            "[global]\nthreshold = 0.5\n[profiler]\nthreshold = 0.7\n",
+            ["--threshold", "0.9"],
+            "0.9",
+        ),
+        # Profiler options are read from [profiler], not the command's section.
+        ("[profile]\nthreshold = 0.5\n", [], "0.95"),
+    ],
+    ids=["global", "section-over-global", "flag-over-section", "command-section"],
+)
+def test_config_precedence(tmp_path, capsys, ini, flags, expected):
+    argv = ["profile", "--plan", PLAN, "--out", str(tmp_path / "out")] + flags
+    stdout = run_with_config(tmp_path, capsys, argv, ini)
+    assert stdout == f"profiled 8 heads at T={expected}\n"
+
+
+def test_config_format_comes_from_the_command_section(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["profile", "--plan", PLAN, "--out", str(out)]
+    run_with_config(tmp_path, capsys, argv, "[profile]\nformat = json\n")
+    assert sorted(p.name for p in out.iterdir()) == [
+        "head_profile.csv",
+        "layer_distribution.json",
+    ]
+
+
+@pytest.mark.parametrize(
+    "section, key, raw",
+    [
+        ("profiler", "threshold", "abc"),
+        ("global", "threshold", "abc"),
+        # A config value is held to its flag's choices.
+        ("profile", "format", "xml"),
+    ],
+)
+def test_bad_config_value_is_one_error_line(tmp_path, capsys, section, key, raw):
+    config = tmp_path / "akv.ini"
+    config.write_text(f"[{section}]\n{key} = {raw}\n", encoding="utf-8")
+    code = cli.main(["profile", "--plan", PLAN, "--config", str(config)])
+    assert code == 1
+    expected = f"akv: error: bad value for {section}.{key}: '{raw}'\n"
+    assert capsys.readouterr().err == expected
+
+
+def test_trace_prompt_len_follows_generate_section(tmp_path, capsys, monkeypatch):
+    # profile has no --max-new-tokens flag, yet [generate] max_new_tokens
+    # still sets the prompt a trace leaves for decoding.
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["synth", "--plan", PLAN, "--out", "synth"]) == 0
+    base = ["profile", "--trace", "synth/trace.akvt"]
+    assert cli.main(base + ["--prompt-len", "37", "--out", "all"]) == 0
+    assert cli.main(base + ["--out", "default"]) == 0
+    capsys.readouterr()
+    ini = "[generate]\nmax_new_tokens = 1\n"
+    run_with_config(tmp_path, capsys, base + ["--out", "configured"], ini)
+    configured = (tmp_path / "configured" / "head_profile.csv").read_text()
+    assert configured == (tmp_path / "all" / "head_profile.csv").read_text()
+    assert configured != (tmp_path / "default" / "head_profile.csv").read_text()
+    assert ",37\n" in configured

@@ -18,7 +18,6 @@ from adaptive_kv.policies import format_policy
 from adaptive_kv.profiler import (
     ProfilerConfig,
     RowAveraging,
-    SelectionCriterion,
     profile_model,
 )
 
@@ -37,11 +36,9 @@ def all_maps(model, tokens, prompt_len=None):
     "base",
     [
         ProfilerConfig(),
-        ProfilerConfig(
-            criterion=SelectionCriterion.COSINE_SIMILARITY, rows=RowAveraging.LAST_ROW
-        ),
+        ProfilerConfig(rows=RowAveraging.LAST_ROW),
     ],
-    ids=["recovery-all", "cosine-last"],
+    ids=["recovery-all", "recovery-last"],
 )
 def test_tradeoff_points_equal_per_threshold_profiles(mixed_model, base):
     prompt = mixed_model.prompt_token_ids(PROMPT_LEN)

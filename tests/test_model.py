@@ -12,7 +12,6 @@ from adaptive_kv.model import (
     SyntheticModel,
     punctuation_positions,
     sparse_columns,
-    synth_model,
     uniform_plan,
 )
 from adaptive_kv.profiler import recovery_ratio
@@ -31,7 +30,7 @@ PROMPT_LEN = 48
 
 @pytest.fixture(scope="module")
 def model():
-    return synth_model(CONFIG, PLAN, DOMINANCE)
+    return SyntheticModel(CONFIG, PLAN, DOMINANCE)
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +57,7 @@ def _class_positions(model, tokens, klass):
 
 
 def test_same_seed_bitwise_identical(model):
-    twin = synth_model(CONFIG, PLAN, DOMINANCE)
+    twin = SyntheticModel(CONFIG, PLAN, DOMINANCE)
     assert model.prompt_token_ids(PROMPT_LEN) == twin.prompt_token_ids(PROMPT_LEN)
     for pos in (0, 7, 31):
         a = model.k_row(0, 1, pos, TokenClass.OTHER, PROMPT_LEN)
@@ -71,7 +70,7 @@ def test_same_seed_bitwise_identical(model):
 
 
 def test_identical_seeds_identical_generations(model):
-    twin = synth_model(CONFIG, PLAN, DOMINANCE)
+    twin = SyntheticModel(CONFIG, PLAN, DOMINANCE)
     prompt = model.prompt_token_ids(16)
     a = reference_generate(model, prompt, GenerationConfig(max_new_tokens=10))
     b = reference_generate(twin, prompt, GenerationConfig(max_new_tokens=10))
@@ -129,7 +128,7 @@ def test_diffuse_head_has_no_dominant_subset(model, decoded_maps):
 
 def test_diffuse_single_column_bound():
     config = ModelConfig(num_layers=1, num_heads=1, head_dim=16, vocab_size=32, seed=3)
-    model = synth_model(config, uniform_plan(config, Archetype.DIFFUSE), 0.97)
+    model = SyntheticModel(config, uniform_plan(config, Archetype.DIFFUSE), 0.97)
     prompt = model.prompt_token_ids(10)
     [(_, _, _, A, _)] = prompt_head_data(model, prompt)
     A = A.matrix
@@ -139,14 +138,27 @@ def test_diffuse_single_column_bound():
 def test_dominance_out_of_range_rejected():
     for bad in (0.5, 1.0, -0.1, 1.5):
         with pytest.raises(ModelError, match="dominance"):
-            synth_model(CONFIG, PLAN, bad)
+            SyntheticModel(CONFIG, PLAN, bad)
 
 
 def test_plan_must_cover_grid():
     with pytest.raises(ModelError, match="does not cover"):
-        synth_model(CONFIG, {(0, 0): HeadPlan(Archetype.DIFFUSE)}, 0.97)
+        SyntheticModel(CONFIG, {(0, 0): HeadPlan(Archetype.DIFFUSE)}, 0.97)
     with pytest.raises(ModelError, match="no heads defined"):
-        synth_model(CONFIG, {}, 0.97)
+        SyntheticModel(CONFIG, {}, 0.97)
+
+
+def test_plan_must_stay_inside_grid():
+    outside = {**PLAN, (1, 0): HeadPlan(Archetype.DIFFUSE), (0, 4): Archetype.DIFFUSE}
+    with pytest.raises(
+        ModelError,
+        match=r"^plan names heads outside the model grid: \[\(1, 0\), \(0, 4\)\]$",
+    ):
+        SyntheticModel(CONFIG, outside, DOMINANCE)
+    # A plan that misses a head is reported before one that names extra heads.
+    del outside[(0, 2)]
+    with pytest.raises(ModelError, match=r"^plan does not cover heads \[\(0, 2\)\]$"):
+        SyntheticModel(CONFIG, outside, DOMINANCE)
 
 
 def test_config_counts_validated():
@@ -161,7 +173,7 @@ def test_phase_switch_changes_archetype_at_position():
         switch_to=Archetype.LOCAL_DOMINANT,
         switch_step=15,
     )
-    model = synth_model(CONFIG, plan, DOMINANCE)
+    model = SyntheticModel(CONFIG, plan, DOMINANCE)
     n = 16
     # Decode step 15 begins at absolute position n + 14.
     before = model.q_row(0, 0, n + 13, n)

@@ -5,19 +5,12 @@ import pytest
 
 from adaptive_kv.attention import causal_attention
 from adaptive_kv.engine import encode_prompt, prompt_head_data
-from adaptive_kv.policies import (
-    feasible_set,
-    full_policy,
-    parse_policy,
-    retained_indices,
-)
+from adaptive_kv.policies import full_policy, retained_indices
 from adaptive_kv.profiler import (
     HeadProfile,
     ProfilerConfig,
     ProfilerError,
     RowAveraging,
-    SelectionCriterion,
-    masked_cosine_similarity,
     profile_model,
     recovery_ratio,
     select_policy,
@@ -46,26 +39,6 @@ def test_recovery_criterion_picks_first_policy_meeting_threshold(head_data, T, r
         assert decision.cost_tokens == len(sets[first])
 
 
-# frequent(r_f=1) keeps every position, so it ties with full and wins.
-TIED_FAMILY = [parse_policy("special"), parse_policy("frequent(r_f=1)"), full_policy()]
-
-
-@pytest.mark.parametrize(
-    "feasible", [feasible_set(), TIED_FAMILY], ids=["default", "tie"]
-)
-def test_cosine_criterion_picks_first_most_similar_policy(head_data, feasible):
-    cosine = SelectionCriterion.COSINE_SIMILARITY
-    cfg = ProfilerConfig(feasible=feasible, criterion=cosine)
-    for A, ctx in head_data.values():
-        sets = [retained_indices(p, ctx) for p in cfg.feasible]
-        sims = [masked_cosine_similarity(A, idx) for idx in sets]
-        best = sims.index(max(sims))
-        decision = select_policy(A, ctx, cfg)
-        assert decision.policy == cfg.feasible[best]
-        assert decision.recovery == recovery_ratio(A, sets[best], cfg.rows)
-        assert decision.cost_tokens == len(sets[best])
-
-
 def test_profile_model_selects_every_head_and_checks_the_grid(head_data):
     cfg = ProfilerConfig()
     profile = profile_model(head_data, cfg, grid=sorted(head_data))
@@ -77,11 +50,10 @@ def test_profile_model_selects_every_head_and_checks_the_grid(head_data):
 
 
 @pytest.mark.parametrize("rows", list(RowAveraging))
-@pytest.mark.parametrize("criterion", list(SelectionCriterion))
 def test_streamed_encode_profile_equals_profile_over_all_maps(
-    mixed_model, head_data, criterion, rows
+    mixed_model, head_data, rows
 ):
-    cfg = ProfilerConfig(recovery_threshold=0.9, criterion=criterion, rows=rows)
+    cfg = ProfilerConfig(recovery_threshold=0.9, rows=rows)
     prompt = mixed_model.prompt_token_ids(PROMPT_LEN)
     profile, _ = encode_prompt(mixed_model, prompt, cfg, diagnostics=False)
     assert profile.to_csv() == profile_model(head_data, cfg).to_csv()
@@ -98,14 +70,13 @@ def test_head_profile_csv_round_trips(head_data):
         HeadProfile.from_csv("layer,head,policy\n")
 
 
-@pytest.mark.parametrize("measure", [recovery_ratio, masked_cosine_similarity])
-def test_positions_outside_the_map_are_rejected(head_data, measure):
+def test_positions_outside_the_map_are_rejected(head_data):
     A, _ = head_data[(0, 0)]
-    assert measure(A, np.arange(0)) == 0.0
-    assert measure(A, np.arange(A.size)) == pytest.approx(1.0)
+    assert recovery_ratio(A, np.arange(0)) == 0.0
+    assert recovery_ratio(A, np.arange(A.size)) == pytest.approx(1.0)
     for bad in ([-1], [0, A.size], [A.size + 5]):
         with pytest.raises(ProfilerError, match="outside"):
-            measure(A, np.array(bad))
+            recovery_ratio(A, np.array(bad))
 
 
 @pytest.mark.parametrize("rows", list(RowAveraging))

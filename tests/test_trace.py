@@ -19,6 +19,7 @@ from adaptive_kv.model import ModelConfig
 from adaptive_kv.profiler import ProfilerConfig
 from adaptive_kv.tokens import TokenAnnotation, TokenClass
 from adaptive_kv.trace import (
+    MAGIC,
     AttentionTrace,
     TraceBlock,
     TraceDimensionError,
@@ -29,7 +30,6 @@ from adaptive_kv.trace import (
     read_trace,
     record_trace,
     write_trace,
-    write_trace_ndjson,
 )
 
 
@@ -80,13 +80,6 @@ def test_binary_round_trip_is_byte_stable(tmp_path):
     write_trace(trace, p1)
     write_trace(read_trace(p1), p2)
     assert p1.read_bytes() == p2.read_bytes()
-
-
-def test_ndjson_round_trip_lossless(tmp_path):
-    trace = build_trace(np.random.default_rng(2))
-    path = tmp_path / "t.ndjson"
-    write_trace_ndjson(trace, path)
-    assert_traces_equal(trace, read_trace(path))
 
 
 def test_truncated_payload_distinct_error(tmp_path):
@@ -176,49 +169,29 @@ def test_golden_fixture_replay():
     assert generate(model, prompt, cfg, nucleus).tokens == golden["adaptive_nucleus"]
 
 
-_FUZZ_SNIPPETS = (
-    "[", "]", "{", "}", ",", ":", '"', "null", "true", "1.5", "-1", "1e999",
-    "Infinity", '"x"', "[]", "{}", "[[1]]", '{"a": 1}', "99999999999999999999",
-)
-
-
-def _mutate(text: str, rng: np.random.Generator) -> str:
-    lines = text.splitlines()
-    kind = int(rng.integers(0, 6))
-    if kind == 0:  # drop a line
-        del lines[int(rng.integers(0, len(lines)))]
-        return "\n".join(lines)
-    if kind == 1:  # duplicate a line
-        i = int(rng.integers(0, len(lines)))
-        lines.insert(i, lines[i])
-        return "\n".join(lines)
-    # Edit inside one line, mostly the header and token table.
-    i = int(rng.integers(0, min(len(lines), 3))) if rng.random() < 0.7 else int(
-        rng.integers(0, len(lines))
-    )
-    line = lines[i]
-    at = int(rng.integers(0, len(line) + 1))
-    span = int(rng.integers(1, 12))
-    snippet = _FUZZ_SNIPPETS[int(rng.integers(0, len(_FUZZ_SNIPPETS)))]
+def _mutate_binary(data: bytes, rng: np.random.Generator) -> bytes:
+    """``data`` with bytes after the magic flipped, inserted, deleted or cut off."""
+    at = int(rng.integers(len(MAGIC), len(data)))
+    span = int(rng.integers(1, 9))
+    noise = rng.integers(0, 256, size=span, dtype=np.uint8).tobytes()
+    kind = int(rng.integers(0, 4))
+    if kind == 0:  # overwrite a span
+        return data[:at] + noise + data[at + span :]
+    if kind == 1:  # insert a span
+        return data[:at] + noise + data[at:]
     if kind == 2:  # delete a span
-        line = line[:at] + line[at + span :]
-    elif kind == 3:  # insert a snippet
-        line = line[:at] + snippet + line[at:]
-    else:  # replace a span with a snippet
-        line = line[:at] + snippet + line[at + span :]
-    lines[i] = line
-    return "\n".join(lines)
+        return data[:at] + data[at + span :]
+    return data[:at]  # cut the file short
 
 
-def test_ndjson_reader_raises_only_trace_errors():
-    buf = io.StringIO()
-    write_trace_ndjson(build_trace(np.random.default_rng(9), positions=3), buf)
-    text = buf.getvalue()
+def test_binary_reader_raises_only_trace_errors():
+    buf = io.BytesIO()
+    write_trace(build_trace(np.random.default_rng(9), positions=3), buf)
+    data = buf.getvalue()
     rng = np.random.default_rng(2310)
-    for _ in range(500):
-        mutated = _mutate(text, rng).encode("utf-8")
+    for _ in range(2000):
         try:
-            read_trace(io.BytesIO(mutated))
+            read_trace(io.BytesIO(_mutate_binary(data, rng)))
         except TraceError:
             pass
 
