@@ -169,38 +169,33 @@ def load_plan(path: str):
     if not parser.has_section("model"):
         raise CliError("plan parse error: missing [model] section")
 
-    def model_int(key, default=None):
+    def model_value(key, default=None, get=parser.getint, kind="integer"):
         if parser.has_option("model", key):
             try:
-                return parser.getint("model", key)
+                return get("model", key)
             except ValueError:
                 raise CliError(
-                    f"plan parse error: bad integer for model.{key}"
+                    f"plan parse error: bad {kind} for model.{key}"
                 ) from None
         if default is None:
             raise CliError(f"plan parse error: missing model.{key}")
         return default
 
+    def model_float(key, default):
+        return model_value(key, default, parser.getfloat, "number")
+
     config = ModelConfig(
-        num_layers=model_int("num_layers"),
-        num_heads=model_int("num_heads"),
-        head_dim=model_int("head_dim"),
-        vocab_size=model_int("vocab_size"),
-        seed=model_int("seed"),
+        num_layers=model_value("num_layers"),
+        num_heads=model_value("num_heads"),
+        head_dim=model_value("head_dim"),
+        vocab_size=model_value("vocab_size"),
+        seed=model_value("seed"),
     )
-    dominance = (
-        parser.getfloat("model", "dominance")
-        if parser.has_option("model", "dominance")
-        else 0.97
-    )
-    prompt_len = model_int("prompt_len", 48)
-    steps = model_int("steps", 0)
-    frac = (
-        parser.getfloat("model", "local_window_frac")
-        if parser.has_option("model", "local_window_frac")
-        else 0.3
-    )
-    max_context = model_int("max_context", 4096)
+    dominance = model_float("dominance", 0.97)
+    prompt_len = model_value("prompt_len", 48)
+    steps = model_value("steps", 0)
+    frac = model_float("local_window_frac", 0.3)
+    max_context = model_value("max_context", 4096)
 
     if not parser.has_section("heads") or not parser.options("heads"):
         raise CliError("no heads defined")

@@ -6,17 +6,33 @@ the chosen policy and drops the map before the next head's, so one map
 is alive at a time. Phase two generates token by token: each step
 appends the incoming token's K/V row, attends over the retained
 positions plus that row, folds the attention row into the frequency
-bookkeeping, re-applies the head's frozen policy to the grown cache, and
+bookkeeping, re-applies the frozen policy to the grown cache, and
 finally samples the next token. Evicted rows are dropped for good;
 re-application only ever selects among live positions.
 
-Each head keeps preallocated float64 K/V row buffers and an int position
-buffer; rows ``[:n]`` are the live entries in ascending position order.
-A step writes the new row at ``n``, attends over ``[:n+1]``, and compacts
-those rows in place by the policy's keep-mask, moving only rows after
-the first evicted one. A full buffer grows by a fixed ``_GROW_ROWS``
-chunk, never by doubling. Per-position token classes, frequent heads'
-cumulative scores and the diagnostics key history grow the same way.
+The unit of decode is a head group. Heads whose policy has no
+``frequent`` atom and is the same policy share one group: their retained
+set depends only on the token classes, ``prompt_len`` and
+``current_len``, so it is the same set for every head in the group. A
+``frequent`` head is a group of one, because its scores are its own.
+A group holds its heads' K and V rows in ``(G, capacity, d)`` buffers
+and one shared position buffer; rows ``[:, :n]`` are the live entries,
+at positions ``pos[:n]`` in ascending order. A step writes the G new
+rows at ``n``, attends all G queries over ``[:, :n+1]`` in one stacked
+product, and compacts the whole group in place by one keep-mask, moving
+only rows after the first evicted one. A ``full`` group only appends. A
+full buffer grows by a fixed ``_GROW_ROWS`` chunk, never by doubling.
+Per-position token classes and a frequent head's cumulative scores grow
+the same way.
+
+With diagnostics on, each step also measures every head's realised
+recovery: the mass its full-history attention row puts on the retained
+positions. A ``full`` head's compressed attend already is its
+full-history attend, so its recovery is the sum of its own weights and
+it keeps no extra keys. Other groups keep every key row so far in a
+stacked shadow buffer and run the full-history softmax batched the same
+way. ``reference_generate`` decodes all its heads as one ``full`` group,
+through the same attend.
 """
 
 from __future__ import annotations
@@ -31,6 +47,7 @@ from .policies import (
     CompressionPolicy,
     PolicyAtom,
     PolicyContext,
+    full_policy,
     retained_indices,
     retained_mask,
     # Decode folds scores in place; the name stays bound here because
@@ -41,7 +58,13 @@ from .profiler import HeadProfile, ProfilerConfig, evaluate_policy, select_polic
 # Profiling goes head by head through select_policy; this name stays bound
 # here because perfbench/tracer.py patches it by attribute.
 from .profiler import profile_model  # noqa: F401
-from .tokens import CLASS_CODE, TokenAnnotation, class_codes, classify_tokens
+from .tokens import (
+    CLASS_CODE,
+    TokenAnnotation,
+    TokenClass,
+    class_codes,
+    classify_tokens,
+)
 
 # Rows added to a full cache buffer at a time.
 _GROW_ROWS = 64
@@ -101,20 +124,39 @@ class _Sampler:
         return int(self._rng.choice(kept, p=weights))
 
 
-def _attend_row(q, K, V, d_k: int) -> tuple[np.ndarray, np.ndarray]:
-    """One query against a stack of key/value rows; weights sum to 1."""
-    logits = (K @ q) / np.sqrt(float(d_k))
-    weights = softmax_vector(logits)
-    return weights, weights @ V
+def _weights(K: np.ndarray, Q: np.ndarray, m: int) -> np.ndarray:
+    """Softmax of each query ``Q[g]`` against its key rows ``K[g, :m]``.
+
+    One stacked product and a max-shifted softmax along each row; every
+    row has the bits of ``softmax_vector((K[g, :m] @ Q[g]) / sqrt(d))``.
+    """
+    w = np.matmul(K[:, :m], Q[:, :, None])[..., 0]
+    w /= np.sqrt(float(Q.shape[1]))
+    w -= w.max(axis=1, keepdims=True)
+    np.exp(w, out=w)
+    w /= w.sum(axis=1, keepdims=True)
+    return w
 
 
-def _room(buf: np.ndarray, used: int) -> np.ndarray:
-    """``buf``, or its first ``used`` rows in a longer buffer if it is full."""
-    if used < buf.shape[0]:
+def _room(buf: np.ndarray, used: int, axis: int = 0) -> np.ndarray:
+    """``buf``, or its first ``used`` entries along ``axis`` in a longer buffer."""
+    if used < buf.shape[axis]:
         return buf
-    grown = np.empty((used + _GROW_ROWS, *buf.shape[1:]), dtype=buf.dtype)
-    grown[:used] = buf[:used]
+    shape = list(buf.shape)
+    shape[axis] = used + _GROW_ROWS
+    grown = np.empty(shape, dtype=buf.dtype)
+    head = (slice(None),) * axis + (slice(used),)
+    grown[head] = buf[head]
     return grown
+
+
+def _stack(rows: list[np.ndarray]) -> np.ndarray:
+    """``np.stack(rows)``, dropping each list entry once it is copied."""
+    out = np.empty((len(rows), *rows[0].shape))
+    for g in range(len(rows)):
+        out[g] = rows[g]
+        rows[g] = None
+    return out
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -124,25 +166,88 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class HeadCacheState:
-    """One head's cache: rows ``[:n]`` of ``K``, ``V`` and ``pos`` are live.
+class HeadGroup:
+    """Heads decoded together over one retained position set.
 
-    ``scores`` is indexed by position; only frequent policies have it.
+    ``K`` and ``V`` are ``(G, capacity, d)``; ``[:, :n]`` are live, at the
+    shared positions ``pos[:n]``. ``outputs`` holds each head's pending
+    attention output and ``recovery`` its last realised recovery, both in
+    ``keys`` order. ``scores`` is indexed by position; only a frequent
+    group (always of one head) has it. With diagnostics, a group that is
+    not ``full`` keeps every key row so far in ``shadow``, by position.
     """
 
+    keys: tuple[tuple[int, int], ...]
     policy: CompressionPolicy
     K: np.ndarray
     V: np.ndarray
     pos: np.ndarray
     n: int
-    scores: np.ndarray | None
-    pending_output: np.ndarray
-    last_row_recovery: float
+    outputs: np.ndarray
+    recovery: np.ndarray
+    scores: np.ndarray | None = None
+    shadow: np.ndarray | None = None
 
     @property
     def live(self) -> np.ndarray:
         """Live positions, ascending: a view of ``pos[:n]``."""
         return self.pos[: self.n]
+
+    def advance(
+        self,
+        model,
+        pos: int,
+        klass: TokenClass,
+        prompt_len: int,
+        codes: np.ndarray | None,
+        diagnostics: bool,
+    ):
+        """Append position ``pos``, attend every head over it, re-apply the policy."""
+        n = self.n
+        m = n + 1
+        self.K = K = _room(self.K, n, axis=1)
+        self.V = V = _room(self.V, n, axis=1)
+        self.pos = live = _room(self.pos, n)
+        Q = np.empty((len(self.keys), K.shape[2]))
+        for g, (layer, head) in enumerate(self.keys):
+            K[g, n] = model.k_row(layer, head, pos, klass, prompt_len)
+            V[g, n] = model.v_row(layer, head, pos)
+            Q[g] = model.q_row(layer, head, pos, prompt_len)
+        live[n] = pos
+        attended = live[:m]
+        w = _weights(K, Q, m)
+        self.outputs = np.matmul(w[:, None, :], V[:, :m])[:, 0]
+
+        if self.scores is not None:
+            self.scores = scores = _room(self.scores, pos)
+            scores[attended[:-1]] += w[0, :-1]
+            scores[pos] = 0.0
+
+        if diagnostics:
+            if self.shadow is None:
+                self.recovery = w.sum(axis=1)
+            else:
+                self.shadow = shadow = _room(self.shadow, pos, axis=1)
+                shadow[:, pos] = K[:, n]
+                full = _weights(shadow, Q, pos + 1)
+                # ``take`` gives C order; ``full[:, attended]`` would be F
+                # order, and its row sums would not be pairwise.
+                self.recovery = np.take(full, attended, axis=1).sum(axis=1)
+
+        if self.policy.is_full:
+            self.n = m
+            return
+        keep = retained_mask(
+            self.policy, attended, codes, self.scores, prompt_len, pos + 1
+        )
+        # Compact from the first evicted row on; rows before it stay put.
+        first = m if keep.all() else int(keep.argmin())
+        tail = keep[first:]
+        self.n = first + int(np.count_nonzero(tail))
+        if self.n > first:
+            K[:, first : self.n] = K[:, first:m][:, tail]
+            V[:, first : self.n] = V[:, first:m][:, tail]
+            live[first : self.n] = live[first:m][tail]
 
 
 @dataclass
@@ -158,24 +263,45 @@ class StepRecord:
 
 @dataclass
 class CompressedCache:
-    """Per-head compressed KV state owned by one generation session.
+    """Head-group compressed KV state owned by one generation session.
 
-    ``codes`` and, with diagnostics, ``shadow_keys`` (each head's key
-    history) hold one row per position in their first ``seq_len`` rows.
+    ``codes`` holds one class code per position in its first ``seq_len``
+    entries. ``grid`` is the ``(num_layers, num_heads)`` of the model the
+    cache was encoded for; the groups hold every head of that grid once.
     """
 
     prompt_len: int
     seq_len: int
     annotations: list[TokenAnnotation]
     codes: np.ndarray
-    heads: dict[tuple[int, int], HeadCacheState]
+    groups: list[HeadGroup]
+    grid: tuple[int, int]
     profile: HeadProfile
     diagnostics: bool = False
-    shadow_keys: dict[tuple[int, int], np.ndarray] | None = None
     last_record: StepRecord | None = None
+    # Each head with its group, in head_grid() order.
+    members: list[tuple[tuple[int, int], HeadGroup]] = field(init=False, repr=False)
+    # Per head_grid() slot, its row in the groups' outputs stacked in order.
+    _order: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        stacked = [(key, group) for group in self.groups for key in group.keys]
+        self._order = np.array(
+            sorted(range(len(stacked)), key=lambda i: stacked[i][0]), dtype=np.intp
+        )
+        self.members = [stacked[i] for i in self._order]
 
     def total_retained(self) -> int:
-        return sum(state.n for state in self.heads.values())
+        return sum(group.n * len(group.keys) for group in self.groups)
+
+    def outputs(self) -> np.ndarray:
+        """Every head's pending output, concatenated in head_grid() order."""
+        stacked = np.concatenate([group.outputs for group in self.groups])
+        return stacked[self._order].reshape(-1)
+
+    def recoveries(self) -> np.ndarray:
+        """Every head's last realised recovery, in head_grid() order."""
+        return np.concatenate([group.recovery for group in self.groups])[self._order]
 
 
 def prompt_head_data(model, tokens: list[int], prompt_len: int | None = None):
@@ -218,6 +344,10 @@ def prompt_head_data(model, tokens: list[int], prompt_len: int | None = None):
         del A
 
 
+def _grid(model) -> tuple[int, int]:
+    return model.config.num_layers, model.config.num_heads
+
+
 def encode_prompt(
     model,
     prompt_tokens: list[int],
@@ -228,44 +358,63 @@ def encode_prompt(
     """Prompt encoding with one-shot profiling and cache compression.
 
     For every head, as the prompt pass streams it: select the head's
-    policy (or impose ``fixed_policy``) on its attention map, store the
-    compressed rows and the last query's output, then drop the map. The
-    profile is immutable afterwards.
+    policy (or impose ``fixed_policy``) on its attention map, keep the
+    compressed rows and the last query's output, then drop the map. Once
+    the stream ends, the heads' rows are stacked into groups, each head's
+    rows freed as they are copied in. The profile is immutable afterwards.
     """
     if profiler_cfg is None and fixed_policy is None:
         raise EngineError("need a profiler config or a fixed policy")
     n = len(prompt_tokens)
     annotations = classify_tokens(prompt_tokens, model.vocab)
     decisions = {}
-    heads = {}
-    shadow = {} if diagnostics else None
+    # Rows of each group's heads, by group: the policy, or a frequent head's key.
+    pending: dict[object, dict] = {}
     for key, K, V, A, ctx in prompt_head_data(model, prompt_tokens):
         if fixed_policy is not None:
             decisions[key] = evaluate_policy(A, ctx, fixed_policy)
         else:
             decisions[key] = select_policy(A, ctx, profiler_cfg)
         policy = decisions[key].policy
+        frequent = PolicyAtom.FREQUENT in policy.atoms
         idx = retained_indices(policy, ctx)
-        scores = (
-            ctx.cumulative_scores.copy()
-            if PolicyAtom.FREQUENT in policy.atoms
-            else None
-        )
         last_row = A.matrix[n - 1]
-        heads[key] = HeadCacheState(
-            policy=policy,
-            K=K[idx],
-            V=V[idx],
-            pos=idx,
-            n=idx.size,
-            scores=scores,
-            pending_output=last_row @ V,
-            last_row_recovery=float(last_row[idx].sum()) if idx.size else 0.0,
+        rows = pending.setdefault(
+            key if frequent else policy,
+            {
+                "policy": policy,
+                "pos": idx,
+                "scores": ctx.cumulative_scores.copy() if frequent else None,
+                "keys": [], "K": [], "V": [], "outputs": [], "recovery": [],
+                "shadow": [] if diagnostics and not policy.is_full else None,
+            },
         )
-        if diagnostics:
-            shadow[key] = K
+        rows["keys"].append(key)
+        rows["K"].append(K[idx])
+        rows["V"].append(V[idx])
+        rows["outputs"].append(last_row @ V)
+        rows["recovery"].append(float(last_row[idx].sum()) if idx.size else 0.0)
+        if rows["shadow"] is not None:
+            rows["shadow"].append(K)
         # Release the map (``last_row`` is a view of it) before the next head.
-        del A, last_row
+        del A, last_row, K, V
+
+    groups = []
+    for rows in pending.values():
+        groups.append(
+            HeadGroup(
+                keys=tuple(rows["keys"]),
+                policy=rows["policy"],
+                K=_stack(rows["K"]),
+                V=_stack(rows["V"]),
+                pos=rows["pos"],
+                n=rows["pos"].size,
+                outputs=np.array(rows["outputs"]),
+                recovery=np.array(rows["recovery"]),
+                scores=rows["scores"],
+                shadow=_stack(rows["shadow"]) if rows["shadow"] else None,
+            )
+        )
 
     profile = HeadProfile(decisions)
     cache = CompressedCache(
@@ -273,17 +422,16 @@ def encode_prompt(
         seq_len=n,
         annotations=annotations,
         codes=class_codes(annotations, n),
-        heads=heads,
+        groups=groups,
+        grid=_grid(model),
         profile=profile,
         diagnostics=diagnostics,
-        shadow_keys=shadow,
     )
     return profile, cache
 
 
 def _check_cache(model, cache: CompressedCache):
-    expected = set(model.config.head_grid())
-    if set(cache.heads) != expected or set(cache.profile.decisions) != expected:
+    if _grid(model) != cache.grid:
         raise EngineError(
             "cache/profile mismatch: head grid does not match the model"
         )
@@ -299,85 +447,42 @@ def generate_step(
 
     When ``last_token`` is given, its K/V row joins every head's cache at
     the next position, attention runs over the retained positions plus
-    that row, cumulative scores are updated, and the head's frozen policy
-    is re-applied to the grown context before sampling. The first step of
-    a session passes ``last_token=None``: the prompt's final query already
-    produced the pending outputs, so it only samples.
+    that row, cumulative scores are updated, and each group's frozen
+    policy is re-applied to the grown context before sampling. The first
+    step of a session passes ``last_token=None``: the prompt's final
+    query already produced the pending outputs, so it only samples.
     """
     _check_cache(model, cache)
     if sampler is None or not isinstance(sampler, _Sampler):
         sampler = _Sampler(sampler if sampler is not None else GreedyArgmax())
 
-    recoveries: list[float] = []
     if last_token is not None:
         pos = cache.seq_len
-        current_len = pos + 1
         klass = model.vocab.classify_id(last_token)
         cache.annotations.append(TokenAnnotation(pos, last_token, klass))
         cache.codes = _room(cache.codes, pos)
         cache.codes[pos] = CLASS_CODE[klass]
-        prompt_len = cache.prompt_len
-        d_k = model.config.head_dim
-        for key, state in cache.heads.items():
-            layer, head = key
-            k_new = model.k_row(layer, head, pos, klass, prompt_len)
-            v_new = model.v_row(layer, head, pos)
-            q = model.q_row(layer, head, pos, prompt_len)
-            n = state.n
-            m = n + 1
-            state.K = K = _room(state.K, n)
-            state.V = V = _room(state.V, n)
-            state.pos = rows_pos = _room(state.pos, n)
-            K[n] = k_new
-            V[n] = v_new
-            rows_pos[n] = pos
-            attended = rows_pos[:m]
-            weights, state.pending_output = _attend_row(q, K[:m], V[:m], d_k)
-
-            if state.scores is not None:
-                state.scores = scores = _room(state.scores, pos)
-                scores[attended[:-1]] += weights[:-1]
-                scores[pos] = 0.0
-
-            if cache.diagnostics:
-                shadow = cache.shadow_keys[key] = _room(cache.shadow_keys[key], pos)
-                shadow[pos] = k_new
-                full_weights = softmax_vector(shadow[:current_len] @ q / np.sqrt(d_k))
-                recovery = float(full_weights[attended].sum())
-                state.last_row_recovery = recovery
-                recoveries.append(recovery)
-
-            keep = retained_mask(
-                state.policy, attended, cache.codes, state.scores, prompt_len,
-                current_len,
+        for group in cache.groups:
+            group.advance(
+                model, pos, klass, cache.prompt_len, cache.codes, cache.diagnostics
             )
-            # Compact from the first evicted row on; rows before it stay put.
-            first = m if keep.all() else int(keep.argmin())
-            tail = keep[first:]
-            state.n = first + int(np.count_nonzero(tail))
-            if state.n > first:
-                for buf in (K, V, rows_pos):
-                    buf[first : state.n] = buf[first:m][tail]
-        cache.seq_len = current_len
-    elif cache.diagnostics:
-        recoveries = [s.last_row_recovery for s in cache.heads.values()]
+        cache.seq_len = pos + 1
 
-    concat = np.concatenate(
-        [cache.heads[key].pending_output for key in sorted(cache.heads)]
-    )
-    next_token = sampler(model.head_logits(concat))
+    next_token = sampler(model.head_logits(cache.outputs()))
 
+    retained_positions = None
+    if cache.diagnostics:
+        frozen = {id(group): _frozen(group.live) for group in cache.groups}
+        retained_positions = {key: frozen[id(group)] for key, group in cache.members}
     cache.last_record = StepRecord(
         step=cache.seq_len - cache.prompt_len + 1,
         token_id=next_token,
-        head_retained={k: s.n for k, s in cache.heads.items()},
+        head_retained={key: group.n for key, group in cache.members},
         total_cache_tokens=cache.total_retained(),
-        mean_recovery=float(np.mean(recoveries)) if recoveries else None,
-        retained_positions=(
-            {k: _frozen(s.live) for k, s in cache.heads.items()}
-            if cache.diagnostics
-            else None
+        mean_recovery=(
+            float(np.mean(cache.recoveries())) if cache.diagnostics else None
         ),
+        retained_positions=retained_positions,
     )
     return next_token, cache
 
@@ -438,77 +543,69 @@ def reference_generate(
 ) -> GenerationResult:
     """Uncompressed baseline engine: every position stays cached forever.
 
-    Kept free of any policy or eviction machinery so compressed runs can
-    be checked against it.
+    All heads decode as one ``full`` group, which only appends, so no
+    policy or eviction machinery runs and compressed runs can be checked
+    against it.
     """
-    cfg = model.config
     n = len(prompt_tokens)
     annotations = classify_tokens(prompt_tokens, model.vocab)
-    # Per-head K/V rows ``[:seq_len]``, in buffers grown by ``_room``; of
-    # each head's map only the last query's output is kept.
-    keys, values, pending = {}, {}, {}
-    for key, K, V, A, _ in prompt_head_data(model, prompt_tokens):
-        keys[key], values[key] = K, V
-        pending[key] = A.matrix[n - 1] @ V
-        del A
+    keys = tuple(model.config.head_grid())
+    # Sized for the whole run, so the buffers never grow; each head's rows
+    # are copied in as the prompt pass streams them.
+    shape = (len(keys), n + max(gen_cfg.max_new_tokens - 1, 0), model.config.head_dim)
+    K_all, V_all = np.empty(shape), np.empty(shape)
+    outputs = np.empty((len(keys), shape[2]))
+    for g, (_, K, V, A, _) in enumerate(prompt_head_data(model, prompt_tokens)):
+        K_all[g, :n] = K
+        V_all[g, :n] = V
+        # Of each head's map only the last query's output is kept.
+        outputs[g] = A.matrix[n - 1] @ V
+        del A, K, V
+    group = HeadGroup(
+        keys=keys,
+        policy=full_policy(),
+        K=K_all,
+        V=V_all,
+        pos=np.arange(shape[1]),
+        n=n,
+        outputs=outputs,
+        recovery=np.ones(len(keys)),
+    )
+    cache = CompressedCache(
+        prompt_len=n,
+        seq_len=n,
+        annotations=annotations,
+        codes=class_codes(annotations, n),
+        groups=[group],
+        grid=_grid(model),
+        profile=HeadProfile({}),
+    )
 
     sampler = _Sampler(gen_cfg.sampling)
     tokens: list[int] = []
     records: list[StepRecord] = []
     vocab = model.vocab
-    seq_len = n
     last: int | None = None
     for step in range(1, gen_cfg.max_new_tokens + 1):
         if last is not None:
-            pos = seq_len
+            pos = cache.seq_len
             klass = vocab.classify_id(last)
             annotations.append(TokenAnnotation(pos, last, klass))
-            for key in keys:
-                layer, head = key
-                keys[key] = K = _room(keys[key], pos)
-                values[key] = V = _room(values[key], pos)
-                K[pos] = model.k_row(layer, head, pos, klass, n)
-                V[pos] = model.v_row(layer, head, pos)
-                q = model.q_row(layer, head, pos, n)
-                m = pos + 1
-                _, pending[key] = _attend_row(q, K[:m], V[:m], cfg.head_dim)
-            seq_len += 1
-        concat = np.concatenate([pending[key] for key in sorted(pending)])
-        token = sampler(model.head_logits(concat))
+            group.advance(model, pos, klass, n, None, diagnostics=False)
+            cache.seq_len += 1
+        token = sampler(model.head_logits(cache.outputs()))
         tokens.append(token)
         records.append(
             StepRecord(
                 step=step,
                 token_id=token,
-                head_retained={k: seq_len for k in keys},
-                total_cache_tokens=seq_len * len(keys),
+                head_retained={k: cache.seq_len for k in keys},
+                total_cache_tokens=cache.seq_len * len(keys),
                 mean_recovery=1.0,
             )
         )
         last = token
-
-    final_heads = {
-        key: HeadCacheState(
-            policy=CompressionPolicy(frozenset({PolicyAtom.FULL})),
-            K=keys[key][:seq_len],
-            V=values[key][:seq_len],
-            pos=np.arange(seq_len),
-            n=seq_len,
-            scores=None,
-            pending_output=pending[key],
-            last_row_recovery=1.0,
-        )
-        for key in keys
-    }
-    cache = CompressedCache(
-        prompt_len=n,
-        seq_len=seq_len,
-        annotations=annotations,
-        codes=class_codes(annotations, seq_len),
-        heads=final_heads,
-        profile=HeadProfile({}),
-        diagnostics=False,
-    )
+    cache.codes = class_codes(annotations, cache.seq_len)
     return GenerationResult(tokens, HeadProfile({}), records, cache)
 
 

@@ -11,6 +11,7 @@ the same ``CASES``.
 from __future__ import annotations
 
 import hashlib
+import re
 from pathlib import Path
 
 import pytest
@@ -127,6 +128,20 @@ def test_negative_model_seed_is_one_error_line(tmp_path, capsys):
         ["generate", "--plan", str(plan), "--out", str(tmp_path / "out")],
         capsys,
         "non-negative",
+    )
+
+
+@pytest.mark.parametrize("key", ["dominance", "local_window_frac"])
+def test_bad_plan_number_is_one_error_line(tmp_path, capsys, key):
+    plan = tmp_path / "plan.ini"
+    text = (DATA / "plan.ini").read_text(encoding="utf-8")
+    text = re.sub(rf"^{key} = .*\n", "", text, flags=re.M)
+    text = text.replace("[model]\n", f"[model]\n{key} = abc\n")
+    plan.write_text(text, encoding="utf-8")
+    expect_one_error_line(
+        ["generate", "--plan", str(plan), "--out", str(tmp_path / "out")],
+        capsys,
+        f"plan parse error: bad number for model.{key}",
     )
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from adaptive_kv.attention import softmax_vector
 from adaptive_kv.engine import (
+    EngineError,
     GenerationConfig,
     Nucleus,
     encode_prompt,
@@ -34,6 +36,8 @@ PROMPT_LEN = 24
 # Long enough for the full policy's buffers to grow twice: once on the
 # first append and again one chunk later.
 STEPS = 80
+GOLDEN_PROMPT = 40
+GOLDEN_STEPS = 80
 
 
 def reference_atom_indices(atom, policy, ctx, candidates):
@@ -90,55 +94,116 @@ class Rows:
         return self._rows[key]
 
 
+def head_slots(cache):
+    """Each head's group and its row in the group, by key."""
+    return {
+        key: (group, g) for group in cache.groups for g, key in enumerate(group.keys)
+    }
+
+
+def mixed_groups_config() -> ProfilerConfig:
+    """Profiles ``mixed_model`` into full, special, special+local and frequent heads."""
+    S, F, L = PolicyAtom.SPECIAL, PolicyAtom.FREQUENT, PolicyAtom.LOCAL
+    feasible = (
+        CompressionPolicy(frozenset({S})),
+        CompressionPolicy(frozenset({F})),
+        CompressionPolicy(frozenset({S, L}), r_l=0.9),
+        full_policy(),
+    )
+    return ProfilerConfig(recovery_threshold=0.9, feasible=feasible)
+
+
+MIXED_GROUP_POLICIES = {
+    "special", "frequent(r_f=0.3)", "special+local(r_l=0.9)", "full"
+}
+
+
+def check_group_layout(cache, grid):
+    """Every head sits in one group; groups follow the grouping rule."""
+    slots = head_slots(cache)
+    assert sorted(slots) == grid and len(slots) == len(grid)
+    policies = [group.policy for group in cache.groups]
+    for group in cache.groups:
+        if PolicyAtom.FREQUENT in group.policy.atoms:
+            assert len(group.keys) == 1 and group.scores is not None
+        else:
+            assert policies.count(group.policy) == 1 and group.scores is None
+        assert group.K.shape[0] == group.V.shape[0] == len(group.keys)
+        assert group.outputs.shape == (len(group.keys), group.K.shape[2])
+
+
 # The extra policy evicts a row followed by exactly one kept row, so
-# compaction moves a single row.
+# compaction moves a single row. ``None`` profiles ``mixed_model`` so
+# that groups of every kind coexist in one cache.
 @pytest.mark.parametrize(
-    "policy", feasible_set() + [feasible_set(r_f=0.4)[2]], ids=str
+    "policy",
+    feasible_set() + [feasible_set(r_f=0.4)[2], None],
+    ids=lambda p: "mixed-groups" if p is None else str(p),
 )
-def test_cache_matches_list_reference_every_step(small_model, policy):
-    model = small_model
+def test_cache_matches_list_reference_every_step(request, policy):
+    if policy is None:
+        model = request.getfixturevalue("mixed_model")
+        prompt_len = GOLDEN_PROMPT
+        prompt = model.prompt_token_ids(prompt_len)
+        profile, cache = encode_prompt(model, prompt, mixed_groups_config())
+        assert {str(d.policy) for _, d in profile.items()} == MIXED_GROUP_POLICIES
+    else:
+        model = request.getfixturevalue("small_model")
+        prompt_len = PROMPT_LEN
+        prompt = model.prompt_token_ids(prompt_len)
+        profile, cache = encode_prompt(model, prompt, None, fixed_policy=policy)
+    grid = model.config.head_grid()
     d = model.config.head_dim
-    prompt = model.prompt_token_ids(PROMPT_LEN)
-    _, cache = encode_prompt(model, prompt, None, fixed_policy=policy, diagnostics=False)
+    check_group_layout(cache, grid)
     contexts = {key: ctx for key, _, _, _, ctx in prompt_head_data(model, prompt)}
-    rows = Rows(model, PROMPT_LEN)
+    rows = Rows(model, prompt_len)
     ref_scores = {key: ctx.cumulative_scores for key, ctx in contexts.items()}
-    for key, state in cache.heads.items():
-        ctx = contexts[key]
-        assert state.live.tolist() == reference_retained(policy, ctx)
+    for key, (group, _) in head_slots(cache).items():
+        assert group.policy == profile[key].policy
+        assert group.live.tolist() == reference_retained(group.policy, contexts[key])
 
     growths = 0
     token = None
     for _ in range(STEPS):
-        previous = {key: state.live.tolist() for key, state in cache.heads.items()}
-        capacity = {key: state.K.shape[0] for key, state in cache.heads.items()}
+        slots = head_slots(cache)
+        previous = {key: group.live.tolist() for key, (group, _) in slots.items()}
+        capacity = {key: group.K.shape[1] for key, (group, _) in slots.items()}
         token, cache = generate_step(model, cache, token)
-        if len(cache.annotations) == PROMPT_LEN:
+        check_group_layout(cache, grid)
+        if len(cache.annotations) == prompt_len:
             continue
         pos = cache.seq_len - 1
         annotations = tuple(cache.annotations)
-        for key, state in cache.heads.items():
+        recoveries = []
+        for key in grid:
             layer, head = key
-            growths += state.K.shape[0] != capacity[key]
+            group, g = head_slots(cache)[key]
+            policy = group.policy
+            growths += group.K.shape[1] != capacity[key]
             attended = previous[key] + [pos]
             K = np.vstack([rows(layer, head, p, annotations[p].klass)[0] for p in attended])
             q = rows(layer, head, pos, annotations[pos].klass)[2]
             weights = softmax_vector((K @ q) / np.sqrt(float(d)))
-            old_ctx = PolicyContext(annotations[:pos], PROMPT_LEN, pos, ref_scores[key])
+            old_ctx = PolicyContext(annotations[:pos], prompt_len, pos, ref_scores[key])
             ref_scores[key] = update_cumulative_scores(
                 old_ctx, weights[:-1], np.array(previous[key], dtype=np.intp)
             ).cumulative_scores
-            ctx = PolicyContext(annotations, PROMPT_LEN, pos + 1, ref_scores[key])
+            ctx = PolicyContext(annotations, prompt_len, pos + 1, ref_scores[key])
 
-            live = state.live.tolist()
+            live = group.live.tolist()
             assert live == reference_retained(policy, ctx, attended)
             live_rows = [rows(layer, head, p, annotations[p].klass) for p in live]
-            assert np.array_equal(state.K[: state.n], np.array([r[0] for r in live_rows]))
-            assert np.array_equal(state.V[: state.n], np.array([r[1] for r in live_rows]))
+            n = group.n
+            assert np.array_equal(group.K[g, :n], np.array([r[0] for r in live_rows]))
+            assert np.array_equal(group.V[g, :n], np.array([r[1] for r in live_rows]))
             if PolicyAtom.FREQUENT in policy.atoms:
-                assert np.array_equal(state.scores[: pos + 1], ref_scores[key])
-            else:
-                assert state.scores is None
+                assert np.array_equal(group.scores[: pos + 1], ref_scores[key])
+            history = np.vstack(
+                [rows(layer, head, p, annotations[p].klass)[0] for p in range(pos + 1)]
+            )
+            full_weights = softmax_vector(history @ q / np.sqrt(d))
+            recoveries.append(float(full_weights[attended].sum()))
+        assert cache.last_record.mean_recovery == float(np.mean(recoveries))
     assert growths >= 1
 
 
@@ -165,11 +230,20 @@ def test_reference_cache_holds_every_model_row_across_buffer_growth(small_model)
     seq_len = PROMPT_LEN + STEPS - 1
     assert cache.seq_len == seq_len
     rows = Rows(model, PROMPT_LEN)
-    for (layer, head), state in cache.heads.items():
+    [group] = cache.groups
+    assert group.policy.is_full and group.keys == tuple(model.config.head_grid())
+    assert group.n == seq_len and group.live.tolist() == list(range(seq_len))
+    for g, (layer, head) in enumerate(group.keys):
         expected = [rows(layer, head, a.position, a.klass) for a in cache.annotations]
-        assert state.n == seq_len and state.pos.tolist() == list(range(seq_len))
-        assert np.array_equal(state.K, np.array([r[0] for r in expected]))
-        assert np.array_equal(state.V, np.array([r[1] for r in expected]))
+        assert np.array_equal(group.K[g, :seq_len], np.array([r[0] for r in expected]))
+        assert np.array_equal(group.V[g, :seq_len], np.array([r[1] for r in expected]))
+
+
+def test_cache_from_another_head_grid_is_rejected(small_model, mixed_model):
+    prompt = small_model.prompt_token_ids(PROMPT_LEN)
+    _, cache = encode_prompt(small_model, prompt, ProfilerConfig())
+    with pytest.raises(EngineError, match="cache/profile mismatch"):
+        generate_step(mixed_model, cache, None)
 
 
 @pytest.mark.parametrize("sampling", [None, Nucleus(seed=3)], ids=["greedy", "nucleus"])
@@ -229,3 +303,38 @@ def test_prompt_pass_keeps_one_attention_map_alive():
     # Holding every head's float64 map at once would exceed 1.0.
     assert encode < 0.5 * all_maps, encode / all_maps
     assert reference < 0.5 * all_maps, reference / all_maps
+
+
+def _record_digest(records) -> str:
+    """SHA-256 over every field of every record, in the records' own key order."""
+    digest = hashlib.sha256()
+    for rec in records:
+        digest.update(repr((rec.step, rec.token_id, rec.total_cache_tokens)).encode())
+        digest.update(repr(list(rec.head_retained.items())).encode())
+        digest.update(float(rec.mean_recovery).hex().encode())
+        for key, live in rec.retained_positions.items():
+            digest.update(repr(key).encode())
+            digest.update(live.astype(np.int64).tobytes())
+    return digest.hexdigest()
+
+
+# A replayed session whose profile mixes full, special, special+local and
+# frequent heads, decoded past two buffer growths with diagnostics and
+# nucleus sampling. Its digest pins the bits of every step record.
+DECODE_GOLDEN_SHA256 = (
+    "d26c93dab4fd182e73446fe429be233f1c9fd95978a385c4bc531b2b1da49eab"
+)
+
+
+def test_decode_golden(mixed_model):
+    tokens = mixed_model.prompt_token_ids(GOLDEN_PROMPT + GOLDEN_STEPS - 1)
+    model = TraceModel(record_trace(mixed_model, tokens, GOLDEN_PROMPT))
+    run = generate(
+        model,
+        tokens[:GOLDEN_PROMPT],
+        mixed_groups_config(),
+        GenerationConfig(GOLDEN_STEPS, Nucleus(seed=9)),
+        diagnostics=True,
+    )
+    assert {str(d.policy) for _, d in run.profile.items()} == MIXED_GROUP_POLICIES
+    assert _record_digest(run.records) == DECODE_GOLDEN_SHA256
