@@ -11,7 +11,10 @@ top_p, seed) in [generate], and every other option, out and format
 included, in the command's own section, e.g. [report] tradeoff.
 Artifacts land in a fresh run directory unless --out forces a path, and
 re-running a command with the same config and seed overwrites them with
-byte-identical content.
+byte-identical content, provided BLAS runs with the same number of
+threads: the bits of the attention logits (``q @ k.T``) can depend on
+the thread count, so profiles and tokens can differ between thread
+settings (``OPENBLAS_NUM_THREADS``) or hosts.
 """
 
 from __future__ import annotations
@@ -35,11 +38,13 @@ from .engine import (
 )
 from .metrics import (
     WELL_KNOWN_SHAPES,
+    ComparisonRow,
+    ConsistencyEntry,
     MemoryModel,
-    comparison_rows,
+    TradeoffPoint,
     compare_adaptive_vs_fixed,
     consistency_report,
-    consistency_rows,
+    dataclass_rows,
     full_cache_bytes,
     layer_distribution_report,
     layer_distribution_rows,
@@ -48,7 +53,6 @@ from .metrics import (
     sidecar_overhead_fraction,
     stability_fraction,
     tradeoff_curve,
-    tradeoff_rows,
     run_mean_recovery,
     run_pruned_ratio,
 )
@@ -394,7 +398,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         except ValueError:
             raise CliError(f"bad --tradeoff list {args.tradeoff!r}") from None
         points = tradeoff_curve(model, prompt, T_values, base_cfg=cfg)
-        columns, rows = tradeoff_rows(points)
+        columns, rows = dataclass_rows(TradeoffPoint, points)
         _emit_report(out, "tradeoff", columns, rows, fmt)
         wrote_any = True
 
@@ -404,7 +408,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         except ValueError:
             raise CliError(f"bad --consistency list {args.consistency!r}") from None
         entries = consistency_report(model, prompt, steps, cfg)
-        columns, rows = consistency_rows(entries)
+        columns, rows = dataclass_rows(ConsistencyEntry, entries)
         _emit_report(out, "consistency", columns, rows, fmt)
         print(f"profile stability: {stability_fraction(entries):.4f}")
         wrote_any = True
@@ -428,7 +432,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         rows_data = compare_adaptive_vs_fixed(
             model, prompt, cfg, fixed, gen_cfg, extra_adaptive=extra
         )
-        columns, rows = comparison_rows(rows_data)
+        columns, rows = dataclass_rows(ComparisonRow, rows_data)
         _emit_report(out, "comparison", columns, rows, fmt)
         wrote_any = True
 

@@ -1,14 +1,17 @@
 """Dual-phase generation over a compressed KV cache.
 
 Phase one streams the prompt pass head by head: it builds each head's
-P x P attention map, profiles the head once, compresses its cache under
-the chosen policy and drops the map before the next head's, so one map
-is alive at a time. Phase two generates token by token: each step
-appends the incoming token's K/V row, attends over the retained
-positions plus that row, folds the attention row into the frequency
-bookkeeping, re-applies the frozen policy to the grown cache, and
-finally samples the next token. Evicted rows are dropped for good;
-re-application only ever selects among live positions.
+P x P attention map, profiles the head once, compresses its cache to
+the retained set the profiler chose and drops the map before the next
+head's, so one map is alive at a time. A fixed-policy baseline is the
+same pass under a one-candidate family (``ProfilerConfig.fixed``). The
+prompt is classified once; every head shares its class codes. Phase two
+generates token by token: each step appends the incoming token's K/V
+row, attends over the retained positions plus that row, folds the
+attention row into the frequency bookkeeping, re-applies the frozen
+policy to the grown cache, and finally samples the next token. Evicted
+rows are dropped for good; re-application only ever selects among live
+positions.
 
 The unit of decode is a head group. Heads whose policy has no
 ``frequent`` atom and is the same policy share one group: their retained
@@ -48,23 +51,15 @@ from .policies import (
     PolicyAtom,
     PolicyContext,
     full_policy,
-    retained_indices,
     retained_mask,
-    # Decode folds scores in place; the name stays bound here because
-    # perfbench/tracer.py patches it by attribute.
-    update_cumulative_scores,  # noqa: F401
 )
-from .profiler import HeadProfile, ProfilerConfig, evaluate_policy, select_policy
-# Profiling goes head by head through select_policy; this name stays bound
-# here because perfbench/tracer.py patches it by attribute.
+from .profiler import HeadProfile, ProfilerConfig, select_policy
+from .tokens import CLASS_CODE, TokenClass, classify_tokens
+
+# The engine calls none of these; they stay bound here only because
+# perfbench/tracer.py patches them by attribute.
+from .policies import retained_indices, update_cumulative_scores  # noqa: F401
 from .profiler import profile_model  # noqa: F401
-from .tokens import (
-    CLASS_CODE,
-    TokenAnnotation,
-    TokenClass,
-    class_codes,
-    classify_tokens,
-)
 
 # Rows added to a full cache buffer at a time.
 _GROW_ROWS = 64
@@ -265,14 +260,14 @@ class StepRecord:
 class CompressedCache:
     """Head-group compressed KV state owned by one generation session.
 
-    ``codes`` holds one class code per position in its first ``seq_len``
-    entries. ``grid`` is the ``(num_layers, num_heads)`` of the model the
-    cache was encoded for; the groups hold every head of that grid once.
+    ``codes`` holds the ``CLASS_CODE`` of each position in its first
+    ``seq_len`` entries. ``grid`` is the ``(num_layers, num_heads)`` of the
+    model the cache was encoded for; the groups hold every head of that
+    grid once.
     """
 
     prompt_len: int
     seq_len: int
-    annotations: list[TokenAnnotation]
     codes: np.ndarray
     groups: list[HeadGroup]
     grid: tuple[int, int]
@@ -314,7 +309,8 @@ def prompt_head_data(model, tokens: list[int], prompt_len: int | None = None):
     Yields ``(key, K, V, A, ctx)`` per head: its K/V rows, AttentionMap and
     the PolicyContext the profiler consumes. Each map is built when its
     head is asked for and dropped before the next, so one map is alive at
-    a time if the consumer drops it too.
+    a time if the consumer drops it too. The tokens are classified once;
+    every context shares one read-only ``codes`` array.
     """
     if not tokens:
         raise EngineError("empty prompt")
@@ -323,19 +319,16 @@ def prompt_head_data(model, tokens: list[int], prompt_len: int | None = None):
     p = n if prompt_len is None else prompt_len
     if not 1 <= p <= n:
         raise EngineError(f"prompt_len {p} out of range for {n} tokens")
-    annotations = tuple(classify_tokens(tokens, model.vocab))
+    klasses = [a.klass for a in classify_tokens(tokens, model.vocab)]
+    codes = np.array([CLASS_CODE[k] for k in klasses], dtype=np.int8)
+    codes.setflags(write=False)
     for layer, head in cfg.head_grid():
-        K = np.array(
-            [
-                model.k_row(layer, head, pos, annotations[pos].klass, p)
-                for pos in range(n)
-            ]
-        )
+        K = np.array([model.k_row(layer, head, pos, klasses[pos], p) for pos in range(n)])
         V = np.array([model.v_row(layer, head, pos) for pos in range(n)])
         Q = np.array([model.q_row(layer, head, pos, p) for pos in range(n)])
         A = causal_attention(Q, K, cfg.head_dim)
         ctx = PolicyContext(
-            annotations=annotations,
+            codes=codes,
             prompt_len=p,
             current_len=n,
             cumulative_scores=A.matrix.sum(axis=0),
@@ -351,39 +344,32 @@ def _grid(model) -> tuple[int, int]:
 def encode_prompt(
     model,
     prompt_tokens: list[int],
-    profiler_cfg: ProfilerConfig | None,
-    fixed_policy: CompressionPolicy | None = None,
+    profiler_cfg: ProfilerConfig,
     diagnostics: bool = True,
 ) -> tuple[HeadProfile, CompressedCache]:
     """Prompt encoding with one-shot profiling and cache compression.
 
     For every head, as the prompt pass streams it: select the head's
-    policy (or impose ``fixed_policy``) on its attention map, keep the
-    compressed rows and the last query's output, then drop the map. Once
+    policy on its attention map, keep the rows of the retained set the
+    decision carries and the last query's output, then drop the map. Once
     the stream ends, the heads' rows are stacked into groups, each head's
     rows freed as they are copied in. The profile is immutable afterwards.
     """
-    if profiler_cfg is None and fixed_policy is None:
-        raise EngineError("need a profiler config or a fixed policy")
     n = len(prompt_tokens)
-    annotations = classify_tokens(prompt_tokens, model.vocab)
     decisions = {}
     # Rows of each group's heads, by group: the policy, or a frequent head's key.
     pending: dict[object, dict] = {}
     for key, K, V, A, ctx in prompt_head_data(model, prompt_tokens):
-        if fixed_policy is not None:
-            decisions[key] = evaluate_policy(A, ctx, fixed_policy)
-        else:
-            decisions[key] = select_policy(A, ctx, profiler_cfg)
-        policy = decisions[key].policy
+        decisions[key] = decision = select_policy(A, ctx, profiler_cfg)
+        policy, idx = decision.policy, decision.retained
         frequent = PolicyAtom.FREQUENT in policy.atoms
-        idx = retained_indices(policy, ctx)
         last_row = A.matrix[n - 1]
         rows = pending.setdefault(
             key if frequent else policy,
             {
                 "policy": policy,
-                "pos": idx,
+                # A copy: compaction moves positions within ``pos``.
+                "pos": idx.copy(),
                 "scores": ctx.cumulative_scores.copy() if frequent else None,
                 "keys": [], "K": [], "V": [], "outputs": [], "recovery": [],
                 "shadow": [] if diagnostics and not policy.is_full else None,
@@ -396,6 +382,7 @@ def encode_prompt(
         rows["recovery"].append(float(last_row[idx].sum()) if idx.size else 0.0)
         if rows["shadow"] is not None:
             rows["shadow"].append(K)
+        codes = ctx.codes  # one array, shared by every head's context
         # Release the map (``last_row`` is a view of it) before the next head.
         del A, last_row, K, V
 
@@ -420,8 +407,7 @@ def encode_prompt(
     cache = CompressedCache(
         prompt_len=n,
         seq_len=n,
-        annotations=annotations,
-        codes=class_codes(annotations, n),
+        codes=codes,
         groups=groups,
         grid=_grid(model),
         profile=profile,
@@ -459,7 +445,6 @@ def generate_step(
     if last_token is not None:
         pos = cache.seq_len
         klass = model.vocab.classify_id(last_token)
-        cache.annotations.append(TokenAnnotation(pos, last_token, klass))
         cache.codes = _room(cache.codes, pos)
         cache.codes[pos] = CLASS_CODE[klass]
         for group in cache.groups:
@@ -516,11 +501,14 @@ def generate_fixed_baseline(
     gen_cfg: GenerationConfig,
     diagnostics: bool = True,
 ) -> GenerationResult:
-    """Impose one policy on every head, skipping profiling (H2O-style)."""
-    profile, cache = encode_prompt(
-        model, prompt_tokens, None, fixed_policy=policy, diagnostics=diagnostics
-    )
-    return _run_decode(model, cache, profile, gen_cfg)
+    """Impose one policy on every head, H2O-style.
+
+    This is ``generate`` with the one-candidate family
+    ``ProfilerConfig.fixed(policy)``, so the profile still records each
+    head's recovery and cost under that policy.
+    """
+    cfg = ProfilerConfig.fixed(policy)
+    return generate(model, prompt_tokens, cfg, gen_cfg, diagnostics=diagnostics)
 
 
 def _run_decode(
@@ -548,19 +536,19 @@ def reference_generate(
     against it.
     """
     n = len(prompt_tokens)
-    annotations = classify_tokens(prompt_tokens, model.vocab)
     keys = tuple(model.config.head_grid())
     # Sized for the whole run, so the buffers never grow; each head's rows
     # are copied in as the prompt pass streams them.
     shape = (len(keys), n + max(gen_cfg.max_new_tokens - 1, 0), model.config.head_dim)
     K_all, V_all = np.empty(shape), np.empty(shape)
     outputs = np.empty((len(keys), shape[2]))
-    for g, (_, K, V, A, _) in enumerate(prompt_head_data(model, prompt_tokens)):
+    for g, (_, K, V, A, ctx) in enumerate(prompt_head_data(model, prompt_tokens)):
         K_all[g, :n] = K
         V_all[g, :n] = V
         # Of each head's map only the last query's output is kept.
         outputs[g] = A.matrix[n - 1] @ V
-        del A, K, V
+        codes = ctx.codes
+        del A, K, V, ctx
     group = HeadGroup(
         keys=keys,
         policy=full_policy(),
@@ -574,8 +562,7 @@ def reference_generate(
     cache = CompressedCache(
         prompt_len=n,
         seq_len=n,
-        annotations=annotations,
-        codes=class_codes(annotations, n),
+        codes=codes,
         groups=[group],
         grid=_grid(model),
         profile=HeadProfile({}),
@@ -590,7 +577,8 @@ def reference_generate(
         if last is not None:
             pos = cache.seq_len
             klass = vocab.classify_id(last)
-            annotations.append(TokenAnnotation(pos, last, klass))
+            cache.codes = _room(cache.codes, pos)
+            cache.codes[pos] = CLASS_CODE[klass]
             group.advance(model, pos, klass, n, None, diagnostics=False)
             cache.seq_len += 1
         token = sampler(model.head_logits(cache.outputs()))
@@ -605,7 +593,6 @@ def reference_generate(
             )
         )
         last = token
-    cache.codes = class_codes(annotations, cache.seq_len)
     return GenerationResult(tokens, HeadProfile({}), records, cache)
 
 

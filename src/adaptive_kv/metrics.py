@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -18,7 +18,6 @@ from .engine import (
     GenerationConfig,
     GenerationResult,
     generate,
-    generate_fixed_baseline,
     prompt_head_data,
     reference_generate,
 )
@@ -254,35 +253,21 @@ def compare_adaptive_vs_fixed(
     """Adaptive profiling against fixed single-policy baselines.
 
     Extra adaptive variants (feasible-set removals or reorderings) run
-    under their own names for the ablation comparisons.
+    under their own names for the ablation comparisons. A fixed policy
+    runs as the one-candidate family ``ProfilerConfig.fixed``; a policy
+    listed twice gets two rows.
     """
+    methods = [(f"adaptive[T={profiler_cfg.recovery_threshold:g}]", profiler_cfg)]
+    methods += (extra_adaptive or {}).items()
+    methods += [
+        (f"fixed[{format_policy(p)}]", ProfilerConfig.fixed(p)) for p in fixed_policies
+    ]
     n = len(prompt_tokens)
     rows = []
-    adaptive = generate(model, prompt_tokens, profiler_cfg, gen_cfg)
-    rows.append(
-        ComparisonRow(
-            method=f"adaptive[T={profiler_cfg.recovery_threshold:g}]",
-            pruned_ratio=run_pruned_ratio(adaptive, n),
-            mean_step_recovery=run_mean_recovery(adaptive),
-        )
-    )
-    for name, cfg in (extra_adaptive or {}).items():
+    for method, cfg in methods:
         result = generate(model, prompt_tokens, cfg, gen_cfg)
         rows.append(
-            ComparisonRow(
-                method=name,
-                pruned_ratio=run_pruned_ratio(result, n),
-                mean_step_recovery=run_mean_recovery(result),
-            )
-        )
-    for policy in fixed_policies:
-        result = generate_fixed_baseline(model, prompt_tokens, policy, gen_cfg)
-        rows.append(
-            ComparisonRow(
-                method=f"fixed[{format_policy(policy)}]",
-                pruned_ratio=run_pruned_ratio(result, n),
-                mean_step_recovery=run_mean_recovery(result),
-            )
+            ComparisonRow(method, run_pruned_ratio(result, n), run_mean_recovery(result))
         )
     return rows
 
@@ -313,25 +298,13 @@ def _cell(value) -> str:
     return str(value)
 
 
-def tradeoff_rows(points: list[TradeoffPoint]) -> tuple[list[str], list[list]]:
-    return (
-        ["T", "pruned_ratio", "mean_recovery"],
-        [[p.T, p.pruned_ratio, p.mean_recovery] for p in points],
-    )
+def dataclass_rows(row_type: type, rows: list) -> tuple[list[str], list[list]]:
+    """Columns named by ``row_type``'s fields, and each row's values in order.
 
-
-def consistency_rows(entries: list[ConsistencyEntry]) -> tuple[list[str], list[list]]:
-    return (
-        ["layer", "head", "step", "policy", "matches_first"],
-        [[e.layer, e.head, e.step, e.policy, e.matches_first] for e in entries],
-    )
-
-
-def comparison_rows(rows: list[ComparisonRow]) -> tuple[list[str], list[list]]:
-    return (
-        ["method", "pruned_ratio", "mean_step_recovery"],
-        [[r.method, r.pruned_ratio, r.mean_step_recovery] for r in rows],
-    )
+    The columns come from the type, so an empty list still has a header.
+    """
+    columns = [f.name for f in fields(row_type)]
+    return columns, [[getattr(row, name) for name in columns] for row in rows]
 
 
 def layer_distribution_rows(

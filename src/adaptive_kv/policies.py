@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .tokens import CLASS_CODE, TokenAnnotation, TokenClass, class_codes
+from .tokens import CLASS_CODE, TokenClass
 
 # Guard against float products like 0.57*100 = 56.999999999999993 landing
 # a hair above an exact integer and inflating the ceiling by one.
@@ -136,17 +135,20 @@ def parse_policy(text: str) -> CompressionPolicy:
 class PolicyContext:
     """State a policy decision is evaluated against.
 
-    ``cumulative_scores[j]`` is the accumulated attention mass received by
-    position j over all query rows so far (the frequency signal).
+    ``codes[j]`` is the ``CLASS_CODE`` of position j's token, and
+    ``cumulative_scores[j]`` the accumulated attention mass position j
+    received over all query rows so far (the frequency signal). Both have
+    one entry per position below ``current_len``.
     """
 
-    annotations: tuple[TokenAnnotation, ...]
+    codes: np.ndarray
     prompt_len: int
     current_len: int
     cumulative_scores: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "annotations", tuple(self.annotations))
+        codes = np.asarray(self.codes, dtype=np.int8)
+        object.__setattr__(self, "codes", codes)
         scores = np.asarray(self.cumulative_scores, dtype=np.float64)
         object.__setattr__(self, "cumulative_scores", scores)
         if not 1 <= self.prompt_len <= self.current_len:
@@ -154,19 +156,14 @@ class PolicyContext:
                 f"need current_len >= prompt_len >= 1, got "
                 f"prompt_len={self.prompt_len}, current_len={self.current_len}"
             )
-        if scores.shape != (self.current_len,):
-            raise PolicyError(
-                f"cumulative_scores has length {scores.shape}, expected "
-                f"{self.current_len}"
-            )
+        for name, arr in (("codes", codes), ("cumulative_scores", scores)):
+            if arr.shape != (self.current_len,):
+                raise PolicyError(
+                    f"{name} has length {arr.shape}, expected {self.current_len}"
+                )
         if np.any(scores < 0.0) or not np.all(np.isfinite(scores)):
             raise PolicyError("cumulative_scores must be finite and >= 0")
         scores.setflags(write=False)
-
-    @cached_property
-    def class_codes(self) -> np.ndarray:
-        """``CLASS_CODE`` of every position below current_len."""
-        return class_codes(self.annotations, self.current_len)
 
 
 def _budget(ratio: float, length: int) -> int:
@@ -217,7 +214,7 @@ def retained_mask(
 def retained_indices(policy: CompressionPolicy, ctx: PolicyContext) -> np.ndarray:
     """Ascending positions the policy keeps in the cache."""
     live = np.arange(ctx.current_len)
-    scores, codes = ctx.cumulative_scores, ctx.class_codes
+    scores, codes = ctx.cumulative_scores, ctx.codes
     keep = retained_mask(policy, live, codes, scores, ctx.prompt_len, ctx.current_len)
     return live[keep]
 
@@ -259,17 +256,18 @@ def feasible_set(
 
 
 def update_cumulative_scores(
-    ctx: PolicyContext,
+    scores: np.ndarray,
     new_attention_row: Sequence[float] | np.ndarray,
     retained: np.ndarray,
-) -> PolicyContext:
+) -> np.ndarray:
     """Fold one decoding step's attention row into the frequency signal.
 
-    ``retained`` holds the distinct positions the row attended, ascending.
-    Retained positions accumulate their new scores; evicted positions stay
-    frozen at their last value (they cannot re-enter unless another atom
-    re-retains them); one zero-initialized slot is appended for the token
-    whose row was just cached.
+    ``scores`` holds one cumulative score per cached position and
+    ``retained`` the distinct positions the row attended, ascending.
+    Returns new scores: retained positions accumulate their new scores;
+    evicted positions stay frozen at their last value (they cannot
+    re-enter unless another atom re-retains them); one zero-initialized
+    slot is appended for the token whose row was just cached.
     """
     row = np.asarray(new_attention_row, dtype=np.float64)
     if row.shape != (retained.size,):
@@ -277,14 +275,11 @@ def update_cumulative_scores(
             f"attention row has length {row.shape}, expected {retained.size} "
             "(one score per retained position)"
         )
-    if retained.size and not 0 <= retained[0] <= retained[-1] < ctx.current_len:
+    if retained.size and not 0 <= retained[0] <= retained[-1] < scores.size:
         raise PolicyError(
             f"retained positions {retained[0]}..{retained[-1]} outside "
-            f"[0, {ctx.current_len})"
+            f"[0, {scores.size})"
         )
-    scores = ctx.cumulative_scores.copy()
-    scores[retained] += row
     scores = np.append(scores, 0.0)
-    return replace(
-        ctx, cumulative_scores=scores, current_len=ctx.current_len + 1
-    )
+    scores[retained] += row
+    return scores

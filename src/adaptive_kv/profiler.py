@@ -27,7 +27,7 @@ from .policies import (
     PolicyContext,
     feasible_set,
     format_policy,
-    parse_policy,
+    full_policy,
     retained_indices,
 )
 
@@ -81,9 +81,12 @@ def evaluate_policy(
     policy: CompressionPolicy,
     rows: RowAveraging = RowAveraging.ALL_ROWS,
 ) -> HeadDecision:
-    """Recovery and cache cost of one policy on one head."""
+    """Recovery, cache cost and retained positions of one policy on one head."""
     retained = retained_indices(policy, ctx)
-    return HeadDecision(policy, recovery_ratio(A, retained, rows), retained.size)
+    retained.setflags(write=False)
+    return HeadDecision(
+        policy, recovery_ratio(A, retained, rows), retained.size, retained
+    )
 
 
 @dataclass(frozen=True)
@@ -107,6 +110,16 @@ class ProfilerConfig:
                 "last feasible policy must be the full cache (feasibility backstop)"
             )
 
+    @classmethod
+    def fixed(cls, policy: CompressionPolicy) -> "ProfilerConfig":
+        """A family of one: every head gets ``policy`` (an H2O-style baseline).
+
+        Recovery is never below 0, so at T=0 the first candidate always
+        qualifies and ``select_policy`` returns ``evaluate_policy``'s
+        decision for ``policy``.
+        """
+        return cls(recovery_threshold=0.0, feasible=(policy, full_policy()))
+
 
 def select_policy(
     A: AttentionMap, ctx: PolicyContext, cfg: ProfilerConfig
@@ -125,6 +138,8 @@ class HeadDecision:
     policy: CompressionPolicy
     recovery: float
     cost_tokens: int
+    # The ascending positions the policy keeps, read-only.
+    retained: np.ndarray = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -154,20 +169,6 @@ class HeadProfile:
                 [layer, head, format_policy(d.policy), repr(d.recovery), d.cost_tokens]
             )
         return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str) -> "HeadProfile":
-        reader = csv.reader(io.StringIO(text))
-        header = next(reader, None)
-        if header != ["layer", "head", "policy", "recovery", "cost_tokens"]:
-            raise ProfilerError(f"bad profile CSV header: {header}")
-        decisions = {}
-        for row in reader:
-            layer, head = int(row[0]), int(row[1])
-            decisions[(layer, head)] = HeadDecision(
-                parse_policy(row[2]), float(row[3]), int(row[4])
-            )
-        return cls(decisions)
 
 
 def profile_model(

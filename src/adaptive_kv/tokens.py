@@ -11,8 +11,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable
 
-import numpy as np
-
 
 class TokenClass(Enum):
     SPECIAL = "special"
@@ -70,13 +68,3 @@ def classify_tokens(
         TokenAnnotation(position=pos, token_id=tid, klass=vocab.classify_id(tid))
         for pos, tid in enumerate(token_ids)
     ]
-
-
-def class_codes(annotations: Iterable[TokenAnnotation], length: int) -> np.ndarray:
-    """``CLASS_CODE`` of positions ``0..length-1``; unannotated ones are OTHER."""
-    other = TokenClass.OTHER
-    codes = np.full(length, CLASS_CODE[other], dtype=np.int8)
-    for a in annotations:
-        if a.klass is not other and a.position < length:
-            codes[a.position] = CLASS_CODE[a.klass]
-    return codes

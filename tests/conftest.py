@@ -10,13 +10,11 @@ from adaptive_kv.model import (
     SyntheticModel,
 )
 from adaptive_kv.policies import PolicyContext
-from adaptive_kv.tokens import TokenAnnotation, TokenClass
+from adaptive_kv.tokens import CLASS_CODE, TokenClass
 
 
-def make_annotations(classes: list[TokenClass]) -> tuple[TokenAnnotation, ...]:
-    return tuple(
-        TokenAnnotation(pos, 100 + pos, klass) for pos, klass in enumerate(classes)
-    )
+def make_codes(classes: list[TokenClass]) -> np.ndarray:
+    return np.array([CLASS_CODE[klass] for klass in classes], dtype=np.int8)
 
 
 def random_context(rng: np.random.Generator, max_len: int = 24) -> PolicyContext:
@@ -28,7 +26,7 @@ def random_context(rng: np.random.Generator, max_len: int = 24) -> PolicyContext
     ]
     scores = rng.uniform(0.0, 5.0, size=current_len)
     return PolicyContext(
-        annotations=make_annotations(classes),
+        codes=make_codes(classes),
         prompt_len=prompt_len,
         current_len=current_len,
         cumulative_scores=scores,

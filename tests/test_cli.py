@@ -217,3 +217,21 @@ def test_trace_prompt_len_follows_generate_section(tmp_path, capsys, monkeypatch
     assert configured == (tmp_path / "all" / "head_profile.csv").read_text()
     assert configured != (tmp_path / "default" / "head_profile.csv").read_text()
     assert ",37\n" in configured
+
+
+def test_repeated_compare_policy_gets_a_row_each(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["report", "--plan", PLAN, "--max-new-tokens", "4", "--compare", "full,full"]
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    lines = (out / "comparison.csv").read_text(encoding="utf-8").splitlines()
+    methods = [line.split(",")[0] for line in lines]
+    assert methods == ["method", "adaptive[T=0.95]", "fixed[full]", "fixed[full]"]
+    assert lines[2] == lines[3]
+
+
+def test_empty_tradeoff_list_writes_a_header_only_table(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["report", "--plan", PLAN, "--tradeoff", ",", "--out", str(out)]) == 0
+    assert (out / "tradeoff.csv").read_text(encoding="utf-8") == (
+        "T,pruned_ratio,mean_recovery\n"
+    )

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -25,12 +26,15 @@ from adaptive_kv.policies import (
     _budget,
     feasible_set,
     full_policy,
+    retained_indices,
     update_cumulative_scores,
 )
 from adaptive_kv.model import Archetype, ModelConfig, SyntheticModel, cycling_plan
 from adaptive_kv.profiler import ProfilerConfig
-from adaptive_kv.tokens import TokenClass
+from adaptive_kv.tokens import CLASS_CODE, TokenClass, VocabMetadata, classify_tokens
 from adaptive_kv.trace import TraceModel, record_trace
+
+from conftest import make_codes
 
 PROMPT_LEN = 24
 # Long enough for the full policy's buffers to grow twice: once on the
@@ -49,11 +53,7 @@ def reference_atom_indices(atom, policy, ctx, candidates):
         klass = (
             TokenClass.SPECIAL if atom is PolicyAtom.SPECIAL else TokenClass.PUNCTUATION
         )
-        wanted = {
-            a.position
-            for a in ctx.annotations
-            if a.klass is klass and a.position < ctx.current_len
-        }
+        wanted = {p for p in range(ctx.current_len) if ctx.codes[p] == CLASS_CODE[klass]}
         return [p for p in universe if p in wanted]
     if atom is PolicyAtom.LOCAL:
         window_start = ctx.current_len - _budget(policy.r_l, ctx.prompt_len)
@@ -151,7 +151,7 @@ def test_cache_matches_list_reference_every_step(request, policy):
         model = request.getfixturevalue("small_model")
         prompt_len = PROMPT_LEN
         prompt = model.prompt_token_ids(prompt_len)
-        profile, cache = encode_prompt(model, prompt, None, fixed_policy=policy)
+        profile, cache = encode_prompt(model, prompt, ProfilerConfig.fixed(policy))
     grid = model.config.head_grid()
     d = model.config.head_dim
     check_group_layout(cache, grid)
@@ -162,18 +162,23 @@ def test_cache_matches_list_reference_every_step(request, policy):
         assert group.policy == profile[key].policy
         assert group.live.tolist() == reference_retained(group.policy, contexts[key])
 
+    # Each position's class, from the tokens the session has seen.
+    classes = [a.klass for a in classify_tokens(prompt, model.vocab)]
     growths = 0
     token = None
     for _ in range(STEPS):
         slots = head_slots(cache)
         previous = {key: group.live.tolist() for key, (group, _) in slots.items()}
         capacity = {key: group.K.shape[1] for key, (group, _) in slots.items()}
+        if token is not None:
+            classes.append(model.vocab.classify_id(token))
         token, cache = generate_step(model, cache, token)
         check_group_layout(cache, grid)
-        if len(cache.annotations) == prompt_len:
+        codes = make_codes(classes)
+        assert np.array_equal(cache.codes[: cache.seq_len], codes)
+        if cache.seq_len == prompt_len:
             continue
         pos = cache.seq_len - 1
-        annotations = tuple(cache.annotations)
         recoveries = []
         for key in grid:
             layer, head = key
@@ -181,25 +186,24 @@ def test_cache_matches_list_reference_every_step(request, policy):
             policy = group.policy
             growths += group.K.shape[1] != capacity[key]
             attended = previous[key] + [pos]
-            K = np.vstack([rows(layer, head, p, annotations[p].klass)[0] for p in attended])
-            q = rows(layer, head, pos, annotations[pos].klass)[2]
+            K = np.vstack([rows(layer, head, p, classes[p])[0] for p in attended])
+            q = rows(layer, head, pos, classes[pos])[2]
             weights = softmax_vector((K @ q) / np.sqrt(float(d)))
-            old_ctx = PolicyContext(annotations[:pos], prompt_len, pos, ref_scores[key])
             ref_scores[key] = update_cumulative_scores(
-                old_ctx, weights[:-1], np.array(previous[key], dtype=np.intp)
-            ).cumulative_scores
-            ctx = PolicyContext(annotations, prompt_len, pos + 1, ref_scores[key])
+                ref_scores[key], weights[:-1], np.array(previous[key], dtype=np.intp)
+            )
+            ctx = PolicyContext(codes, prompt_len, pos + 1, ref_scores[key])
 
             live = group.live.tolist()
             assert live == reference_retained(policy, ctx, attended)
-            live_rows = [rows(layer, head, p, annotations[p].klass) for p in live]
+            live_rows = [rows(layer, head, p, classes[p]) for p in live]
             n = group.n
             assert np.array_equal(group.K[g, :n], np.array([r[0] for r in live_rows]))
             assert np.array_equal(group.V[g, :n], np.array([r[1] for r in live_rows]))
             if PolicyAtom.FREQUENT in policy.atoms:
                 assert np.array_equal(group.scores[: pos + 1], ref_scores[key])
             history = np.vstack(
-                [rows(layer, head, p, annotations[p].klass)[0] for p in range(pos + 1)]
+                [rows(layer, head, p, classes[p])[0] for p in range(pos + 1)]
             )
             full_weights = softmax_vector(history @ q / np.sqrt(d))
             recoveries.append(float(full_weights[attended].sum()))
@@ -233,8 +237,11 @@ def test_reference_cache_holds_every_model_row_across_buffer_growth(small_model)
     [group] = cache.groups
     assert group.policy.is_full and group.keys == tuple(model.config.head_grid())
     assert group.n == seq_len and group.live.tolist() == list(range(seq_len))
+    # The last sampled token never joins the cache.
+    seen = classify_tokens(prompt + ref.tokens[:-1], model.vocab)
+    assert np.array_equal(cache.codes[:seq_len], make_codes([a.klass for a in seen]))
     for g, (layer, head) in enumerate(group.keys):
-        expected = [rows(layer, head, a.position, a.klass) for a in cache.annotations]
+        expected = [rows(layer, head, a.position, a.klass) for a in seen]
         assert np.array_equal(group.K[g, :seq_len], np.array([r[0] for r in expected]))
         assert np.array_equal(group.V[g, :seq_len], np.array([r[1] for r in expected]))
 
@@ -268,7 +275,7 @@ def test_diagnostics_do_not_change_decoding(mixed_model, sampling):
 def test_direct_generate_step_records_are_numbered_from_one(small_model):
     prompt = small_model.prompt_token_ids(PROMPT_LEN)
     policy = CompressionPolicy(frozenset({PolicyAtom.SPECIAL, PolicyAtom.LOCAL}))
-    _, cache = encode_prompt(small_model, prompt, None, fixed_policy=policy)
+    _, cache = encode_prompt(small_model, prompt, ProfilerConfig.fixed(policy))
     token, steps = None, []
     for _ in range(6):
         token, cache = generate_step(small_model, cache, token)
@@ -276,6 +283,51 @@ def test_direct_generate_step_records_are_numbered_from_one(small_model):
     assert steps == [1, 2, 3, 4, 5, 6]
     run = generate(small_model, prompt, ProfilerConfig(), GenerationConfig(6))
     assert [r.step for r in run.records] == [1, 2, 3, 4, 5, 6]
+
+
+def test_decision_carries_its_retained_set_through_decode(mixed_model):
+    prompt = mixed_model.prompt_token_ids(GOLDEN_PROMPT)
+    profile, cache = encode_prompt(mixed_model, prompt, mixed_groups_config())
+    contexts = {key: ctx for key, _, _, _, ctx in prompt_head_data(mixed_model, prompt)}
+    chosen = {}
+    for key, (group, _) in head_slots(cache).items():
+        decision = profile[key]
+        assert np.array_equal(
+            decision.retained, retained_indices(decision.policy, contexts[key])
+        )
+        assert decision.cost_tokens == decision.retained.size
+        assert not decision.retained.flags.writeable
+        assert not np.shares_memory(decision.retained, group.pos)
+        chosen[key] = decision.retained.copy()
+    token = None
+    for _ in range(STEPS):
+        token, cache = generate_step(mixed_model, cache, token)
+    for key, decision in profile.items():
+        assert np.array_equal(decision.retained, chosen[key])
+
+
+@pytest.mark.parametrize(
+    "call", ["encode_prompt", "generate", "generate_fixed_baseline", "reference_generate"]
+)
+def test_overlapping_class_ids_warn_once_per_call(call):
+    config = ModelConfig(num_layers=1, num_heads=2, head_dim=16, vocab_size=32, seed=3)
+    vocab = VocabMetadata(special_ids={0, 1}, punctuation_ids={1, 2, 3, 4})
+    plan = cycling_plan(config, list(Archetype))
+    model = SyntheticModel(config, plan, 0.97, vocab=vocab)
+    prompt = model.prompt_token_ids(PROMPT_LEN)
+    cfg = GenerationConfig(4)
+    runs = {
+        "encode_prompt": lambda: encode_prompt(model, prompt, ProfilerConfig()),
+        "generate": lambda: generate(model, prompt, ProfilerConfig(), cfg),
+        "generate_fixed_baseline": lambda: generate_fixed_baseline(
+            model, prompt, full_policy(), cfg
+        ),
+        "reference_generate": lambda: reference_generate(model, prompt, cfg),
+    }
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        runs[call]()
+    assert sum("overlap" in str(w.message) for w in caught) == 1
 
 
 def _traced_peak(fn) -> int:

@@ -15,7 +15,7 @@ from adaptive_kv.model import (
     uniform_plan,
 )
 from adaptive_kv.profiler import recovery_ratio
-from adaptive_kv.tokens import TokenClass, classify_tokens
+from adaptive_kv.tokens import CLASS_CODE, TokenClass, classify_tokens
 
 CONFIG = ModelConfig(num_layers=1, num_heads=4, head_dim=16, vocab_size=32, seed=11)
 PLAN = {
@@ -89,12 +89,10 @@ def test_prompt_layout(model):
 def test_special_dominance_holds_at_every_step(model, decoded_maps):
     for step, head_data in decoded_maps.items():
         A, ctx = head_data[(0, 0)]
-        specials = [
-            a.position for a in ctx.annotations if a.klass is TokenClass.SPECIAL
-        ]
+        specials = np.flatnonzero(ctx.codes == CLASS_CODE[TokenClass.SPECIAL])
         per_row = A.matrix[:, specials].sum(axis=1)
         assert per_row.min() >= DOMINANCE, f"step {step}"
-        assert recovery_ratio(A, np.array(specials)) >= DOMINANCE
+        assert recovery_ratio(A, specials) >= DOMINANCE
 
 
 def test_local_dominance_holds_at_every_step(model, decoded_maps):

@@ -20,13 +20,13 @@ from adaptive_kv.policies import (
 )
 from adaptive_kv.tokens import TokenClass
 
-from conftest import make_annotations, random_context
+from conftest import make_codes, random_context
 
 
 def ctx_of(classes, prompt_len=None, scores=None):
     n = len(classes)
     return PolicyContext(
-        annotations=make_annotations(classes),
+        codes=make_codes(classes),
         prompt_len=prompt_len if prompt_len is not None else n,
         current_len=n,
         cumulative_scores=np.zeros(n) if scores is None else np.asarray(scores, float),
@@ -229,48 +229,59 @@ def test_feasible_set_drop_ablation():
 
 
 def test_update_scores_conserves_mass_when_all_retained():
-    ctx = ctx_of([O] * 4, scores=[0.3, 0.3, 0.2, 0.2])
+    scores = np.array([0.3, 0.3, 0.2, 0.2])
     row = np.array([0.4, 0.3, 0.2, 0.1])
-    out = update_cumulative_scores(ctx, row, np.arange(4))
-    assert out.current_len == 5
-    assert out.cumulative_scores.sum() == pytest.approx(1.0 + 1.0)
-    assert out.cumulative_scores[-1] == 0.0
+    out = update_cumulative_scores(scores, row, np.arange(4))
+    assert out.shape == (5,)
+    assert out.sum() == pytest.approx(1.0 + 1.0)
+    assert out[-1] == 0.0
+    # The input is left as it was.
+    assert scores.tolist() == [0.3, 0.3, 0.2, 0.2]
 
 
 def test_update_scores_empty_retained_appends_only():
-    ctx = ctx_of([O] * 3, scores=[1.0, 2.0, 3.0])
-    out = update_cumulative_scores(ctx, np.zeros(0), np.arange(0))
-    assert out.cumulative_scores.tolist() == [1.0, 2.0, 3.0, 0.0]
+    scores = np.array([1.0, 2.0, 3.0])
+    out = update_cumulative_scores(scores, np.zeros(0), np.arange(0))
+    assert out.tolist() == [1.0, 2.0, 3.0, 0.0]
 
 
 def test_update_scores_two_steps_hand_summed():
     # three tokens, two decode steps; final scores are elementwise sums
-    ctx = ctx_of([O] * 3, scores=[0.5, 0.25, 0.25])
+    scores = np.array([0.5, 0.25, 0.25])
     r1 = np.array([0.6, 0.3, 0.1])
-    ctx = update_cumulative_scores(ctx, r1, np.arange(3))
+    scores = update_cumulative_scores(scores, r1, np.arange(3))
     r2 = np.array([0.5, 0.2, 0.2, 0.1])
-    ctx = update_cumulative_scores(ctx, r2, np.arange(4))
+    scores = update_cumulative_scores(scores, r2, np.arange(4))
     expected = [0.5 + 0.6 + 0.5, 0.25 + 0.3 + 0.2, 0.25 + 0.1 + 0.2, 0.0 + 0.1, 0.0]
-    assert ctx.cumulative_scores == pytest.approx(expected)
+    assert scores == pytest.approx(expected)
 
 
 def test_update_scores_frozen_for_evicted_positions():
-    ctx = ctx_of([O] * 4, scores=[5.0, 1.0, 1.0, 1.0])
-    out = update_cumulative_scores(ctx, np.array([0.7, 0.3]), np.array([1, 3]))
-    assert out.cumulative_scores.tolist() == [5.0, 1.7, 1.0, 1.3, 0.0]
+    scores = np.array([5.0, 1.0, 1.0, 1.0])
+    out = update_cumulative_scores(scores, np.array([0.7, 0.3]), np.array([1, 3]))
+    assert out.tolist() == [5.0, 1.7, 1.0, 1.3, 0.0]
 
 
 def test_update_scores_length_mismatch():
-    ctx = ctx_of([O] * 3)
     with pytest.raises(PolicyError, match="one score per retained"):
-        update_cumulative_scores(ctx, np.zeros(3), np.array([0, 1]))
+        update_cumulative_scores(np.zeros(3), np.zeros(3), np.array([0, 1]))
 
 
 @pytest.mark.parametrize("retained", [[-1, 0], [1, 3]])
 def test_update_scores_rejects_positions_out_of_range(retained):
-    ctx = ctx_of([O] * 3)
     with pytest.raises(PolicyError, match=r"outside \[0, 3\)"):
-        update_cumulative_scores(ctx, np.zeros(2), np.array(retained))
+        update_cumulative_scores(np.zeros(3), np.zeros(2), np.array(retained))
+
+
+@pytest.mark.parametrize("length", [4, 6])
+def test_context_rejects_codes_of_the_wrong_length(length):
+    with pytest.raises(PolicyError, match=rf"codes has length \({length},\), expected 5"):
+        PolicyContext(
+            codes=np.zeros(length, dtype=np.int8),
+            prompt_len=5,
+            current_len=5,
+            cumulative_scores=np.zeros(5),
+        )
 
 
 def test_policy_invariants():

@@ -1,16 +1,26 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adaptive_kv.attention import causal_attention
 from adaptive_kv.engine import encode_prompt, prompt_head_data
-from adaptive_kv.policies import full_policy, retained_indices
+from adaptive_kv.policies import (
+    CompressionPolicy,
+    PolicyAtom,
+    PolicyContext,
+    full_policy,
+    retained_indices,
+)
 from adaptive_kv.profiler import (
-    HeadProfile,
     ProfilerConfig,
     ProfilerError,
     RowAveraging,
+    evaluate_policy,
     profile_model,
     recovery_ratio,
     select_policy,
@@ -59,17 +69,6 @@ def test_streamed_encode_profile_equals_profile_over_all_maps(
     assert profile.to_csv() == profile_model(head_data, cfg).to_csv()
 
 
-def test_head_profile_csv_round_trips(head_data):
-    for cfg in (ProfilerConfig(), ProfilerConfig(recovery_threshold=0.5)):
-        profile = profile_model(head_data, cfg)
-        text = profile.to_csv()
-        again = HeadProfile.from_csv(text)
-        assert again.decisions == profile.decisions
-        assert again.to_csv() == text
-    with pytest.raises(ProfilerError, match="bad profile CSV header"):
-        HeadProfile.from_csv("layer,head,policy\n")
-
-
 def test_positions_outside_the_map_are_rejected(head_data):
     A, _ = head_data[(0, 0)]
     assert recovery_ratio(A, np.arange(0)) == 0.0
@@ -113,3 +112,43 @@ def test_recovery_ratio_is_bitwise_the_column_gather_sum(head_data, rows):
                 assert np.array_equal(
                     recovery_ratio(A, cols, rows), reference_recovery(A, cols, rows)
                 )
+
+
+RATIOS = st.floats(0.05, 1.0)
+POLICIES = st.one_of(
+    st.just(full_policy()),
+    st.builds(
+        lambda atoms, r_l, r_f: CompressionPolicy(frozenset(atoms), r_l=r_l, r_f=r_f),
+        st.sets(
+            st.sampled_from([a for a in PolicyAtom if a is not PolicyAtom.FULL]),
+            min_size=1,
+        ),
+        RATIOS,
+        RATIOS,
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 40),
+    st.integers(0, 2**32 - 1),
+    POLICIES,
+    st.sampled_from(list(RowAveraging)),
+)
+def test_fixed_config_selects_what_evaluate_policy_gives(n, seed, policy, rows):
+    rng = np.random.default_rng(seed)
+    A = causal_attention(3.0 * rng.normal(size=(n, 4)), rng.normal(size=(n, 4)), 4)
+    ctx = PolicyContext(
+        codes=rng.integers(0, 3, size=n).astype(np.int8),
+        prompt_len=int(rng.integers(1, n + 1)),
+        current_len=n,
+        cumulative_scores=rng.uniform(0.0, 5.0, size=n),
+    )
+    cfg = replace(ProfilerConfig.fixed(policy), rows=rows)
+    fixed = select_policy(A, ctx, cfg)
+    direct = evaluate_policy(A, ctx, policy, rows)
+    assert fixed.policy == direct.policy == policy
+    assert float(fixed.recovery).hex() == float(direct.recovery).hex()
+    assert fixed.cost_tokens == direct.cost_tokens
+    assert np.array_equal(fixed.retained, direct.retained)
