@@ -1,6 +1,6 @@
 """Adaptive KV-cache compression with per-head attention profiling."""
 
-from .attention import AttentionError, AttentionMap, causal_attention, softmax_rows
+from .attention import AttentionError, causal_attention, softmax_rows
 from .engine import (
     CompressedCache,
     EngineError,

@@ -8,7 +8,6 @@ row-major order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -22,8 +21,8 @@ class AttentionError(ValueError):
     """Raised on malformed matrices or dimension mismatches."""
 
 
-def _finite_matrix(data, name: str) -> tuple[np.ndarray, float]:
-    """``data`` as a finite float64 2-D array, with its smallest entry."""
+def as_matrix(data, name: str = "matrix") -> np.ndarray:
+    """Coerce input to a finite float64 2-D array."""
     m = np.asarray(data, dtype=np.float64)
     if m.ndim != 2:
         raise AttentionError(f"{name} must be 2-D, got ndim={m.ndim}")
@@ -31,57 +30,44 @@ def _finite_matrix(data, name: str) -> tuple[np.ndarray, float]:
         raise AttentionError("empty input")
     # NaN and +-inf propagate through min and max, so two reductions check
     # every entry without a boolean temporary the size of the matrix.
-    lo = m.min()
-    if not (np.isfinite(lo) and np.isfinite(m.max())):
+    if not (np.isfinite(m.min()) and np.isfinite(m.max())):
         raise AttentionError(f"{name} contains non-finite entries")
-    return m, float(lo)
-
-
-def as_matrix(data, name: str = "matrix") -> np.ndarray:
-    """Coerce input to a finite float64 2-D array."""
-    return _finite_matrix(data, name)[0]
+    return m
 
 
 @dataclass(frozen=True)
-class AttentionMap:
-    """Square row-stochastic causal matrix of attention scores.
+class PromptStats:
+    """What the prompt pass keeps of one head's causal attention map.
 
-    Row i holds the attention distribution of query position i over key
-    positions 0..i; entries above the diagonal are exactly zero. The checks
-    are reductions and ``BLOCK_ROWS``-row slices that read every entry, so
-    they need no temporary the size of the map.
+    ``colsum[j]`` is the mass key position j receives from every query
+    row, summed in row order; ``last_row`` is the final query's attention
+    row. Both are read-only float64 vectors with one entry per position.
     """
 
-    matrix: np.ndarray
+    colsum: np.ndarray
+    last_row: np.ndarray
 
     def __post_init__(self):
-        m, lo = _finite_matrix(self.matrix, "attention map")
-        n = m.shape[0]
-        if n != m.shape[1]:
-            raise AttentionError(f"attention map must be square, got {n}x{m.shape[1]}")
-        if lo < 0.0:
-            raise AttentionError("attention map has negative entries")
-        if np.any(np.abs(m.sum(axis=1) - 1.0) > ROW_SUM_TOL):
-            raise AttentionError("attention map rows must sum to 1")
-        for start in range(0, n, BLOCK_ROWS):
-            stop = min(start + BLOCK_ROWS, n)
-            diagonal = m[start:stop, start:stop][_above_diagonal(stop - start)]
-            if m[start:stop, stop:].any() or diagonal.any():
-                raise AttentionError("attention map must be causal (zero above diagonal)")
-        object.__setattr__(self, "matrix", m)
-        self.matrix.setflags(write=False)
+        for name in ("colsum", "last_row"):
+            arr = np.array(getattr(self, name), dtype=np.float64)
+            if arr.ndim != 1 or arr.size == 0:
+                raise AttentionError(f"{name} must be a nonempty vector")
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        n, total = self.colsum.size, self.colsum.sum()
+        if self.last_row.size != n:
+            raise AttentionError(f"last_row has {self.last_row.size} entries, expected {n}")
+        # NaN and +-inf propagate through the sum.
+        if not np.isfinite(total):
+            raise AttentionError("attention column sums contain non-finite entries")
+        if self.colsum.min() < 0.0:
+            raise AttentionError("attention column sums have negative entries")
+        if abs(total - n) > ROW_SUM_TOL * n:
+            raise AttentionError(f"attention column sums total {total}, expected {n}")
 
     @property
     def size(self) -> int:
-        return self.matrix.shape[0]
-
-
-@lru_cache(maxsize=8)
-def _above_diagonal(n: int) -> np.ndarray:
-    """Read-only boolean mask of the entries above an n x n diagonal."""
-    mask = np.triu(np.ones((n, n), dtype=bool), k=1)
-    mask.setflags(write=False)
-    return mask
+        return self.colsum.size
 
 
 def _softmax_in_place(x: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -141,14 +127,18 @@ def softmax_vector(v) -> np.ndarray:
     return exp / exp.sum()
 
 
-def causal_attention(Q, K, d_k: int) -> AttentionMap:
-    """Scaled dot-product attention weights under a causal mask.
+def causal_attention(Q, K, d_k: int) -> PromptStats:
+    """Column sums and last row of the causal map softmax(Q K^T / sqrt(d_k)).
 
-    Returns the full attention map A = softmax(Q K^T / sqrt(d_k)); a
-    caller wanting the attended output takes ``A.matrix @ V``. The bits of
-    ``q @ k.T``, and so of the map, can depend on the BLAS thread count
-    at larger sizes; ``perfbench/run.py`` pins one thread, the library and
-    the CLI do not.
+    The map itself is never built. Query rows go in ``BLOCK_ROWS``-row
+    blocks: each block's ``Q[s:e] @ K[:e].T`` product is written below a
+    carry row holding the column sums so far, scaled and softmaxed in
+    place, and summed down its columns into the carry. So each column is
+    summed row after row, with the bits of a column sum over the whole
+    map, and peak memory is one ``(BLOCK_ROWS + 1) x P`` buffer. A caller
+    wanting the last query's output takes ``last_row @ V``. The bits of
+    the products can depend on the BLAS thread count at larger sizes;
+    ``perfbench/run.py`` pins one thread, the library and the CLI do not.
     """
     q = as_matrix(Q, "Q")
     k = as_matrix(K, "K")
@@ -158,10 +148,18 @@ def causal_attention(Q, K, d_k: int) -> AttentionMap:
         raise AttentionError(f"Q has {q.shape[1]} columns, expected d_k={d_k}")
     if k.shape[1] != d_k:
         raise AttentionError(f"K has {k.shape[1]} columns, expected d_k={d_k}")
-    if q.shape[0] != k.shape[0]:
-        raise AttentionError(
-            f"Q has {q.shape[0]} rows, expected {k.shape[0]} to match K"
-        )
-    logits = q @ k.T
-    logits /= np.sqrt(float(d_k))
-    return AttentionMap(_softmax_in_place(logits, np.arange(1, q.shape[0] + 1)))
+    n = k.shape[0]
+    if q.shape[0] != n:
+        raise AttentionError(f"Q has {q.shape[0]} rows, expected {n} to match K")
+    scale = np.sqrt(float(d_k))
+    buf = np.zeros((min(BLOCK_ROWS, n) + 1, n))
+    for start in range(0, n, BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, n)
+        block = buf[: stop - start + 1, :stop]
+        logits = block[1:]
+        np.matmul(q[start:stop], k[:stop].T, out=logits)
+        logits /= scale
+        _softmax_in_place(logits, np.arange(start + 1, stop + 1))
+        # Not ``carry += logits.sum(axis=0)``: that regroups the terms.
+        block[0] = block.sum(axis=0)
+    return PromptStats(block[0], block[-1])

@@ -1,9 +1,9 @@
 """Dual-phase generation over a compressed KV cache.
 
-Phase one streams the prompt pass head by head: it builds each head's
-P x P attention map, profiles the head once, compresses its cache to
-the retained set the profiler chose and drops the map before the next
-head's, so one map is alive at a time. A fixed-policy baseline is the
+Phase one streams the prompt pass head by head: it takes each head's
+attention column sums and last row in ``BLOCK_ROWS``-row blocks, never
+the P x P map, profiles the head once on them and compresses its cache
+to the retained set the profiler chose. A fixed-policy baseline is the
 same pass under a one-candidate family (``ProfilerConfig.fixed``). The
 prompt is classified once; every head shares its class codes. Phase two
 generates token by token: each step appends the incoming token's K/V
@@ -306,11 +306,12 @@ def prompt_head_data(model, tokens: list[int], prompt_len: int | None = None):
     re-encoding a prompt plus generated tokens pass the true prompt length
     so model rows and policy budgets stay anchored to it.
 
-    Yields ``(key, K, V, A, ctx)`` per head: its K/V rows, AttentionMap and
-    the PolicyContext the profiler consumes. Each map is built when its
-    head is asked for and dropped before the next, so one map is alive at
-    a time if the consumer drops it too. The tokens are classified once;
-    every context shares one read-only ``codes`` array.
+    Yields ``(key, K, V, stats, ctx)`` per head: its K/V rows, the
+    ``PromptStats`` of its attention map (column sums and last row, from
+    ``causal_attention``'s blocked pass) and the PolicyContext the
+    profiler consumes, seeded with those column sums. Each head is
+    computed when it is asked for. The tokens are classified once; every
+    context shares one read-only ``codes`` array.
     """
     if not tokens:
         raise EngineError("empty prompt")
@@ -326,15 +327,11 @@ def prompt_head_data(model, tokens: list[int], prompt_len: int | None = None):
         K = np.array([model.k_row(layer, head, pos, klasses[pos], p) for pos in range(n)])
         V = np.array([model.v_row(layer, head, pos) for pos in range(n)])
         Q = np.array([model.q_row(layer, head, pos, p) for pos in range(n)])
-        A = causal_attention(Q, K, cfg.head_dim)
+        stats = causal_attention(Q, K, cfg.head_dim)
         ctx = PolicyContext(
-            codes=codes,
-            prompt_len=p,
-            current_len=n,
-            cumulative_scores=A.matrix.sum(axis=0),
+            codes=codes, prompt_len=p, current_len=n, cumulative_scores=stats.colsum
         )
-        yield (layer, head), K, V, A, ctx
-        del A
+        yield (layer, head), K, V, stats, ctx
 
 
 def _grid(model) -> tuple[int, int]:
@@ -350,8 +347,8 @@ def encode_prompt(
     """Prompt encoding with one-shot profiling and cache compression.
 
     For every head, as the prompt pass streams it: select the head's
-    policy on its attention map, keep the rows of the retained set the
-    decision carries and the last query's output, then drop the map. Once
+    policy on its attention statistics, keep the rows of the retained set
+    the decision carries and the last query's output. Once
     the stream ends, the heads' rows are stacked into groups, each head's
     rows freed as they are copied in. The profile is immutable afterwards.
     """
@@ -359,11 +356,10 @@ def encode_prompt(
     decisions = {}
     # Rows of each group's heads, by group: the policy, or a frequent head's key.
     pending: dict[object, dict] = {}
-    for key, K, V, A, ctx in prompt_head_data(model, prompt_tokens):
-        decisions[key] = decision = select_policy(A, ctx, profiler_cfg)
+    for key, K, V, stats, ctx in prompt_head_data(model, prompt_tokens):
+        decisions[key] = decision = select_policy(stats, ctx, profiler_cfg)
         policy, idx = decision.policy, decision.retained
         frequent = PolicyAtom.FREQUENT in policy.atoms
-        last_row = A.matrix[n - 1]
         rows = pending.setdefault(
             key if frequent else policy,
             {
@@ -378,13 +374,11 @@ def encode_prompt(
         rows["keys"].append(key)
         rows["K"].append(K[idx])
         rows["V"].append(V[idx])
-        rows["outputs"].append(last_row @ V)
-        rows["recovery"].append(float(last_row[idx].sum()) if idx.size else 0.0)
+        rows["outputs"].append(stats.last_row @ V)
+        rows["recovery"].append(float(stats.last_row[idx].sum()) if idx.size else 0.0)
         if rows["shadow"] is not None:
             rows["shadow"].append(K)
         codes = ctx.codes  # one array, shared by every head's context
-        # Release the map (``last_row`` is a view of it) before the next head.
-        del A, last_row, K, V
 
     groups = []
     for rows in pending.values():
@@ -542,13 +536,11 @@ def reference_generate(
     shape = (len(keys), n + max(gen_cfg.max_new_tokens - 1, 0), model.config.head_dim)
     K_all, V_all = np.empty(shape), np.empty(shape)
     outputs = np.empty((len(keys), shape[2]))
-    for g, (_, K, V, A, ctx) in enumerate(prompt_head_data(model, prompt_tokens)):
+    for g, (_, K, V, stats, ctx) in enumerate(prompt_head_data(model, prompt_tokens)):
         K_all[g, :n] = K
         V_all[g, :n] = V
-        # Of each head's map only the last query's output is kept.
-        outputs[g] = A.matrix[n - 1] @ V
+        outputs[g] = stats.last_row @ V
         codes = ctx.codes
-        del A, K, V, ctx
     group = HeadGroup(
         keys=keys,
         policy=full_policy(),

@@ -155,7 +155,8 @@ def consistency_report(
     n = len(prompt_tokens)
     all_tokens = prompt_tokens + reference.tokens
     # One lazy prompt-pass stream per listed step, each advanced a head at
-    # a time, so one attention map is alive at a time.
+    # a time, so each step's heads are profiled on O(P) statistics as
+    # they come.
     streams = [
         prompt_head_data(model, all_tokens[: n + step - 1], prompt_len=n)
         for step in steps
@@ -163,9 +164,8 @@ def consistency_report(
     per_step: list[list[ConsistencyEntry]] = [[] for _ in steps]
     for layer, head in model.config.head_grid():
         for entries, step, stream in zip(per_step, steps, streams):
-            _, _, _, A, ctx = next(stream)
-            policy = select_policy(A, ctx, profiler_cfg).policy
-            del A
+            _, _, _, stats, ctx = next(stream)
+            policy = select_policy(stats, ctx, profiler_cfg).policy
             if step == steps[0]:
                 first = policy
             name = format_policy(policy)
@@ -189,12 +189,12 @@ def tradeoff_curve(
     """Profiling-time pruning/recovery trade-off at each threshold."""
     base = base_cfg if base_cfg is not None else ProfilerConfig()
     cfgs = [replace(base, recovery_threshold=T) for T in T_values]
-    # Each head is profiled at every threshold while its map is alive.
+    # One prompt pass: each head is profiled at every threshold on its
+    # statistics as the stream yields them.
     per_T: list[list] = [[] for _ in cfgs]
-    for _, _, _, A, ctx in prompt_head_data(model, prompt_tokens):
+    for _, _, _, stats, ctx in prompt_head_data(model, prompt_tokens):
         for decisions, cfg in zip(per_T, cfgs):
-            decisions.append(select_policy(A, ctx, cfg))
-        del A
+            decisions.append(select_policy(stats, ctx, cfg))
     n = len(prompt_tokens)
     points = []
     for T, decisions in zip(T_values, per_T):

@@ -149,7 +149,8 @@ class PolicyContext:
     def __post_init__(self):
         codes = np.asarray(self.codes, dtype=np.int8)
         object.__setattr__(self, "codes", codes)
-        scores = np.asarray(self.cumulative_scores, dtype=np.float64)
+        # A copy: the context is frozen, the caller's buffer must not be.
+        scores = np.array(self.cumulative_scores, dtype=np.float64)
         object.__setattr__(self, "cumulative_scores", scores)
         if not 1 <= self.prompt_len <= self.current_len:
             raise PolicyError(

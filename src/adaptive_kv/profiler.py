@@ -21,7 +21,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .attention import BLOCK_ROWS, AttentionMap
+from .attention import PromptStats
 from .policies import (
     CompressionPolicy,
     PolicyContext,
@@ -42,7 +42,7 @@ class RowAveraging(Enum):
 
 
 def recovery_ratio(
-    A: AttentionMap,
+    stats: PromptStats,
     retained: np.ndarray,
     rows: RowAveraging = RowAveraging.ALL_ROWS,
 ) -> float:
@@ -50,33 +50,25 @@ def recovery_ratio(
 
     Mean over query rows of the retained (causally visible) mass; the
     ``rows`` option restricts to the final query row for sensitivity runs.
-    Each row's mass is a left-to-right running sum of its retained entries
-    in the caller's order. A ``BLOCK_ROWS``-row block gathers only the
-    columns left of its end; the ones it skips are exact zeros above the
-    diagonal, so the sums keep the bits of a gather over every column.
+    Summing over rows first, the mean is the retained columns' mass over
+    P. The last row's mass is a left-to-right running sum of its retained
+    entries in the caller's order.
     """
     idx = np.asarray(retained, dtype=np.intp)
     if not idx.size:
         return 0.0
     # numpy wraps negative indices, so they are checked here.
-    if idx.min() < 0 or idx.max() >= A.size:
+    if idx.min() < 0 or idx.max() >= stats.size:
         raise ProfilerError(
-            f"retained positions {idx.min()}..{idx.max()} outside [0, {A.size})"
+            f"retained positions {idx.min()}..{idx.max()} outside [0, {stats.size})"
         )
     if rows is RowAveraging.LAST_ROW:
-        return float(np.cumsum(A.matrix[-1, idx])[-1])
-    per_row = np.zeros(A.size)
-    for start in range(0, A.size, BLOCK_ROWS):
-        stop = min(start + BLOCK_ROWS, A.size)
-        cols = idx[idx < stop]
-        if cols.size:
-            kept = np.take(A.matrix[start:stop], cols, axis=1)
-            per_row[start:stop] = np.cumsum(kept, axis=1, out=kept)[:, -1]
-    return float(per_row.mean())
+        return float(np.cumsum(stats.last_row[idx])[-1])
+    return float(stats.colsum[idx].sum() / stats.size)
 
 
 def evaluate_policy(
-    A: AttentionMap,
+    stats: PromptStats,
     ctx: PolicyContext,
     policy: CompressionPolicy,
     rows: RowAveraging = RowAveraging.ALL_ROWS,
@@ -85,7 +77,7 @@ def evaluate_policy(
     retained = retained_indices(policy, ctx)
     retained.setflags(write=False)
     return HeadDecision(
-        policy, recovery_ratio(A, retained, rows), retained.size, retained
+        policy, recovery_ratio(stats, retained, rows), retained.size, retained
     )
 
 
@@ -122,13 +114,13 @@ class ProfilerConfig:
 
 
 def select_policy(
-    A: AttentionMap, ctx: PolicyContext, cfg: ProfilerConfig
+    stats: PromptStats, ctx: PolicyContext, cfg: ProfilerConfig
 ) -> HeadDecision:
     """The first policy in the nested family meeting the recovery threshold."""
     for policy in cfg.feasible:
-        decision = evaluate_policy(A, ctx, policy, cfg.rows)
+        decision = evaluate_policy(stats, ctx, policy, cfg.rows)
         # The full backstop is always accepted: its recovery is a float
-        # mean of row sums and can land a hair below T=1.
+        # sum of column sums over P and can land a hair below T=1.
         if decision.recovery >= cfg.recovery_threshold or policy.is_full:
             return decision
 
@@ -172,7 +164,7 @@ class HeadProfile:
 
 
 def profile_model(
-    head_data: Mapping[tuple[int, int], tuple[AttentionMap, PolicyContext]],
+    head_data: Mapping[tuple[int, int], tuple[PromptStats, PolicyContext]],
     cfg: ProfilerConfig,
     grid: Iterable[tuple[int, int]] | None = None,
 ) -> HeadProfile:

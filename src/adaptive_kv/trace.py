@@ -40,7 +40,7 @@ class TraceTruncatedError(TraceError):
     """File ends in the middle of a structure."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceBlock:
     step: int
     k: np.ndarray
@@ -165,7 +165,8 @@ def _read_exact(buf: io.BufferedIOBase, count: int, what: str) -> bytes:
     return data
 
 
-def _read_binary(buf: io.BufferedIOBase) -> AttentionTrace:
+def _read_binary(data: bytes) -> AttentionTrace:
+    buf = io.BytesIO(data)
     magic = buf.read(4)
     if len(magic) < 4 or magic != MAGIC:
         raise TraceHeaderError(f"malformed header: bad magic {magic!r}")
@@ -199,8 +200,9 @@ def _read_binary(buf: io.BufferedIOBase) -> AttentionTrace:
             (length,) = struct.unpack(
                 "<I", _read_exact(buf, 4, f"{name} length at step {step}")
             )
-            raw = _read_exact(buf, 8 * length, f"{name} row at step {step}")
-            rows.append(np.frombuffer(raw, dtype="<f8").astype(np.float64))
+            at = buf.tell()
+            _read_exact(buf, 8 * length, f"{name} row at step {step}")
+            rows.append(np.frombuffer(data, dtype="<f8", count=length, offset=at))
         blocks.setdefault((layer, head), []).append(
             TraceBlock(step, rows[0], rows[1], rows[2])
         )
@@ -208,9 +210,13 @@ def _read_binary(buf: io.BufferedIOBase) -> AttentionTrace:
 
 
 def read_trace(source) -> AttentionTrace:
-    """Read a trace from a path or binary file object."""
+    """Read a trace from a path or binary file object.
+
+    The rows are read-only views of the bytes read, so the trace holds
+    one copy of its payload.
+    """
     data = source.read() if hasattr(source, "read") else Path(source).read_bytes()
-    return _read_binary(io.BytesIO(data))
+    return _read_binary(data)
 
 
 def record_trace(model, tokens: list[int], prompt_len: int) -> AttentionTrace:
@@ -249,50 +255,55 @@ class TraceModel:
     """
 
     def __init__(self, trace: AttentionTrace):
-        self.trace = trace
         self.config = trace.config
         self.vocab = trace.vocab_metadata()
-        self._rows: dict[tuple[int, int], dict[int, TraceBlock]] = {}
+        self._token_ids = [t.token_id for t in trace.tokens]
         n_positions = len(trace.tokens)
+        # Per role and head, one (n, d) array of rows by position; the model
+        # keeps no reference to the trace or its blocks.
+        self._k, self._v, self._q = {}, {}, {}
         for key in trace.config.head_grid():
             entries = trace.blocks.get(key)
             if entries is None:
                 raise TraceDimensionError(
                     f"trace has no blocks for (layer={key[0]}, head={key[1]})"
                 )
-            by_step = {b.step: b for b in entries}
-            missing = [s for s in range(n_positions) if s not in by_step]
-            if missing:
+            # Steps strictly increase, so positions 0..n-1 are the first n.
+            entries = entries[:n_positions]
+            if [b.step for b in entries] != list(range(n_positions)):
+                missing = sorted(set(range(n_positions)) - {b.step for b in entries})
                 raise TraceDimensionError(
                     f"trace is missing steps {missing[:4]} for "
                     f"(layer={key[0]}, head={key[1]})"
                 )
-            self._rows[key] = by_step
+            for rows, role in ((self._k, "k"), (self._v, "v"), (self._q, "q")):
+                rows[key] = np.array([getattr(b, role) for b in entries])
         self.max_context = n_positions
         self._head_weights = linear_head_weights(self.config)
 
-    def _block(self, layer: int, head: int, pos: int) -> TraceBlock:
-        if pos >= self.max_context:
+    def _pos(self, pos: int) -> int:
+        # Checked both ways: a negative index would wrap to the last rows.
+        if not 0 <= pos < self.max_context:
             raise ModelError(
-                f"position {pos} beyond trace length {self.max_context}"
+                f"position {pos} outside trace length {self.max_context}"
             )
-        return self._rows[(layer, head)][pos]
+        return pos
 
     def prompt_token_ids(self, prompt_len: int) -> list[int]:
-        if prompt_len > len(self.trace.tokens):
+        if prompt_len > self.max_context:
             raise ModelError(
-                f"prompt_len {prompt_len} exceeds trace length {len(self.trace.tokens)}"
+                f"prompt_len {prompt_len} exceeds trace length {self.max_context}"
             )
-        return [t.token_id for t in self.trace.tokens[:prompt_len]]
+        return self._token_ids[:prompt_len]
 
     def k_row(self, layer, head, pos, klass, prompt_len) -> np.ndarray:
-        return self._block(layer, head, pos).k
+        return self._k[layer, head][self._pos(pos)]
 
     def v_row(self, layer, head, pos) -> np.ndarray:
-        return self._block(layer, head, pos).v
+        return self._v[layer, head][self._pos(pos)]
 
     def q_row(self, layer, head, pos, prompt_len) -> np.ndarray:
-        return self._block(layer, head, pos).q
+        return self._q[layer, head][self._pos(pos)]
 
     def head_logits(self, concat_outputs: np.ndarray) -> np.ndarray:
         return self._head_weights @ concat_outputs

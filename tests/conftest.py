@@ -3,6 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from adaptive_kv.attention import softmax_rows
+from adaptive_kv.engine import prompt_head_data
 from adaptive_kv.model import (
     Archetype,
     HeadPlan,
@@ -15,6 +17,23 @@ from adaptive_kv.tokens import CLASS_CODE, TokenClass
 
 def make_codes(classes: list[TokenClass]) -> np.ndarray:
     return np.array([CLASS_CODE[klass] for klass in classes], dtype=np.int8)
+
+
+def explicit_map(Q: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """The whole causal map softmax(Q K^T / sqrt(d)), as the oracle for the
+    statistics ``causal_attention`` streams."""
+    logits = Q @ K.T / np.sqrt(float(Q.shape[1]))
+    return softmax_rows(logits, causal_lengths=range(1, Q.shape[0] + 1))
+
+
+def head_maps(model, tokens: list[int], prompt_len: int | None = None) -> dict:
+    """Every head's explicit map and PolicyContext, materialised at once."""
+    p = len(tokens) if prompt_len is None else prompt_len
+    maps = {}
+    for (layer, head), K, _, _, ctx in prompt_head_data(model, tokens, prompt_len):
+        Q = np.array([model.q_row(layer, head, pos, p) for pos in range(len(tokens))])
+        maps[(layer, head)] = (explicit_map(Q, K), ctx)
+    return maps
 
 
 def random_context(rng: np.random.Generator, max_len: int = 24) -> PolicyContext:

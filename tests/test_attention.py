@@ -9,14 +9,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adaptive_kv.attention import (
     AttentionError,
-    AttentionMap,
+    PromptStats,
     causal_attention,
     softmax_rows,
     softmax_vector,
 )
+from conftest import explicit_map
 
 
 def test_softmax_symmetric_row():
@@ -52,23 +55,24 @@ def test_softmax_causal_lengths_mask_exact_zero():
 
 def test_causal_attention_single_token():
     V = np.array([[4.0, -1.0]])
-    A = causal_attention(np.array([[1.0, 0.0]]), np.array([[2.0, 3.0]]), 2)
-    assert A.matrix.shape == (1, 1) and A.matrix[0, 0] == 1.0
-    assert (A.matrix @ V)[0] == pytest.approx(V[0])
+    stats = causal_attention(np.array([[1.0, 0.0]]), np.array([[2.0, 3.0]]), 2)
+    assert stats.colsum.tolist() == [1.0] and stats.last_row.tolist() == [1.0]
+    assert stats.last_row @ V == pytest.approx(V[0])
 
 
 def test_causal_attention_two_by_two_hand_evaluated():
     # Row 1 logits are [q1.k0, q1.k1] / sqrt(1) = [2, -2]; evaluate the
-    # softmax by hand with scalar math and check output = A @ V.
+    # softmax by hand with scalar math and check output = last_row @ V.
     Q = np.array([[1.0], [2.0]])
     K = np.array([[1.0], [-1.0]])
     V = np.array([[3.0], [5.0]])
-    A = causal_attention(Q, K, 1)
+    stats = causal_attention(Q, K, 1)
     w0 = math.exp(2.0) / (math.exp(2.0) + math.exp(-2.0))
     w1 = math.exp(-2.0) / (math.exp(2.0) + math.exp(-2.0))
-    assert A.matrix[0] == pytest.approx([1.0, 0.0], abs=1e-15)
-    assert A.matrix[1] == pytest.approx([w0, w1], abs=1e-15)
-    assert (A.matrix @ V)[1, 0] == pytest.approx(3.0 * w0 + 5.0 * w1, abs=1e-12)
+    # Row 0 sees only key 0, so it adds 1 to column 0.
+    assert stats.colsum == pytest.approx([1.0 + w0, w1], abs=1e-15)
+    assert stats.last_row == pytest.approx([w0, w1], abs=1e-15)
+    assert (stats.last_row @ V)[0] == pytest.approx(3.0 * w0 + 5.0 * w1, abs=1e-12)
 
 
 def test_causal_attention_rows_sum_to_one():
@@ -78,10 +82,11 @@ def test_causal_attention_rows_sum_to_one():
         d = int(rng.integers(1, 6))
         Q = rng.normal(size=(n, d))
         K = rng.normal(size=(n, d))
-        A = causal_attention(Q, K, d)
-        assert np.abs(A.matrix.sum(axis=1) - 1.0).max() <= 1e-9
-        assert np.all(A.matrix >= 0.0)
-        assert np.all(np.triu(A.matrix, k=1) == 0.0)
+        stats = causal_attention(Q, K, d)
+        # Every row sums to 1, so the column sums total n.
+        assert abs(stats.colsum.sum() - n) <= 1e-9 * n
+        assert abs(stats.last_row.sum() - 1.0) <= 1e-9
+        assert np.all(stats.colsum >= 0.0) and np.all(stats.last_row >= 0.0)
 
 
 def test_causal_attention_dimension_errors_name_operand():
@@ -94,27 +99,30 @@ def test_causal_attention_dimension_errors_name_operand():
         causal_attention(np.zeros((2, 3)), np.zeros((2, 2)), 2)
 
 
-def test_attention_map_invariants_enforced():
-    with pytest.raises(AttentionError, match="square"):
-        AttentionMap(np.ones((2, 3)) / 3.0)
-    with pytest.raises(AttentionError, match="sum to 1"):
-        AttentionMap(np.array([[0.4, 0.0], [0.5, 0.5]]))
-    with pytest.raises(AttentionError, match="causal"):
-        AttentionMap(np.array([[0.5, 0.5], [0.5, 0.5]]))
+def test_prompt_stats_invariants_enforced():
+    half = np.array([0.5, 0.5])
+    with pytest.raises(AttentionError, match="colsum must be a nonempty vector"):
+        PromptStats(np.ones((2, 2)), half)
+    with pytest.raises(AttentionError, match="last_row must be a nonempty vector"):
+        PromptStats(np.ones(1), np.ones(0))
+    with pytest.raises(AttentionError, match="last_row has 1 entries, expected 2"):
+        PromptStats(np.ones(2), np.ones(1))
+    with pytest.raises(AttentionError, match="total 1.5, expected 2"):
+        PromptStats(np.array([1.0, 0.5]), half)
     with pytest.raises(AttentionError, match="negative"):
-        AttentionMap(np.array([[1.0, 0.0], [-0.5, 1.5]]))
+        PromptStats(np.array([2.5, -0.5]), half)
     with pytest.raises(AttentionError, match="non-finite"):
-        AttentionMap(np.array([[np.nan, 0.0], [0.5, 0.5]]))
+        PromptStats(np.array([np.nan, 1.0]), half)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_is_reported_before_negative(bad):
-    # Each matrix also has a negative entry, so the finiteness check must
+    # Each input also has a negative entry, so the finiteness check must
     # come first and must see NaN and +-inf wherever they sit.
+    with pytest.raises(AttentionError, match="column sums contain non-finite"):
+        PromptStats(np.array([-0.5, bad, 2.5]), np.full(3, 1.0 / 3.0))
     m = np.array([[1.0, 0.0], [-0.5, 1.5]])
     m[1, 1] = bad
-    with pytest.raises(AttentionError, match="attention map contains non-finite"):
-        AttentionMap(m)
     with pytest.raises(AttentionError, match="softmax input contains non-finite"):
         softmax_rows(m, causal_lengths=[1, 2])
     with pytest.raises(AttentionError, match="Q contains non-finite"):
@@ -185,23 +193,54 @@ def test_causal_lengths_are_checked_row_by_row():
         (1100, (1025, 1030)),
     ],
 )
-def test_attention_map_rejects_one_entry_above_the_diagonal(n, at):
-    m = np.eye(n)
-    m[at] = 1e-12
-    with pytest.raises(AttentionError, match="causal"):
-        AttentionMap(m)
-    m[at] = -0.0
-    assert np.array_equal(AttentionMap(m).matrix, np.eye(n))
+def test_no_mass_lands_above_the_diagonal(n, at):
+    # Key j is aimed at query i < j, so a leaky causal mask would move
+    # almost all of row i's mass onto column j.
+    i, j = at
+    rng = np.random.default_rng(n)
+    Q, K = rng.normal(size=(n, 8)), rng.normal(size=(n, 8))
+    K[j] = 40.0 * Q[i]
+    M = explicit_map(Q, K)
+    stats = causal_attention(Q, K, 8)
+    np.testing.assert_allclose(stats.colsum, M.sum(axis=0), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(stats.last_row, M[-1], rtol=0, atol=1e-12)
 
 
-def test_attention_map_is_immutable():
-    A = AttentionMap(np.array([[1.0, 0.0], [0.5, 0.5]]))
-    with pytest.raises(ValueError):
-        A.matrix[0, 0] = 2.0
+def test_prompt_stats_are_immutable():
+    stats = causal_attention(np.ones((3, 2)), np.ones((3, 2)), 2)
+    for arr in (stats.colsum, stats.last_row):
+        with pytest.raises(ValueError):
+            arr[0] = 2.0
 
 
-def test_causal_attention_peak_memory_is_about_one_map():
-    P = 1024
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([1, 129, 300, 1100]), st.integers(0, 2**32 - 1))
+def test_stats_equal_the_explicit_maps_column_sums_and_last_row(n, seed):
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 17))
+    Q = rng.normal(scale=2.0, size=(n, d))
+    K = rng.normal(size=(n, d))
+    M = explicit_map(Q, K)
+    stats = causal_attention(Q, K, d)
+    np.testing.assert_allclose(stats.colsum, M.sum(axis=0), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(stats.last_row, M[-1], rtol=0, atol=1e-12)
+
+
+def test_stats_are_bitwise_the_explicit_maps_when_products_are_exact():
+    # Dyadic entries make every dot product exact, so the blocked and the
+    # whole-map Q K^T agree bit for bit at every size and thread count;
+    # then each column is summed in the same row order.
+    rng = np.random.default_rng(3)
+    for n in (1, 127, 128, 129, 300, 1100):
+        Q, K = (rng.integers(-8, 9, size=(n, 8)) / 4.0 for _ in range(2))
+        M = explicit_map(Q, K)
+        stats = causal_attention(Q, K, 8)
+        assert np.array_equal(stats.colsum, M.sum(axis=0)), n
+        assert np.array_equal(stats.last_row, M[-1]), n
+
+
+def test_causal_attention_peak_memory_is_a_fraction_of_one_map():
+    P = 2048
     rng = np.random.default_rng(0)
     Q, K = rng.normal(size=(P, 32)), rng.normal(size=(P, 32))
     tracemalloc.start()
@@ -210,20 +249,25 @@ def test_causal_attention_peak_memory_is_about_one_map():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # The map itself is 1.0; a P x P temporary beside it would reach 2.0.
-    assert peak <= 1.3 * P * P * 8, peak / (P * P * 8)
+    # The P x P float64 map would be 32 MiB.
+    assert peak <= 8 * 2**20, peak / 2**20
 
 
-# SHA-256 of ``causal_attention(Q, K, 32).matrix`` bytes for Q and K drawn
-# from ``default_rng(P)``, under one BLAS thread (the benchmark's setting:
-# at P=300 the product's bits depend on the BLAS thread count). Any change
-# to the prompt pass's arithmetic, such as a blocked Q K^T product, shows
-# here; such a change must re-record these alongside the CLI goldens.
+# SHA-256 of ``colsum.tobytes() + last_row.tobytes()`` of
+# ``causal_attention(Q, K, 32)`` for Q and K drawn from ``default_rng(P)``,
+# under one BLAS thread (the benchmark's setting: at P=300 the product's
+# bits depend on the BLAS thread count). Any change to the prompt pass's
+# arithmetic shows here; such a change must re-record these alongside the
+# CLI goldens. Sizes that are multiples of ``BLOCK_ROWS`` have the bits of
+# the whole-map pass; at 129 and 300 the blocked product's tail tile
+# takes another BLAS path.
 CAUSAL_ATTENTION_SHA256 = {
-    1: "6c3c396ed6b5c36dcae172271f462051b1266b851e92df3deea8ac65478fd712",
-    129: "84f39b8e57e57f83052419bd94d06fbaba91b9c0238ea760cb8e94a61a4fb4c5",
-    300: "84c29b034164364e42fa9a113c625db942001481ec0db8ed713cbcaced4930db",
-    1024: "f3e440a09933422d14efca64c93b04a5153c6581f8d43d206ecee5128327e927",
+    1: "5f07eef034c5a21fedede8ef2f970fefbcc8ea44c02fd970117dacbee5483005",
+    128: "26ee8faad065341eba63a868cc06dec7e466c1a3588d85393ef1a9317c67dc18",
+    129: "356dbaeba4eb08d30fbe07e0e034d1b9fccb1fb5daf77b65658add7f8ecf4dfb",
+    300: "93c25faf458dc810250f1ef6f5294c06b3eff8ea0daca6ebc4bc580ddc3608e7",
+    512: "b77d7674966ae534f09eaa9d2c10e8e75289f8d8346df79ff736388c420a5d38",
+    1024: "c9f797f9bc07dfe802d15256fc4a565043f24e3a4e712caf0f188f710b0d32e1",
 }
 
 _HASH_SCRIPT = """
@@ -232,8 +276,8 @@ import numpy as np
 from adaptive_kv.attention import causal_attention
 for n in map(int, sys.argv[1:]):
     rng = np.random.default_rng(n)
-    A = causal_attention(rng.normal(size=(n, 32)), rng.normal(size=(n, 32)), 32)
-    print(n, hashlib.sha256(A.matrix.tobytes()).hexdigest())
+    s = causal_attention(rng.normal(size=(n, 32)), rng.normal(size=(n, 32)), 32)
+    print(n, hashlib.sha256(s.colsum.tobytes() + s.last_row.tobytes()).hexdigest())
 """
 
 

@@ -25,10 +25,10 @@ PROMPT_LEN = 40
 
 
 def all_maps(model, tokens, prompt_len=None):
-    """Every head's (A, ctx), materialised at once."""
+    """Every head's (stats, ctx), materialised at once."""
     return {
-        key: (A, ctx)
-        for key, _, _, A, ctx in prompt_head_data(model, tokens, prompt_len)
+        key: (stats, ctx)
+        for key, _, _, stats, ctx in prompt_head_data(model, tokens, prompt_len)
     }
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from adaptive_kv.attention import PromptStats
 from adaptive_kv.engine import GenerationConfig, prompt_head_data, reference_generate
 from adaptive_kv.model import (
     Archetype,
@@ -16,6 +17,7 @@ from adaptive_kv.model import (
 )
 from adaptive_kv.profiler import recovery_ratio
 from adaptive_kv.tokens import CLASS_CODE, TokenClass, classify_tokens
+from conftest import explicit_map, head_maps
 
 CONFIG = ModelConfig(num_layers=1, num_heads=4, head_dim=16, vocab_size=32, seed=11)
 PLAN = {
@@ -35,20 +37,14 @@ def model():
 
 @pytest.fixture(scope="module")
 def decoded_maps(model):
-    """Full attention maps at decoding steps 1, 10, 20, 30."""
+    """Explicit attention maps at decoding steps 1, 10, 20, 30."""
     prompt = model.prompt_token_ids(PROMPT_LEN)
     run = reference_generate(model, prompt, GenerationConfig(max_new_tokens=29))
     all_tokens = prompt + run.tokens
-    maps = {}
-    for step in (1, 10, 20, 30):
-        length = PROMPT_LEN + step - 1
-        maps[step] = {
-            key: (A, ctx)
-            for key, _, _, A, ctx in prompt_head_data(
-                model, all_tokens[:length], prompt_len=PROMPT_LEN
-            )
-        }
-    return maps
+    return {
+        step: head_maps(model, all_tokens[: PROMPT_LEN + step - 1], PROMPT_LEN)
+        for step in (1, 10, 20, 30)
+    }
 
 
 def _class_positions(model, tokens, klass):
@@ -90,15 +86,16 @@ def test_special_dominance_holds_at_every_step(model, decoded_maps):
     for step, head_data in decoded_maps.items():
         A, ctx = head_data[(0, 0)]
         specials = np.flatnonzero(ctx.codes == CLASS_CODE[TokenClass.SPECIAL])
-        per_row = A.matrix[:, specials].sum(axis=1)
+        per_row = A[:, specials].sum(axis=1)
         assert per_row.min() >= DOMINANCE, f"step {step}"
-        assert recovery_ratio(A, specials) >= DOMINANCE
+        stats = PromptStats(A.sum(axis=0), A[-1])
+        assert recovery_ratio(stats, specials) >= DOMINANCE
 
 
 def test_local_dominance_holds_at_every_step(model, decoded_maps):
     window = model.local_window(PROMPT_LEN)
     for step, head_data in decoded_maps.items():
-        A = head_data[(0, 1)][0].matrix
+        A = head_data[(0, 1)][0]
         for i in range(A.shape[0]):
             lo = max(0, i - window + 1)
             assert A[i, lo : i + 1].sum() >= DOMINANCE, f"step {step} row {i}"
@@ -107,7 +104,7 @@ def test_local_dominance_holds_at_every_step(model, decoded_maps):
 def test_column_sparse_dominance_holds_at_every_step(model, decoded_maps):
     cols = sparse_columns(PROMPT_LEN)
     for step, head_data in decoded_maps.items():
-        A = head_data[(0, 2)][0].matrix
+        A = head_data[(0, 2)][0]
         for i in range(A.shape[0]):
             visible = [c for c in cols if c <= i]
             assert A[i, visible].sum() >= DOMINANCE, f"step {step} row {i}"
@@ -117,7 +114,7 @@ def test_diffuse_head_has_no_dominant_subset(model, decoded_maps):
     # No subset covering < 80% of the visible positions reaches dominance;
     # checked on the current query row at each step.
     for step, head_data in decoded_maps.items():
-        A = head_data[(0, 3)][0].matrix
+        A = head_data[(0, 3)][0]
         row = A[-1]
         visible = A.shape[0]
         best_subset = np.sort(row)[::-1][: max(1, int(0.8 * visible) - 1)]
@@ -128,8 +125,10 @@ def test_diffuse_single_column_bound():
     config = ModelConfig(num_layers=1, num_heads=1, head_dim=16, vocab_size=32, seed=3)
     model = SyntheticModel(config, uniform_plan(config, Archetype.DIFFUSE), 0.97)
     prompt = model.prompt_token_ids(10)
-    [(_, _, _, A, _)] = prompt_head_data(model, prompt)
-    A = A.matrix
+    [(_, K, _, stats, _)] = prompt_head_data(model, prompt)
+    Q = np.array([model.q_row(0, 0, pos, len(prompt)) for pos in range(len(prompt))])
+    A = explicit_map(Q, K)
+    assert np.array_equal(stats.last_row, A[-1])
     assert A[-1].max() <= 0.2
 
 

@@ -284,6 +284,15 @@ def test_context_rejects_codes_of_the_wrong_length(length):
         )
 
 
+def test_context_freezes_a_copy_of_the_callers_scores():
+    scores = np.zeros(3)
+    ctx = PolicyContext(np.zeros(3, dtype=np.int8), 3, 3, scores)
+    assert scores.flags.writeable and not ctx.cumulative_scores.flags.writeable
+    scores += 1.0
+    assert not np.shares_memory(scores, ctx.cumulative_scores)
+    assert ctx.cumulative_scores.tolist() == [0.0, 0.0, 0.0]
+
+
 def test_policy_invariants():
     with pytest.raises(PolicyError, match="at least one atom"):
         CompressionPolicy(frozenset())

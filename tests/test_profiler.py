@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adaptive_kv.attention import causal_attention
+from adaptive_kv.attention import PromptStats, causal_attention
 from adaptive_kv.engine import encode_prompt, prompt_head_data
 from adaptive_kv.policies import (
     CompressionPolicy,
@@ -25,6 +25,7 @@ from adaptive_kv.profiler import (
     recovery_ratio,
     select_policy,
 )
+from conftest import explicit_map, head_maps
 
 PROMPT_LEN = 40
 
@@ -32,18 +33,20 @@ PROMPT_LEN = 40
 @pytest.fixture(scope="module")
 def head_data(mixed_model):
     prompt = mixed_model.prompt_token_ids(PROMPT_LEN)
-    return {key: (A, ctx) for key, _, _, A, ctx in prompt_head_data(mixed_model, prompt)}
+    return {
+        key: (stats, ctx) for key, _, _, stats, ctx in prompt_head_data(mixed_model, prompt)
+    }
 
 
 @pytest.mark.parametrize("rows", list(RowAveraging))
 @pytest.mark.parametrize("T", [0.5, 0.9, 0.95, 0.99])
 def test_recovery_criterion_picks_first_policy_meeting_threshold(head_data, T, rows):
     cfg = ProfilerConfig(recovery_threshold=T, rows=rows)
-    for A, ctx in head_data.values():
+    for stats, ctx in head_data.values():
         sets = [retained_indices(p, ctx) for p in cfg.feasible]
-        recoveries = [recovery_ratio(A, idx, rows) for idx in sets]
+        recoveries = [recovery_ratio(stats, idx, rows) for idx in sets]
         first = next(i for i, r in enumerate(recoveries) if r >= T)
-        decision = select_policy(A, ctx, cfg)
+        decision = select_policy(stats, ctx, cfg)
         assert decision.policy == cfg.feasible[first]
         assert decision.recovery == recoveries[first]
         assert decision.cost_tokens == len(sets[first])
@@ -53,8 +56,8 @@ def test_profile_model_selects_every_head_and_checks_the_grid(head_data):
     cfg = ProfilerConfig()
     profile = profile_model(head_data, cfg, grid=sorted(head_data))
     assert len(profile) == len(head_data)
-    for key, (A, ctx) in head_data.items():
-        assert profile[key] == select_policy(A, ctx, cfg)
+    for key, (stats, ctx) in head_data.items():
+        assert profile[key] == select_policy(stats, ctx, cfg)
     with pytest.raises(ProfilerError, match="missing profiling data"):
         profile_model(head_data, cfg, grid=[(9, 9)])
 
@@ -70,12 +73,12 @@ def test_streamed_encode_profile_equals_profile_over_all_maps(
 
 
 def test_positions_outside_the_map_are_rejected(head_data):
-    A, _ = head_data[(0, 0)]
-    assert recovery_ratio(A, np.arange(0)) == 0.0
-    assert recovery_ratio(A, np.arange(A.size)) == pytest.approx(1.0)
-    for bad in ([-1], [0, A.size], [A.size + 5]):
+    stats, _ = head_data[(0, 0)]
+    assert recovery_ratio(stats, np.arange(0)) == 0.0
+    assert recovery_ratio(stats, np.arange(stats.size)) == pytest.approx(1.0)
+    for bad in ([-1], [0, stats.size], [stats.size + 5]):
         with pytest.raises(ProfilerError, match="outside"):
-            recovery_ratio(A, np.array(bad))
+            recovery_ratio(stats, np.array(bad))
 
 
 @pytest.mark.parametrize("rows", list(RowAveraging))
@@ -87,31 +90,55 @@ def test_threshold_one_keeps_the_full_cache_on_every_head(head_data, rows):
         assert decision.cost_tokens == PROMPT_LEN
 
 
-def reference_recovery(A, idx, rows):
-    """Column-gather recovery, kept as the bitwise reference."""
+def reference_recovery(M, idx, rows):
+    """Recovery from an explicit map, kept as the bitwise reference."""
     if not len(idx):
         return 0.0
-    per_row = A.matrix[:, idx].sum(axis=1)
-    return float(per_row[-1] if rows is RowAveraging.LAST_ROW else per_row.mean())
+    if rows is RowAveraging.LAST_ROW:
+        # ``M[:, idx]`` is in F order, so its row sums run left to right.
+        return float(M[:, idx].sum(axis=1)[-1])
+    colsum = np.zeros(M.shape[0])
+    for row in M:
+        colsum += row
+    return float(colsum[idx].sum() / M.shape[0])
 
 
 @pytest.mark.parametrize("rows", list(RowAveraging))
-def test_recovery_ratio_is_bitwise_the_column_gather_sum(head_data, rows):
+def test_recovery_ratio_is_bitwise_the_column_gather_sum(mixed_model, rows):
     rng = np.random.default_rng(17)
-    big = [
-        causal_attention(rng.normal(size=(n, 8)), rng.normal(size=(n, 8)), 8)
-        for n in (300, 1024)
-    ]
-    maps = [A for A, _ in head_data.values()] + big
-    for A in maps:
-        sizes = [0, 1, 2, 8, 9, A.size // 3, A.size - 1, A.size]
-        for k in sizes:
-            idx = rng.choice(A.size, size=k, replace=False)
+    prompt = mixed_model.prompt_token_ids(PROMPT_LEN)
+    cases = [M for M, _ in head_maps(mixed_model, prompt).values()]
+    cases = [(PromptStats(M.sum(axis=0), M[-1]), M) for M in cases]
+    # Dyadic entries make every product exact, so the blocked pass and
+    # the explicit map share their bits at any size.
+    for n in (300, 1024):
+        Q, K = (rng.integers(-8, 9, size=(n, 8)) / 4.0 for _ in range(2))
+        cases.append((causal_attention(Q, K, 8), explicit_map(Q, K)))
+    for stats, M in cases:
+        n = stats.size
+        for k in [0, 1, 2, 8, 9, n // 3, n - 1, n]:
+            idx = rng.choice(n, size=k, replace=False)
             # Sorted, in the caller's order, and with repeats.
-            for cols in (np.sort(idx), idx, rng.choice(A.size, size=k)):
+            for cols in (np.sort(idx), idx, rng.choice(n, size=k)):
                 assert np.array_equal(
-                    recovery_ratio(A, cols, rows), reference_recovery(A, cols, rows)
+                    recovery_ratio(stats, cols, rows), reference_recovery(M, cols, rows)
                 )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 300), st.integers(0, 2**32 - 1))
+def test_all_rows_recovery_is_the_mean_retained_mass_per_row(n, seed):
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 9))
+    Q, K = 2.0 * rng.normal(size=(n, d)), rng.normal(size=(n, d))
+    M = explicit_map(Q, K)
+    idx = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
+    retained = np.zeros(n, dtype=bool)
+    retained[idx] = True
+    # Row i's retained mass: its entries at retained keys j <= i.
+    per_row = np.where(retained & np.tri(n, dtype=bool), M, 0.0).sum(axis=1)
+    got = recovery_ratio(causal_attention(Q, K, d), idx)
+    assert abs(got - per_row.mean()) <= 1e-12
 
 
 RATIOS = st.floats(0.05, 1.0)
@@ -138,7 +165,7 @@ POLICIES = st.one_of(
 )
 def test_fixed_config_selects_what_evaluate_policy_gives(n, seed, policy, rows):
     rng = np.random.default_rng(seed)
-    A = causal_attention(3.0 * rng.normal(size=(n, 4)), rng.normal(size=(n, 4)), 4)
+    stats = causal_attention(3.0 * rng.normal(size=(n, 4)), rng.normal(size=(n, 4)), 4)
     ctx = PolicyContext(
         codes=rng.integers(0, 3, size=n).astype(np.int8),
         prompt_len=int(rng.integers(1, n + 1)),
@@ -146,8 +173,8 @@ def test_fixed_config_selects_what_evaluate_policy_gives(n, seed, policy, rows):
         cumulative_scores=rng.uniform(0.0, 5.0, size=n),
     )
     cfg = replace(ProfilerConfig.fixed(policy), rows=rows)
-    fixed = select_policy(A, ctx, cfg)
-    direct = evaluate_policy(A, ctx, policy, rows)
+    fixed = select_policy(stats, ctx, cfg)
+    direct = evaluate_policy(stats, ctx, policy, rows)
     assert fixed.policy == direct.policy == policy
     assert float(fixed.recovery).hex() == float(direct.recovery).hex()
     assert fixed.cost_tokens == direct.cost_tokens

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import gc
 import io
 import json
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -122,6 +124,34 @@ def test_steps_strictly_increasing_enforced():
     blocks = [TraceBlock(step=1, **rows), TraceBlock(step=1, **rows)]
     with pytest.raises(TraceDimensionError, match="strictly increasing"):
         AttentionTrace(config, tokens, {(0, 0): blocks})
+
+
+def test_read_rows_are_read_only_views_of_one_payload():
+    buf = io.BytesIO()
+    write_trace(build_trace(np.random.default_rng(6)), buf)
+    trace = read_trace(io.BytesIO(buf.getvalue()))
+    rows = [r for entries in trace.blocks.values() for b in entries for r in (b.k, b.v, b.q)]
+    assert len({id(row.base) for row in rows}) == 1
+    assert len(rows[0].base) == len(buf.getvalue())
+    assert not any(row.flags.writeable for row in rows)
+
+
+def test_trace_model_copies_rows_and_drops_the_trace(small_model):
+    prompt = small_model.prompt_token_ids(12)
+    trace = record_trace(small_model, prompt, len(prompt))
+    model = TraceModel(trace)
+    for (layer, head), entries in trace.blocks.items():
+        for b in entries:
+            k = model.k_row(layer, head, b.step, TokenClass.OTHER, len(prompt))
+            assert k.tobytes() == b.k.tobytes()
+            assert model.v_row(layer, head, b.step).tobytes() == b.v.tobytes()
+            assert model.q_row(layer, head, b.step, len(prompt)).tobytes() == b.q.tobytes()
+    assert model.prompt_token_ids(12) == prompt
+    # The model holds its rows in its own arrays, not the trace's blocks.
+    ref = weakref.ref(trace)
+    del trace, entries, b
+    gc.collect()
+    assert ref() is None
 
 
 def test_trace_model_requires_complete_grid():
