@@ -13,20 +13,20 @@ policy to the grown cache, and finally samples the next token. Evicted
 rows are dropped for good; re-application only ever selects among live
 positions.
 
-The unit of decode is a head group. Heads whose policy has no
-``frequent`` atom and is the same policy share one group: their retained
-set depends only on the token classes, ``prompt_len`` and
-``current_len``, so it is the same set for every head in the group. A
-``frequent`` head is a group of one, because its scores are its own.
-A group holds its heads' K and V rows in ``(G, capacity, d)`` buffers
-and one shared position buffer; rows ``[:, :n]`` are the live entries,
-at positions ``pos[:n]`` in ascending order. A step writes the G new
-rows at ``n``, attends all G queries over ``[:, :n+1]`` in one stacked
-product, and compacts the whole group in place by one keep-mask, moving
-only rows after the first evicted one. A ``full`` group only appends. A
-full buffer grows by a fixed ``_GROW_ROWS`` chunk, never by doubling.
-Per-position token classes and a frequent head's cumulative scores grow
-the same way.
+The unit of decode is a head group: every head with one policy. A group
+holds its heads' K and V rows in ``(G, capacity, d)`` buffers and their
+positions in a ``(G, capacity)`` one; head g's ``n[g]`` live rows are
+``[g, :n[g]]``, at ascending positions ``pos[g, :n[g]]``. Heads without a
+``frequent`` atom share one retained set; a frequent head ranks by its
+own scores, so counts can differ. A step writes the G new rows at ``n``,
+attends, folds the weights into the scores by one fancy index, re-applies
+the policy to every head in one call and compacts each head in place from
+its first evicted row. Equal counts attend in one stacked product, unequal
+ones per head: BLAS rounds a row differently with the product's length,
+so a zero-padded stacked product would change the bits. A ``full`` group
+only appends. A full buffer grows by a fixed ``_GROW_ROWS`` chunk, never
+by doubling. Per-position token classes and a frequent group's
+cumulative scores grow the same way.
 
 With diagnostics on, each step also measures every head's realised
 recovery: the mass its full-history attention row puts on the retained
@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attention import causal_attention, softmax_vector
+from .attention import _softmax_in_place, causal_attention, softmax_vector
 from .policies import (
     CompressionPolicy,
     PolicyAtom,
@@ -119,13 +119,22 @@ class _Sampler:
         return int(self._rng.choice(kept, p=weights))
 
 
-def _weights(K: np.ndarray, Q: np.ndarray, m: int) -> np.ndarray:
-    """Softmax of each query ``Q[g]`` against its key rows ``K[g, :m]``.
+def _weights(
+    K: np.ndarray, Q: np.ndarray, width: int, lengths: np.ndarray | None = None
+) -> np.ndarray:
+    """Softmax of each query ``Q[g]`` against its key rows ``K[g, :width]``.
 
-    One stacked product and a max-shifted softmax along each row; every
-    row has the bits of ``softmax_vector((K[g, :m] @ Q[g]) / sqrt(d))``.
+    With ``lengths``, row g covers ``K[g, :lengths[g]]`` and is zero after;
+    each head then takes its own product. Every row has the bits of
+    ``softmax_vector((K[g, :m] @ Q[g]) / sqrt(d))`` for its length m.
     """
-    w = np.matmul(K[:, :m], Q[:, :, None])[..., 0]
+    if lengths is not None:
+        w = np.zeros((lengths.size, width))
+        for g, m in enumerate(lengths.tolist()):
+            w[g, :m] = K[g, :m] @ Q[g]
+        w /= np.sqrt(float(Q.shape[1]))
+        return _softmax_in_place(w, lengths)
+    w = np.matmul(K[:, :width], Q[:, :, None])[..., 0]
     w /= np.sqrt(float(Q.shape[1]))
     w -= w.max(axis=1, keepdims=True)
     np.exp(w, out=w)
@@ -146,30 +155,29 @@ def _room(buf: np.ndarray, used: int, axis: int = 0) -> np.ndarray:
 
 
 def _stack(rows: list[np.ndarray]) -> np.ndarray:
-    """``np.stack(rows)``, dropping each list entry once it is copied."""
-    out = np.empty((len(rows), *rows[0].shape))
+    """``rows`` stacked, as long as the longest, dropping each once copied."""
+    out = np.empty(
+        (len(rows), max(len(row) for row in rows), *rows[0].shape[1:]),
+        dtype=rows[0].dtype,
+    )
     for g in range(len(rows)):
-        out[g] = rows[g]
+        out[g, : len(rows[g])] = rows[g]
         rows[g] = None
-    return out
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = arr.copy()
-    out.setflags(write=False)
     return out
 
 
 @dataclass
 class HeadGroup:
-    """Heads decoded together over one retained position set.
+    """The heads of one policy, decoded together.
 
-    ``K`` and ``V`` are ``(G, capacity, d)``; ``[:, :n]`` are live, at the
-    shared positions ``pos[:n]``. ``outputs`` holds each head's pending
-    attention output and ``recovery`` its last realised recovery, both in
-    ``keys`` order. ``scores`` is indexed by position; only a frequent
-    group (always of one head) has it. With diagnostics, a group that is
-    not ``full`` keeps every key row so far in ``shadow``, by position.
+    ``K`` and ``V`` are ``(G, capacity, d)`` and ``pos`` ``(G, capacity)``;
+    head g's live rows are ``[g, :n[g]]``, at positions ``pos[g, :n[g]]``.
+    Unequal counts attend head by head: BLAS rounds a row differently with
+    the product's length, so padding the stacked product would change bits.
+    ``outputs`` holds each head's pending attention output and ``recovery``
+    its last realised recovery, both in ``keys`` order. Only a frequent
+    group has ``scores``, ``(G, positions)``. With diagnostics, a group that
+    is not ``full`` keeps every key row so far in ``shadow``, by position.
     """
 
     keys: tuple[tuple[int, int], ...]
@@ -177,16 +185,15 @@ class HeadGroup:
     K: np.ndarray
     V: np.ndarray
     pos: np.ndarray
-    n: int
+    n: np.ndarray
     outputs: np.ndarray
     recovery: np.ndarray
     scores: np.ndarray | None = None
     shadow: np.ndarray | None = None
 
-    @property
-    def live(self) -> np.ndarray:
-        """Live positions, ascending: a view of ``pos[:n]``."""
-        return self.pos[: self.n]
+    def live(self, g: int) -> np.ndarray:
+        """Head g's live positions, ascending: a view of ``pos[g, :n[g]]``."""
+        return self.pos[g, : self.n[g]]
 
     def advance(
         self,
@@ -199,50 +206,70 @@ class HeadGroup:
     ):
         """Append position ``pos``, attend every head over it, re-apply the policy."""
         n = self.n
-        m = n + 1
-        self.K = K = _room(self.K, n, axis=1)
-        self.V = V = _room(self.V, n, axis=1)
-        self.pos = live = _room(self.pos, n)
-        Q = np.empty((len(self.keys), K.shape[2]))
+        counts = n.tolist()
+        width = max(counts) + 1
+        # Per-head lengths when the counts differ, else None.
+        ragged = None if min(counts) + 1 == width else n + 1
+        self.K = K = _room(self.K, width - 1, axis=1)
+        self.V = V = _room(self.V, width - 1, axis=1)
+        self.pos = live = _room(self.pos, width - 1, axis=1)
+        heads = np.arange(len(counts))
+        Q = np.empty((heads.size, K.shape[2]))
         for g, (layer, head) in enumerate(self.keys):
-            K[g, n] = model.k_row(layer, head, pos, klass, prompt_len)
-            V[g, n] = model.v_row(layer, head, pos)
+            K[g, counts[g]] = model.k_row(layer, head, pos, klass, prompt_len)
+            V[g, counts[g]] = model.v_row(layer, head, pos)
             Q[g] = model.q_row(layer, head, pos, prompt_len)
-        live[n] = pos
-        attended = live[:m]
-        w = _weights(K, Q, m)
-        self.outputs = np.matmul(w[:, None, :], V[:, :m])[:, 0]
+        live[heads, n] = pos
+        attended = live[:, :width]
+        if ragged is not None:
+            # Padding past a head's rows reads the new position: a valid
+            # index that aliases no live row in the score fold.
+            visible = np.arange(width) < ragged[:, None]
+            attended = np.where(visible, attended, pos)
+        w = _weights(K, Q, width, ragged)
+        if ragged is None:
+            self.outputs = np.matmul(w[:, None, :], V[:, :width])[:, 0]
+        else:
+            self.outputs = np.array([w[g, :m] @ V[g, :m] for g, m in enumerate(ragged)])
 
         if self.scores is not None:
-            self.scores = scores = _room(self.scores, pos)
-            scores[attended[:-1]] += w[0, :-1]
-            scores[pos] = 0.0
+            self.scores = scores = _room(self.scores, pos, axis=1)
+            # Where counts differ, the new row and the padding fold into
+            # ``pos``, whose score starts and ends the step at zero.
+            scores[:, pos] = 0.0
+            scores[heads[:, None], attended[:, :-1]] += w[:, :-1]
+            scores[:, pos] = 0.0
 
         if diagnostics:
             if self.shadow is None:
+                # A full group's heads hold every position, so counts are equal.
                 self.recovery = w.sum(axis=1)
             else:
                 self.shadow = shadow = _room(self.shadow, pos, axis=1)
-                shadow[:, pos] = K[:, n]
-                full = _weights(shadow, Q, pos + 1)
-                # ``take`` gives C order; ``full[:, attended]`` would be F
-                # order, and its row sums would not be pairwise.
-                self.recovery = np.take(full, attended, axis=1).sum(axis=1)
+                shadow[:, pos] = K[heads, n]
+                # C order, so each row sums pairwise, as ``row[:m].sum()``.
+                taken = _weights(shadow, Q, pos + 1)[heads[:, None], attended]
+                self.recovery = (
+                    taken.sum(axis=1) if ragged is None
+                    else np.add.reduce(taken, axis=1, where=visible, initial=0.0)
+                )
 
         if self.policy.is_full:
-            self.n = m
+            self.n = n + 1
             return
         keep = retained_mask(
-            self.policy, attended, codes, self.scores, prompt_len, pos + 1
+            self.policy, attended, codes, self.scores, prompt_len, pos + 1, ragged
         )
-        # Compact from the first evicted row on; rows before it stay put.
-        first = m if keep.all() else int(keep.argmin())
-        tail = keep[first:]
-        self.n = first + int(np.count_nonzero(tail))
-        if self.n > first:
-            K[:, first : self.n] = K[:, first:m][:, tail]
-            V[:, first : self.n] = V[:, first:m][:, tail]
-            live[first : self.n] = live[first:m][tail]
+        # A kept row moves to its rank among kept rows; rows before a head's
+        # first evicted row stay put.
+        rank = keep.cumsum(axis=1)
+        self.n = rank[:, -1]
+        rows, cols = (keep & (rank <= np.arange(width))).nonzero()
+        if rows.size:
+            dest = rank[rows, cols] - 1
+            K[rows, dest] = K[rows, cols]
+            V[rows, dest] = V[rows, cols]
+            live[rows, dest] = live[rows, cols]
 
 
 @dataclass
@@ -274,20 +301,37 @@ class CompressedCache:
     profile: HeadProfile
     diagnostics: bool = False
     last_record: StepRecord | None = None
-    # Each head with its group, in head_grid() order.
-    members: list[tuple[tuple[int, int], HeadGroup]] = field(init=False, repr=False)
+    # (key, group, row in the group) per head, in head_grid() order.
+    members: list[tuple] = field(init=False, repr=False)
     # Per head_grid() slot, its row in the groups' outputs stacked in order.
     _order: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        stacked = [(key, group) for group in self.groups for key in group.keys]
+        stacked = [
+            (key, group, g) for group in self.groups for g, key in enumerate(group.keys)
+        ]
         self._order = np.array(
             sorted(range(len(stacked)), key=lambda i: stacked[i][0]), dtype=np.intp
         )
         self.members = [stacked[i] for i in self._order]
 
+    def head_retained(self) -> dict[tuple[int, int], int]:
+        return {key: int(group.n[g]) for key, group, g in self.members}
+
     def total_retained(self) -> int:
-        return sum(group.n * len(group.keys) for group in self.groups)
+        return sum(int(group.n.sum()) for group in self.groups)
+
+    def retained_positions(self) -> dict[tuple[int, int], np.ndarray]:
+        """Read-only copies of each head's live positions; the heads of a
+        group without scores share their one retained set's copy."""
+        copies, out = {}, {}
+        for key, group, g in self.members:
+            row = (id(group), 0 if group.scores is None else g)
+            if row not in copies:
+                copies[row] = group.live(g).copy()
+                copies[row].setflags(write=False)
+            out[key] = copies[row]
+        return out
 
     def outputs(self) -> np.ndarray:
         """Every head's pending output, concatenated in head_grid() order."""
@@ -354,45 +398,45 @@ def encode_prompt(
     """
     n = len(prompt_tokens)
     decisions = {}
-    # Rows of each group's heads, by group: the policy, or a frequent head's key.
-    pending: dict[object, dict] = {}
+    # Rows of each group's heads, by policy.
+    pending: dict[CompressionPolicy, dict] = {}
     for key, K, V, stats, ctx in prompt_head_data(model, prompt_tokens):
         decisions[key] = decision = select_policy(stats, ctx, profiler_cfg)
         policy, idx = decision.policy, decision.retained
-        frequent = PolicyAtom.FREQUENT in policy.atoms
         rows = pending.setdefault(
-            key if frequent else policy,
+            policy,
             {
-                "policy": policy,
-                # A copy: compaction moves positions within ``pos``.
-                "pos": idx.copy(),
-                "scores": ctx.cumulative_scores.copy() if frequent else None,
-                "keys": [], "K": [], "V": [], "outputs": [], "recovery": [],
+                "keys": [], "K": [], "V": [], "pos": [], "outputs": [], "recovery": [],
+                "scores": [] if PolicyAtom.FREQUENT in policy.atoms else None,
                 "shadow": [] if diagnostics and not policy.is_full else None,
             },
         )
         rows["keys"].append(key)
         rows["K"].append(K[idx])
         rows["V"].append(V[idx])
+        rows["pos"].append(idx)
         rows["outputs"].append(stats.last_row @ V)
         rows["recovery"].append(float(stats.last_row[idx].sum()) if idx.size else 0.0)
+        if rows["scores"] is not None:
+            rows["scores"].append(ctx.cumulative_scores)
         if rows["shadow"] is not None:
             rows["shadow"].append(K)
         codes = ctx.codes  # one array, shared by every head's context
 
     groups = []
-    for rows in pending.values():
+    for policy, rows in pending.items():
         groups.append(
             HeadGroup(
                 keys=tuple(rows["keys"]),
-                policy=rows["policy"],
+                policy=policy,
                 K=_stack(rows["K"]),
                 V=_stack(rows["V"]),
-                pos=rows["pos"],
-                n=rows["pos"].size,
+                n=np.array([idx.size for idx in rows["pos"]]),
+                # Stacking copies: compaction moves positions within ``pos``.
+                pos=_stack(rows["pos"]),
                 outputs=np.array(rows["outputs"]),
                 recovery=np.array(rows["recovery"]),
-                scores=rows["scores"],
+                scores=_stack(rows["scores"]) if rows["scores"] else None,
                 shadow=_stack(rows["shadow"]) if rows["shadow"] else None,
             )
         )
@@ -410,13 +454,6 @@ def encode_prompt(
     return profile, cache
 
 
-def _check_cache(model, cache: CompressedCache):
-    if _grid(model) != cache.grid:
-        raise EngineError(
-            "cache/profile mismatch: head grid does not match the model"
-        )
-
-
 def generate_step(
     model,
     cache: CompressedCache,
@@ -432,7 +469,8 @@ def generate_step(
     step of a session passes ``last_token=None``: the prompt's final
     query already produced the pending outputs, so it only samples.
     """
-    _check_cache(model, cache)
+    if _grid(model) != cache.grid:
+        raise EngineError("cache/profile mismatch: head grid does not match the model")
     if sampler is None or not isinstance(sampler, _Sampler):
         sampler = _Sampler(sampler if sampler is not None else GreedyArgmax())
 
@@ -449,19 +487,15 @@ def generate_step(
 
     next_token = sampler(model.head_logits(cache.outputs()))
 
-    retained_positions = None
-    if cache.diagnostics:
-        frozen = {id(group): _frozen(group.live) for group in cache.groups}
-        retained_positions = {key: frozen[id(group)] for key, group in cache.members}
     cache.last_record = StepRecord(
         step=cache.seq_len - cache.prompt_len + 1,
         token_id=next_token,
-        head_retained={key: group.n for key, group in cache.members},
+        head_retained=cache.head_retained(),
         total_cache_tokens=cache.total_retained(),
         mean_recovery=(
             float(np.mean(cache.recoveries())) if cache.diagnostics else None
         ),
-        retained_positions=retained_positions,
+        retained_positions=cache.retained_positions() if cache.diagnostics else None,
     )
     return next_token, cache
 
@@ -546,8 +580,8 @@ def reference_generate(
         policy=full_policy(),
         K=K_all,
         V=V_all,
-        pos=np.arange(shape[1]),
-        n=n,
+        pos=np.tile(np.arange(shape[1]), (len(keys), 1)),
+        n=np.full(len(keys), n),
         outputs=outputs,
         recovery=np.ones(len(keys)),
     )

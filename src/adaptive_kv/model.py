@@ -464,12 +464,6 @@ class SyntheticModel:
         return self._head_weights @ concat_outputs
 
 
-def uniform_plan(
-    config: ModelConfig, archetype: Archetype
-) -> dict[tuple[int, int], HeadPlan]:
-    return {key: HeadPlan(archetype) for key in config.head_grid()}
-
-
 def cycling_plan(
     config: ModelConfig, archetypes: list[Archetype]
 ) -> dict[tuple[int, int], HeadPlan]:

@@ -68,11 +68,6 @@ class CompressionPolicy:
     def is_full(self) -> bool:
         return PolicyAtom.FULL in self.atoms
 
-    def union(self, other: "CompressionPolicy") -> "CompressionPolicy":
-        if self.is_full or other.is_full:
-            return full_policy()
-        return CompressionPolicy(self.atoms | other.atoms, self.r_l, self.r_f)
-
     def __str__(self) -> str:
         return format_policy(self)
 
@@ -178,38 +173,55 @@ def retained_mask(
     scores: np.ndarray | None,
     prompt_len: int,
     current_len: int,
+    lengths: np.ndarray | None = None,
 ) -> np.ndarray:
     """Boolean keep-mask over ``live``, the ascending candidate positions.
 
     ``codes`` (``CLASS_CODE`` per token) and ``scores`` (cumulative
     attention, needed only by the frequent atom) are indexed by position.
+    ``live`` may also be a ``(G, M)`` array of G heads' candidates, with
+    ``scores`` one row per head: row g's first ``lengths[g]`` entries are
+    its candidates, and the padding after them is never kept. Padding is
+    still read and checked as positions, so it must lie below
+    ``current_len``. Row g's mask is that of the one-row call on
+    ``live[g, :lengths[g]]``; without ``lengths`` every entry is a
+    candidate.
     """
-    if live.size and live[-1] >= current_len:
-        raise PolicyError(f"candidate position {live[-1]} >= current_len {current_len}")
+    rows = live if live.ndim == 2 else live[None]
+    width = rows.shape[1]
+    last = rows.max() if rows.size else -1
+    if last >= current_len:
+        raise PolicyError(f"candidate position {last} >= current_len {current_len}")
+    visible = None if lengths is None else np.arange(width) < lengths[:, None]
     atoms = policy.atoms
-    if PolicyAtom.FULL in atoms:
-        return np.ones(live.size, dtype=bool)
-    keep = np.zeros(live.size, dtype=bool)
+    keep = (np.ones if PolicyAtom.FULL in atoms else np.zeros)(rows.shape, dtype=bool)
     if PolicyAtom.SPECIAL in atoms or PolicyAtom.PUNCTUATION in atoms:
-        live_codes = codes[live]
+        live_codes = codes[rows]
         if PolicyAtom.SPECIAL in atoms:
             keep |= live_codes == CLASS_CODE[TokenClass.SPECIAL]
         if PolicyAtom.PUNCTUATION in atoms:
             keep |= live_codes == CLASS_CODE[TokenClass.PUNCTUATION]
     if PolicyAtom.LOCAL in atoms:
-        keep |= live >= current_len - _budget(policy.r_l, prompt_len)
-    if PolicyAtom.FREQUENT in atoms and live.size:
-        live_scores = scores[live]
-        # min/max are NaN when any score is, and NaN fails both comparisons.
-        if not (live_scores.min() >= 0.0 and live_scores.max() < np.inf):
+        keep |= rows >= current_len - _budget(policy.r_l, prompt_len)
+    if PolicyAtom.FREQUENT in atoms and width:
+        heads = np.arange(rows.shape[0])[:, None]
+        key = -np.atleast_2d(scores)[heads, rows]
+        if visible is not None:
+            # Keyed 0, padding sorts after every candidate: candidates key
+            # at most 0, and ties go to the lower column.
+            key[~visible] = 0.0
+        # max/min are NaN when any key is, and NaN fails both comparisons.
+        if not (key.max() <= 0.0 and key.min() > -np.inf):
             raise PolicyError("cumulative_scores must be finite and >= 0")
         budget = _budget(policy.r_f, current_len)
-        if budget >= live.size:
+        if budget >= width:
             keep[:] = True
         else:
             # Stable sort on descending score keeps ties in ascending order.
-            keep[np.argsort(-live_scores, kind="stable")[:budget]] = True
-    return keep
+            keep[heads, np.argsort(key, axis=1, kind="stable")[:, :budget]] = True
+    if visible is not None:
+        keep &= visible
+    return keep if live.ndim == 2 else keep[0]
 
 
 def retained_indices(policy: CompressionPolicy, ctx: PolicyContext) -> np.ndarray:

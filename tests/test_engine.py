@@ -9,8 +9,10 @@ import pytest
 
 from adaptive_kv.attention import softmax_vector
 from adaptive_kv.engine import (
+    CompressedCache,
     EngineError,
     GenerationConfig,
+    HeadGroup,
     Nucleus,
     encode_prompt,
     generate,
@@ -119,17 +121,25 @@ MIXED_GROUP_POLICIES = {
 
 
 def check_group_layout(cache, grid):
-    """Every head sits in one group; groups follow the grouping rule."""
+    """Every head sits in one group, one group per distinct policy, and
+    each head has its own live count."""
     slots = head_slots(cache)
     assert sorted(slots) == grid and len(slots) == len(grid)
     policies = [group.policy for group in cache.groups]
     for group in cache.groups:
+        heads = len(group.keys)
+        assert policies.count(group.policy) == 1
+        assert group.n.shape == (heads,)
+        assert group.pos.shape == group.K.shape[:2]
         if PolicyAtom.FREQUENT in group.policy.atoms:
-            assert len(group.keys) == 1 and group.scores is not None
+            assert group.scores is not None and group.scores.shape[0] == heads
         else:
-            assert policies.count(group.policy) == 1 and group.scores is None
-        assert group.K.shape[0] == group.V.shape[0] == len(group.keys)
-        assert group.outputs.shape == (len(group.keys), group.K.shape[2])
+            # Without scores, every head keeps the same retained set.
+            assert group.scores is None
+            for g in range(heads):
+                assert np.array_equal(group.live(g), group.live(0))
+        assert group.K.shape[0] == group.V.shape[0] == heads
+        assert group.outputs.shape == (heads, group.K.shape[2])
 
 
 # The extra policy evicts a row followed by exactly one kept row, so
@@ -158,9 +168,9 @@ def test_cache_matches_list_reference_every_step(request, policy):
     contexts = {key: ctx for key, _, _, _, ctx in prompt_head_data(model, prompt)}
     rows = Rows(model, prompt_len)
     ref_scores = {key: ctx.cumulative_scores for key, ctx in contexts.items()}
-    for key, (group, _) in head_slots(cache).items():
+    for key, (group, g) in head_slots(cache).items():
         assert group.policy == profile[key].policy
-        assert group.live.tolist() == reference_retained(group.policy, contexts[key])
+        assert group.live(g).tolist() == reference_retained(group.policy, contexts[key])
 
     # Each position's class, from the tokens the session has seen.
     classes = [a.klass for a in classify_tokens(prompt, model.vocab)]
@@ -168,7 +178,7 @@ def test_cache_matches_list_reference_every_step(request, policy):
     token = None
     for _ in range(STEPS):
         slots = head_slots(cache)
-        previous = {key: group.live.tolist() for key, (group, _) in slots.items()}
+        previous = {key: group.live(g).tolist() for key, (group, g) in slots.items()}
         capacity = {key: group.K.shape[1] for key, (group, _) in slots.items()}
         if token is not None:
             classes.append(model.vocab.classify_id(token))
@@ -194,14 +204,14 @@ def test_cache_matches_list_reference_every_step(request, policy):
             )
             ctx = PolicyContext(codes, prompt_len, pos + 1, ref_scores[key])
 
-            live = group.live.tolist()
+            live = group.live(g).tolist()
             assert live == reference_retained(policy, ctx, attended)
             live_rows = [rows(layer, head, p, classes[p]) for p in live]
-            n = group.n
+            n = group.n[g]
             assert np.array_equal(group.K[g, :n], np.array([r[0] for r in live_rows]))
             assert np.array_equal(group.V[g, :n], np.array([r[1] for r in live_rows]))
             if PolicyAtom.FREQUENT in policy.atoms:
-                assert np.array_equal(group.scores[: pos + 1], ref_scores[key])
+                assert np.array_equal(group.scores[g, : pos + 1], ref_scores[key])
             history = np.vstack(
                 [rows(layer, head, p, classes[p])[0] for p in range(pos + 1)]
             )
@@ -209,6 +219,60 @@ def test_cache_matches_list_reference_every_step(request, policy):
             recoveries.append(float(full_weights[attended].sum()))
         assert cache.last_record.mean_recovery == float(np.mean(recoveries))
     assert growths >= 1
+
+
+def one_head_groups(group):
+    """A copy of ``group`` as one group per head."""
+    rows = ("K", "V", "pos", "n", "outputs", "recovery", "scores", "shadow")
+    return [
+        HeadGroup(
+            keys=(key,),
+            policy=group.policy,
+            **{name: getattr(group, name)[g : g + 1].copy() for name in rows},
+        )
+        for g, key in enumerate(group.keys)
+    ]
+
+
+def test_unequal_counts_decode_as_one_head_groups(mixed_model):
+    """A group whose heads hold different counts has the bits of one group
+    per head, each attending over only its own rows."""
+    # Each head's top-budget positions overlap the specials differently.
+    policy = CompressionPolicy(
+        frozenset({PolicyAtom.SPECIAL, PolicyAtom.FREQUENT}), r_f=0.1
+    )
+    prompt = mixed_model.prompt_token_ids(GOLDEN_PROMPT)
+    _, cache = encode_prompt(mixed_model, prompt, ProfilerConfig.fixed(policy))
+    [group] = cache.groups
+    split = CompressedCache(
+        prompt_len=cache.prompt_len,
+        seq_len=cache.seq_len,
+        codes=cache.codes.copy(),
+        groups=one_head_groups(group),
+        grid=cache.grid,
+        profile=cache.profile,
+        diagnostics=True,
+    )
+    unequal = 0
+    token = split_token = None
+    for _ in range(STEPS):
+        unequal += len(set(group.n.tolist())) > 1
+        token, cache = generate_step(mixed_model, cache, token)
+        split_token, split = generate_step(mixed_model, split, split_token)
+        assert token == split_token
+        assert np.array_equal(cache.outputs(), split.outputs())
+        assert np.array_equal(cache.recoveries(), split.recoveries())
+        assert cache.head_retained() == split.head_retained()
+        singles = head_slots(split)
+        for key, (_, g) in head_slots(cache).items():
+            single, _ = singles[key]
+            n = group.n[g]
+            assert np.array_equal(group.K[g, :n], single.K[0, :n])
+            assert np.array_equal(group.V[g, :n], single.V[0, :n])
+            assert np.array_equal(group.live(g), single.live(0))
+            seen = cache.seq_len
+            assert np.array_equal(group.scores[g, :seen], single.scores[0, :seen])
+    assert unequal >= STEPS // 2
 
 
 @pytest.mark.parametrize("sampling", [None, Nucleus(seed=5)], ids=["greedy", "nucleus"])
@@ -236,7 +300,9 @@ def test_reference_cache_holds_every_model_row_across_buffer_growth(small_model)
     rows = Rows(model, PROMPT_LEN)
     [group] = cache.groups
     assert group.policy.is_full and group.keys == tuple(model.config.head_grid())
-    assert group.n == seq_len and group.live.tolist() == list(range(seq_len))
+    assert group.n.tolist() == [seq_len] * len(group.keys)
+    for g in range(len(group.keys)):
+        assert group.live(g).tolist() == list(range(seq_len))
     # The last sampled token never joins the cache.
     seen = classify_tokens(prompt + ref.tokens[:-1], model.vocab)
     assert np.array_equal(cache.codes[:seq_len], make_codes([a.klass for a in seen]))

@@ -13,7 +13,6 @@ from adaptive_kv.model import (
     SyntheticModel,
     punctuation_positions,
     sparse_columns,
-    uniform_plan,
 )
 from adaptive_kv.profiler import recovery_ratio
 from adaptive_kv.tokens import CLASS_CODE, TokenClass, classify_tokens
@@ -28,6 +27,12 @@ PLAN = {
 }
 DOMINANCE = 0.97
 PROMPT_LEN = 48
+
+
+def uniform_plan(
+    config: ModelConfig, archetype: Archetype
+) -> dict[tuple[int, int], HeadPlan]:
+    return {key: HeadPlan(archetype) for key in config.head_grid()}
 
 
 @pytest.fixture(scope="module")

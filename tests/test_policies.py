@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adaptive_kv.policies import (
     CompressionPolicy,
     PolicyAtom,
     PolicyContext,
     PolicyError,
+    _budget,
     feasible_set,
     format_policy,
     full_policy,
@@ -38,6 +41,13 @@ S, P, O = TokenClass.SPECIAL, TokenClass.PUNCTUATION, TokenClass.OTHER
 
 def atom_policy(atom, **kw):
     return CompressionPolicy(frozenset({atom}), **kw)
+
+
+def union_policy(a: CompressionPolicy, b: CompressionPolicy) -> CompressionPolicy:
+    """The hybrid of both policies' atoms; ``full`` absorbs any other."""
+    if a.is_full or b.is_full:
+        return full_policy()
+    return CompressionPolicy(a.atoms | b.atoms, a.r_l, a.r_f)
 
 
 def test_local_keeps_last_ceil_budget():
@@ -105,9 +115,9 @@ def test_union_commutative_idempotent_at_retained_level():
     b = CompressionPolicy(frozenset({PolicyAtom.FREQUENT}))
     for _ in range(50):
         ctx = random_context(rng)
-        ab = retained_indices(a.union(b), ctx)
-        ba = retained_indices(b.union(a), ctx)
-        aa = retained_indices(a.union(a), ctx)
+        ab = retained_indices(union_policy(a, b), ctx)
+        ba = retained_indices(union_policy(b, a), ctx)
+        aa = retained_indices(union_policy(a, a), ctx)
         assert np.array_equal(ab, ba)
         assert np.array_equal(aa, retained_indices(a, ctx))
         union = set(retained_indices(a, ctx)) | set(retained_indices(b, ctx))
@@ -138,6 +148,65 @@ def test_retained_mask_rejects_bad_candidates_and_live_scores():
         scores = np.array([1.0, 0.0, bad, 2.0])
         with pytest.raises(PolicyError, match="finite and >= 0"):
             retained_mask(policy, live, codes, scores, 4, 4)
+    # Per-head rows: row 0 has two candidates, then padding at position 2.
+    rows = np.array([[0, 3, 2], [1, 2, 3]])
+    with pytest.raises(PolicyError, match="candidate position 3 >= current_len 3"):
+        retained_mask(policy, rows, codes, np.zeros((2, 4)), 3, 3, np.array([2, 3]))
+    for bad in (-1.0, np.nan, np.inf):
+        scores = np.array([[1.0, 0.0, bad, 2.0], [0.0, 1.0, 1.0, 1.0]])
+        # Padding is not checked; candidates are.
+        keep = retained_mask(policy, rows, codes, scores, 4, 4, np.array([2, 3]))
+        assert keep[0, :2].any() and not keep[0, 2]
+        with pytest.raises(PolicyError, match="finite and >= 0"):
+            retained_mask(policy, rows, codes, scores, 4, 4, np.array([3, 3]))
+
+
+MASK_POLICIES = [
+    atom_policy(PolicyAtom.FREQUENT, r_f=0.2),
+    atom_policy(PolicyAtom.FREQUENT, r_f=0.6),
+    CompressionPolicy(frozenset({PolicyAtom.SPECIAL, PolicyAtom.FREQUENT}), r_f=0.3),
+    feasible_set(r_l=0.25, r_f=0.25)[3],
+    CompressionPolicy(frozenset({PolicyAtom.PUNCTUATION, PolicyAtom.LOCAL}), r_l=0.4),
+    full_policy(),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 30),
+    st.integers(1, 5),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(MASK_POLICIES),
+)
+def test_each_row_of_a_padded_mask_is_its_one_row_mask(
+    current_len, heads, seed, policy
+):
+    rng = np.random.default_rng(seed)
+    prompt_len = int(rng.integers(1, current_len + 1))
+    codes = rng.integers(0, 3, size=current_len).astype(np.int8)
+    # Four score values, so ties are common.
+    scores = rng.integers(0, 4, size=(heads, current_len)).astype(float)
+    budget = _budget(policy.r_f, current_len)
+    rows = [
+        np.flatnonzero(rng.random(current_len) < rng.random()) for _ in range(heads)
+    ]
+    # Row 0 holds no more candidates than the frequent budget.
+    rows[0] = rows[0][:budget]
+    lengths = np.array([row.size for row in rows])
+    # Padding is any position at all.
+    live = rng.integers(0, current_len, size=(heads, int(lengths.max())))
+    for g, row in enumerate(rows):
+        live[g, : row.size] = row
+    keep = retained_mask(policy, live, codes, scores, prompt_len, current_len, lengths)
+    assert keep.shape == live.shape
+    for g, row in enumerate(rows):
+        one = retained_mask(policy, row, codes, scores[g], prompt_len, current_len)
+        assert keep[g, : row.size].tolist() == one.tolist()
+        assert not keep[g, row.size :].any()
+        if policy.atoms == {PolicyAtom.FREQUENT}:
+            # Highest scores first, the lower position first among ties.
+            ranked = sorted(row.tolist(), key=lambda p: (-scores[g, p], p))
+            assert row[one].tolist() == sorted(ranked[:budget])
 
 
 def test_memory_cost_examples():
@@ -164,7 +233,7 @@ def test_hybrid_cost_at_least_each_atom():
     b = atom_policy(PolicyAtom.LOCAL)
     for _ in range(50):
         ctx = random_context(rng)
-        cost_union = len(retained_indices(a.union(b), ctx))
+        cost_union = len(retained_indices(union_policy(a, b), ctx))
         costs = [len(retained_indices(p, ctx)) for p in (a, b)]
         assert cost_union >= max(costs)
 
