@@ -34,8 +34,8 @@ positions. A ``full`` head's compressed attend already is its
 full-history attend, so its recovery is the sum of its own weights and
 it keeps no extra keys. Other groups keep every key row so far in a
 stacked shadow buffer and run the full-history softmax batched the same
-way. ``reference_generate`` decodes all its heads as one ``full`` group,
-through the same attend.
+way. ``reference_generate`` differs from ``generate`` only in its cache
+build: one unprofiled ``full`` group, decoded through the same steps.
 """
 
 from __future__ import annotations
@@ -201,7 +201,7 @@ class HeadGroup:
         pos: int,
         klass: TokenClass,
         prompt_len: int,
-        codes: np.ndarray | None,
+        codes: np.ndarray,
         diagnostics: bool,
     ):
         """Append position ``pos``, attend every head over it, re-apply the policy."""
@@ -458,7 +458,7 @@ def generate_step(
     model,
     cache: CompressedCache,
     last_token: int | None = None,
-    sampler: _Sampler | GreedyArgmax | Nucleus | None = None,
+    sampler: _Sampler | None = None,
 ) -> tuple[int, CompressedCache]:
     """Advance one decoding step and sample the next token.
 
@@ -468,11 +468,14 @@ def generate_step(
     policy is re-applied to the grown context before sampling. The first
     step of a session passes ``last_token=None``: the prompt's final
     query already produced the pending outputs, so it only samples.
+    A session passes one ``sampler`` to every step; ``None`` is greedy.
     """
     if _grid(model) != cache.grid:
         raise EngineError("cache/profile mismatch: head grid does not match the model")
-    if sampler is None or not isinstance(sampler, _Sampler):
-        sampler = _Sampler(sampler if sampler is not None else GreedyArgmax())
+    if sampler is None:
+        sampler = _Sampler(GreedyArgmax())
+    elif not isinstance(sampler, _Sampler):
+        raise EngineError(f"sampler must be a _Sampler or None, got {sampler!r}")
 
     if last_token is not None:
         pos = cache.seq_len
@@ -516,10 +519,8 @@ def generate(
     diagnostics: bool = True,
 ) -> GenerationResult:
     """Encode the prompt once, then run max_new_tokens decoding steps."""
-    profile, cache = encode_prompt(
-        model, prompt_tokens, profiler_cfg, diagnostics=diagnostics
-    )
-    return _run_decode(model, cache, profile, gen_cfg)
+    _, cache = encode_prompt(model, prompt_tokens, profiler_cfg, diagnostics=diagnostics)
+    return _run_decode(model, cache, gen_cfg)
 
 
 def generate_fixed_baseline(
@@ -540,18 +541,17 @@ def generate_fixed_baseline(
 
 
 def _run_decode(
-    model, cache: CompressedCache, profile: HeadProfile, gen_cfg: GenerationConfig
+    model, cache: CompressedCache, gen_cfg: GenerationConfig
 ) -> GenerationResult:
     sampler = _Sampler(gen_cfg.sampling)
     tokens: list[int] = []
     records: list[StepRecord] = []
-    last: int | None = None
+    token = None
     for _ in range(gen_cfg.max_new_tokens):
-        token, cache = generate_step(model, cache, last, sampler)
+        token, cache = generate_step(model, cache, token, sampler)
         tokens.append(token)
         records.append(cache.last_record)
-        last = token
-    return GenerationResult(tokens, profile, records, cache)
+    return GenerationResult(tokens, cache.profile, records, cache)
 
 
 def reference_generate(
@@ -559,9 +559,8 @@ def reference_generate(
 ) -> GenerationResult:
     """Uncompressed baseline engine: every position stays cached forever.
 
-    All heads decode as one ``full`` group, which only appends, so no
-    policy or eviction machinery runs and compressed runs can be checked
-    against it.
+    It differs from ``generate`` only in its cache build: one unprofiled
+    ``full`` group sized for the whole run, decoded through the same steps.
     """
     n = len(prompt_tokens)
     keys = tuple(model.config.head_grid())
@@ -593,33 +592,7 @@ def reference_generate(
         grid=_grid(model),
         profile=HeadProfile({}),
     )
-
-    sampler = _Sampler(gen_cfg.sampling)
-    tokens: list[int] = []
-    records: list[StepRecord] = []
-    vocab = model.vocab
-    last: int | None = None
-    for step in range(1, gen_cfg.max_new_tokens + 1):
-        if last is not None:
-            pos = cache.seq_len
-            klass = vocab.classify_id(last)
-            cache.codes = _room(cache.codes, pos)
-            cache.codes[pos] = CLASS_CODE[klass]
-            group.advance(model, pos, klass, n, None, diagnostics=False)
-            cache.seq_len += 1
-        token = sampler(model.head_logits(cache.outputs()))
-        tokens.append(token)
-        records.append(
-            StepRecord(
-                step=step,
-                token_id=token,
-                head_retained={k: cache.seq_len for k in keys},
-                total_cache_tokens=cache.seq_len * len(keys),
-                mean_recovery=1.0,
-            )
-        )
-        last = token
-    return GenerationResult(tokens, HeadProfile({}), records, cache)
+    return _run_decode(model, cache, gen_cfg)
 
 
 def records_to_ndjson(records: list[StepRecord], num_layers: int, num_heads: int) -> str:

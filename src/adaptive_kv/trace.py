@@ -290,6 +290,8 @@ class TraceModel:
         return pos
 
     def prompt_token_ids(self, prompt_len: int) -> list[int]:
+        if prompt_len < 1:
+            raise ModelError("prompt_len must be >= 1")
         if prompt_len > self.max_context:
             raise ModelError(
                 f"prompt_len {prompt_len} exceeds trace length {self.max_context}"

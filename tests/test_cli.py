@@ -131,6 +131,17 @@ def test_negative_model_seed_is_one_error_line(tmp_path, capsys):
     )
 
 
+def test_nonpositive_trace_prompt_len_is_one_error_line(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["synth", "--plan", PLAN, "--out", "synth"]) == 0
+    capsys.readouterr()
+    expect_one_error_line(
+        ["profile", "--trace", "synth/trace.akvt", "--prompt-len", "-5", "--out", "out"],
+        capsys,
+        "prompt_len must be >= 1",
+    )
+
+
 @pytest.mark.parametrize("key", ["dominance", "local_window_frac"])
 def test_bad_plan_number_is_one_error_line(tmp_path, capsys, key):
     plan = tmp_path / "plan.ini"

@@ -14,6 +14,7 @@ from adaptive_kv.engine import (
     GenerationConfig,
     HeadGroup,
     Nucleus,
+    _Sampler,
     encode_prompt,
     generate,
     generate_fixed_baseline,
@@ -279,12 +280,25 @@ def test_unequal_counts_decode_as_one_head_groups(mixed_model):
 def test_full_policy_matches_reference(mixed_model, sampling):
     prompt = mixed_model.prompt_token_ids(40)
     cfg = GenerationConfig(24) if sampling is None else GenerationConfig(24, sampling)
-    full = generate_fixed_baseline(mixed_model, prompt, full_policy(), cfg)
+    full = generate_fixed_baseline(
+        mixed_model, prompt, full_policy(), cfg, diagnostics=False
+    )
     ref = reference_generate(mixed_model, prompt, cfg)
     assert full.tokens == ref.tokens
-    assert [r.total_cache_tokens for r in full.records] == [
-        r.total_cache_tokens for r in ref.records
-    ]
+
+    def fields(rec):
+        # head_retained as items, so its key order counts too.
+        return (
+            rec.step,
+            rec.token_id,
+            list(rec.head_retained.items()),
+            rec.total_cache_tokens,
+            rec.mean_recovery,
+            rec.retained_positions,
+        )
+
+    assert [fields(r) for r in full.records] == [fields(r) for r in ref.records]
+    assert all(r.mean_recovery is None for r in ref.records)
 
 
 def test_reference_cache_holds_every_model_row_across_buffer_growth(small_model):
@@ -336,6 +350,24 @@ def test_diagnostics_do_not_change_decoding(mixed_model, sampling):
             assert not live.flags.writeable
             assert live.size == rec.head_retained[key]
             assert np.all(np.diff(live) > 0)
+
+
+def test_stepping_with_one_sampler_reproduces_generate():
+    # A sampler carries its RNG across steps; a bare Nucleus would restart
+    # it on every call, so generate_step rejects one.
+    config = ModelConfig(num_layers=2, num_heads=4, head_dim=16, vocab_size=64, seed=5)
+    model = SyntheticModel(config, cycling_plan(config, list(Archetype)), 0.97)
+    prompt = model.prompt_token_ids(40)
+    nucleus = Nucleus(seed=5)
+    run = generate(model, prompt, ProfilerConfig(), GenerationConfig(12, nucleus))
+    _, cache = encode_prompt(model, prompt, ProfilerConfig())
+    sampler, token, tokens = _Sampler(nucleus), None, []
+    for _ in range(12):
+        token, cache = generate_step(model, cache, token, sampler)
+        tokens.append(token)
+    assert tokens == run.tokens
+    with pytest.raises(EngineError, match="sampler must be a _Sampler or None"):
+        generate_step(model, cache, token, nucleus)
 
 
 def test_direct_generate_step_records_are_numbered_from_one(small_model):
