@@ -70,25 +70,27 @@ class PromptStats:
         return self.colsum.size
 
 
+def _normalise_rows(x: np.ndarray, visible: np.ndarray) -> None:
+    """Softmax each row of ``x`` in place; entries off ``visible`` are ``-inf``."""
+    x -= x.max(axis=1, keepdims=True)
+    np.exp(x, out=x)
+    # The masked reduce sums each row's visible prefix in the pairwise loop
+    # ``row[:length].sum()`` runs; summing the zeros too would regroup terms.
+    x /= np.add.reduce(x, axis=1, where=visible, initial=0.0)[:, None]
+
+
 def _softmax_in_place(x: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Softmax row i of ``x`` in place over its first ``lengths[i]`` columns.
 
-    Rows go in ``BLOCK_ROWS``-row blocks cut to their longest row; masked
-    entries become ``-inf``, so they and all later columns end exactly zero.
+    One pass cut to the longest row: masked entries become ``-inf``, so
+    they and all later columns end exactly zero.
     """
-    for start in range(0, x.shape[0], BLOCK_ROWS):
-        block = lengths[start : start + BLOCK_ROWS]
-        rows, width = slice(start, start + block.size), block.max()
-        visible = np.arange(width) < block[:, None]
-        xb = x[rows, :width]
-        np.copyto(xb, -np.inf, where=~visible)
-        xb -= xb.max(axis=1, keepdims=True)
-        np.exp(xb, out=xb)
-        # The masked reduce hands each row's visible prefix to the pairwise
-        # loop ``row[:length].sum()`` runs; summing the zero padding too
-        # would regroup the terms and change the last bits.
-        xb /= np.add.reduce(xb, axis=1, where=visible, initial=0.0)[:, None]
-        x[rows, width:] = 0.0
+    width = lengths.max()
+    visible = np.arange(width) < lengths[:, None]
+    xb = x[:, :width]
+    np.copyto(xb, -np.inf, where=~visible)
+    _normalise_rows(xb, visible)
+    x[:, width:] = 0.0
     return x
 
 
@@ -97,9 +99,9 @@ def softmax_rows(m, causal_lengths: Sequence[int] | None = None) -> np.ndarray:
 
     When ``causal_lengths`` is given, row i is normalized over its first
     ``causal_lengths[i]`` columns and the rest are set to exactly zero.
-    The input is copied and normalised in place by the routine
-    ``causal_attention`` uses, so each row's bits are those of a per-row
-    softmax over its own prefix.
+    The input is copied and normalised in place by the routine the
+    engine's ragged attends use, so each row's bits are those of a
+    per-row softmax over its own prefix.
     """
     logits = as_matrix(m, "softmax input").copy()
     n_rows, n_cols = logits.shape
@@ -131,11 +133,13 @@ def causal_attention(Q, K, d_k: int) -> PromptStats:
     """Column sums and last row of the causal map softmax(Q K^T / sqrt(d_k)).
 
     The map itself is never built. Query rows go in ``BLOCK_ROWS``-row
-    blocks: each block's ``Q[s:e] @ K[:e].T`` product is written below a
-    carry row holding the column sums so far, scaled and softmaxed in
-    place, and summed down its columns into the carry. So each column is
-    summed row after row, with the bits of a column sum over the whole
-    map, and peak memory is one ``(BLOCK_ROWS + 1) x P`` buffer. A caller
+    blocks, each the C-contiguous ``(r + 1) x e`` prefix of one flat
+    buffer: the column sums so far in row 0, then the block's
+    ``Q[s:e] @ K[:e].T``, scaled and softmaxed in place with only its
+    r x r diagonal tile masked. Summing each block down its columns sums
+    each column row after row, with the bits of a column sum over the
+    whole map. Peak memory is one ``(BLOCK_ROWS + 1) x P`` float64 buffer
+    and one ``BLOCK_ROWS x P`` bool mask, both allocated once. A caller
     wanting the last query's output takes ``last_row @ V``. The bits of
     the products can depend on the BLAS thread count at larger sizes;
     ``perfbench/run.py`` pins one thread, the library and the CLI do not.
@@ -152,14 +156,23 @@ def causal_attention(Q, K, d_k: int) -> PromptStats:
     if q.shape[0] != n:
         raise AttentionError(f"Q has {q.shape[0]} rows, expected {n} to match K")
     scale = np.sqrt(float(d_k))
-    buf = np.zeros((min(BLOCK_ROWS, n) + 1, n))
+    rows = min(BLOCK_ROWS, n)
+    flat = np.empty((rows + 1) * n)
+    visible = np.ones(rows * n, dtype=bool)
+    above = np.triu(np.ones((rows, rows), dtype=bool), 1)
+    carry = np.zeros(n)
     for start in range(0, n, BLOCK_ROWS):
         stop = min(start + BLOCK_ROWS, n)
-        block = buf[: stop - start + 1, :stop]
-        logits = block[1:]
+        r = stop - start
+        block = flat[: (r + 1) * stop].reshape(r + 1, stop)
+        block[0] = carry[:stop]
+        logits, vis = block[1:], visible[: r * stop].reshape(r, stop)
         np.matmul(q[start:stop], k[:stop].T, out=logits)
         logits /= scale
-        _softmax_in_place(logits, np.arange(start + 1, stop + 1))
+        np.copyto(logits[:, start:], -np.inf, where=above[:r, :r])
+        np.logical_not(above[:r, :r], out=vis[:, start:])
+        _normalise_rows(logits, vis)
+        vis[:, start:] = True
         # Not ``carry += logits.sum(axis=0)``: that regroups the terms.
-        block[0] = block.sum(axis=0)
-    return PromptStats(block[0], block[-1])
+        np.sum(block, axis=0, out=carry[:stop])
+    return PromptStats(carry, block[-1])

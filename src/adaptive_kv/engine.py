@@ -368,9 +368,11 @@ def prompt_head_data(model, tokens: list[int], prompt_len: int | None = None):
     codes = np.array([CLASS_CODE[k] for k in klasses], dtype=np.int8)
     codes.setflags(write=False)
     for layer, head in cfg.head_grid():
-        K = np.array([model.k_row(layer, head, pos, klasses[pos], p) for pos in range(n)])
-        V = np.array([model.v_row(layer, head, pos) for pos in range(n)])
-        Q = np.array([model.q_row(layer, head, pos, p) for pos in range(n)])
+        # One flat copy per role, with the bits of ``np.array(rows)``.
+        K = [model.k_row(layer, head, pos, klasses[pos], p) for pos in range(n)]
+        K = np.concatenate(K).reshape(n, -1)
+        V = np.concatenate([model.v_row(layer, head, pos) for pos in range(n)]).reshape(n, -1)
+        Q = np.concatenate([model.q_row(layer, head, pos, p) for pos in range(n)]).reshape(n, -1)
         stats = causal_attention(Q, K, cfg.head_dim)
         ctx = PolicyContext(
             codes=codes, prompt_len=p, current_len=n, cumulative_scores=stats.colsum
