@@ -70,7 +70,7 @@ class PromptStats:
         return self.colsum.size
 
 
-def _normalise_rows(x: np.ndarray, visible: np.ndarray) -> None:
+def _normalise_rows(x: np.ndarray, visible: np.ndarray | bool) -> None:
     """Softmax each row of ``x`` in place; entries off ``visible`` are ``-inf``."""
     x -= x.max(axis=1, keepdims=True)
     np.exp(x, out=x)

@@ -483,13 +483,13 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, reports=True):
         p.add_argument("--config", help="INI config file; flags win over it")
-        p.add_argument("--seed", type=int, default=0, help="sampling seed")
         p.add_argument("--out", help="output directory (default: fresh run dir)")
-        p.add_argument(
-            "--format", choices=["csv", "json"], default="csv", help="report format"
-        )
+        if reports:
+            p.add_argument(
+                "--format", choices=["csv", "json"], default="csv", help="report format"
+            )
 
     def add_model(p):
         p.add_argument("--plan", help="synthetic model plan file")
@@ -516,9 +516,10 @@ def build_parser():
         p.add_argument("--sampling", choices=["greedy", "nucleus"], default="greedy")
         p.add_argument("--temperature", type=float, default=0.6)
         p.add_argument("--top-p", type=float, default=0.9)
+        p.add_argument("--seed", type=int, default=0, help="sampling seed")
 
     p_synth = sub.add_parser("synth", help="write a deterministic trace from a plan")
-    add_common(p_synth)
+    add_common(p_synth, reports=False)
     p_synth.add_argument("--plan", help="synthetic model plan file")
     p_synth.add_argument("--prompt-len", type=int)
     p_synth.add_argument("--steps", type=int, help="decoding steps to record")

@@ -45,7 +45,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attention import _softmax_in_place, causal_attention, softmax_vector
+from .attention import _normalise_rows, _softmax_in_place
+from .attention import causal_attention, softmax_vector
 from .policies import (
     CompressionPolicy,
     PolicyAtom,
@@ -81,7 +82,7 @@ class Nucleus:
     seed: int = 0
 
     def __post_init__(self):
-        if self.temperature <= 0.0:
+        if not self.temperature > 0.0:
             raise EngineError(f"temperature must be > 0, got {self.temperature}")
         if not 0.0 < self.top_p <= 1.0:
             raise EngineError(f"top_p must be in (0, 1], got {self.top_p}")
@@ -136,9 +137,7 @@ def _weights(
         return _softmax_in_place(w, lengths)
     w = np.matmul(K[:, :width], Q[:, :, None])[..., 0]
     w /= np.sqrt(float(Q.shape[1]))
-    w -= w.max(axis=1, keepdims=True)
-    np.exp(w, out=w)
-    w /= w.sum(axis=1, keepdims=True)
+    _normalise_rows(w, True)
     return w
 
 

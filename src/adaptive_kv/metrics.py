@@ -134,7 +134,6 @@ def consistency_report(
     prompt_tokens: list[int],
     steps: list[int],
     profiler_cfg: ProfilerConfig,
-    max_new_tokens: int | None = None,
 ) -> list[ConsistencyEntry]:
     """Re-profile at the listed decoding steps and compare against step 1.
 
@@ -145,10 +144,6 @@ def consistency_report(
     if not steps or sorted(steps) != list(steps) or steps[0] != 1:
         raise MetricsError("steps must be sorted ascending and start at 1")
     horizon = steps[-1] - 1
-    if max_new_tokens is not None and horizon > max_new_tokens:
-        raise MetricsError(
-            f"step {steps[-1]} beyond generation length {max_new_tokens + 1}"
-        )
     reference = reference_generate(
         model, prompt_tokens, GenerationConfig(max_new_tokens=horizon)
     )

@@ -7,10 +7,11 @@ archetype's attention-mass bound holds at every decoding step by
 construction rather than by sampling. All randomness is derived from
 ``SeedSequence(config.seed, spawn_key=...)`` streams, making every row a
 pure function of (seed, layer, head, position) regardless of call order.
-Row streams build no ``SeedSequence``: ``SyntheticModel._rng`` replays its
-entropy mixing from a memoised per-stream pool and hands the resulting
-state words to ``PCG64``, so each row's generator and draws equal those
-of ``PCG64(SeedSequence(seed, spawn_key=key))``, as
+Rows build no ``SeedSequence`` of their own: ``SyntheticModel._rng`` takes
+numpy's pool once per stream prefix (role, layer, head), replays the
+mixing of the position word and ``generate_state`` in Python, and hands
+the state words to ``PCG64``. So each row's generator and draws equal
+those of ``PCG64(SeedSequence(seed, spawn_key=key))``, as
 ``tests/test_row_seeding.py`` checks against numpy.
 """
 
@@ -172,22 +173,6 @@ def _hash_consts(
     return tuple(consts)
 
 
-# The seed phase hashes one word per pool lane, then mixes every ordered
-# pair of distinct lanes.
-_SEED_CONSTS = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE)
-_CROSS_MIX = tuple(
-    zip(
-        [
-            (src, dst)
-            for src in range(_POOL_SIZE)
-            for dst in range(_POOL_SIZE)
-            if src != dst
-        ],
-        _SEED_CONSTS[_POOL_SIZE:],
-    )
-)
-
-
 @lru_cache(maxsize=1 << 13)
 def _word_hashes(word: int, hash_const: int) -> tuple[tuple[int, ...], int]:
     """One entropy word hashed for each pool lane, times ``_MIX_MULT_R``.
@@ -216,26 +201,6 @@ def _absorb(
         p3 = (_MIX_MULT_L * p3 - h3) & _MASK32
         pool = (p0 ^ p0 >> 16, p1 ^ p1 >> 16, p2 ^ p2 >> 16, p3 ^ p3 >> 16)
     return pool, hash_const
-
-
-def _seed_pool(seed: int) -> tuple[tuple[int, ...], int]:
-    """SeedSequence's pool and hash constant after the run entropy.
-
-    The entropy is zero-padded to the pool size, as numpy does whenever a
-    spawn key follows it.
-    """
-    words = _entropy_words(seed)
-    words += [0] * (_POOL_SIZE - len(words))
-    pool = []
-    for word, (xor, mult) in zip(words[:_POOL_SIZE], _SEED_CONSTS):
-        value = (word ^ xor) * mult & _MASK32
-        pool.append(value ^ value >> 16)
-    for (src, dst), (xor, mult) in _CROSS_MIX:
-        value = (pool[src] ^ xor) * mult & _MASK32
-        value = _MIX_MULT_R * (value ^ value >> 16)
-        mixed = (_MIX_MULT_L * pool[dst] - value) & _MASK32
-        pool[dst] = mixed ^ mixed >> 16
-    return _absorb(tuple(pool), _SEED_CONSTS[-1][1], words[_POOL_SIZE:])
 
 
 # generate_state's (xor, multiplier) for each of the eight uint32 words
@@ -362,14 +327,20 @@ class SyntheticModel:
         self._pools: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
 
     def _pool(self, prefix: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-        """SeedSequence pool after the seed and the spawn-key ``prefix``."""
+        """Pool and hash constant of ``SeedSequence(seed, spawn_key=prefix)``.
+
+        One ``SeedSequence`` per prefix; rows replay only their last word.
+        The constant advances once per hash, and each entropy word (the run
+        entropy padded to ``_POOL_SIZE``) is hashed into every pool lane.
+        """
         state = self._pools.get(prefix)
         if state is None:
-            if prefix:
-                pool, hash_const = self._pool(prefix[:-1])
-                state = _absorb(pool, hash_const, _entropy_words(prefix[-1]))
-            else:
-                state = _seed_pool(self.config.seed)
+            seed = self.config.seed
+            pool = np.random.SeedSequence(seed, spawn_key=prefix).pool
+            words = max(len(_entropy_words(seed)), _POOL_SIZE)
+            words += sum(len(_entropy_words(k)) for k in prefix)
+            hash_const = _INIT_A * pow(_MULT_A, _POOL_SIZE * words, 1 << 32) & _MASK32
+            state = tuple(pool.tolist()), hash_const
             self._pools[prefix] = state
         return state
 

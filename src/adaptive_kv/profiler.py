@@ -17,7 +17,7 @@ import csv
 import io
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -166,19 +166,12 @@ class HeadProfile:
 def profile_model(
     head_data: Mapping[tuple[int, int], tuple[PromptStats, PolicyContext]],
     cfg: ProfilerConfig,
-    grid: Iterable[tuple[int, int]] | None = None,
 ) -> HeadProfile:
     """Select a policy independently for every head of the model.
 
     Profiling happens exactly once per generation session; the resulting
     profile is immutable.
     """
-    if grid is not None:
-        for key in grid:
-            if key not in head_data:
-                raise ProfilerError(
-                    f"missing profiling data for head (layer={key[0]}, head={key[1]})"
-                )
     return HeadProfile(
         {key: select_policy(*head_data[key], cfg) for key in sorted(head_data)}
     )

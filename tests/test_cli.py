@@ -230,6 +230,39 @@ def test_trace_prompt_len_follows_generate_section(tmp_path, capsys, monkeypatch
     assert ",37\n" in configured
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["synth", "--plan", PLAN, "--seed", "3"],
+        ["synth", "--plan", PLAN, "--format", "json"],
+        ["profile", "--plan", PLAN, "--seed", "3"],
+        ["memory", "--seed", "3"],
+    ],
+    ids=["synth-seed", "synth-format", "profile-seed", "memory-seed"],
+)
+def test_flag_the_command_does_not_read_is_unrecognized(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["synth", "profile", "generate", "report", "memory"])
+def test_global_seed_in_a_config_file_is_accepted_by_every_command(tmp_path, command):
+    config = tmp_path / "akv.ini"
+    config.write_text("[global]\nseed = 5\n", encoding="utf-8")
+    assert cli.parse_args([command, "--config", str(config)]).seed == 5
+
+
+def test_nan_temperature_is_one_error_line(tmp_path, capsys):
+    argv = ["generate", "--plan", PLAN, "--sampling", "nucleus", "--temperature", "nan"]
+    expect_one_error_line(
+        argv + ["--out", str(tmp_path / "out")],
+        capsys,
+        "akv: error: temperature must be > 0, got nan",
+    )
+
+
 def test_repeated_compare_policy_gets_a_row_each(tmp_path, capsys):
     out = tmp_path / "out"
     argv = ["report", "--plan", PLAN, "--max-new-tokens", "4", "--compare", "full,full"]

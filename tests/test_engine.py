@@ -370,6 +370,13 @@ def test_stepping_with_one_sampler_reproduces_generate():
         generate_step(model, cache, token, nucleus)
 
 
+@pytest.mark.parametrize("temperature", [0.0, -1.0, float("nan")])
+def test_nucleus_rejects_a_temperature_not_above_zero(temperature):
+    # NaN compares False with everything, so it must fail a positive test.
+    with pytest.raises(EngineError, match="temperature must be > 0"):
+        Nucleus(temperature=temperature)
+
+
 def test_direct_generate_step_records_are_numbered_from_one(small_model):
     prompt = small_model.prompt_token_ids(PROMPT_LEN)
     policy = CompressionPolicy(frozenset({PolicyAtom.SPECIAL, PolicyAtom.LOCAL}))

@@ -52,14 +52,12 @@ def test_recovery_criterion_picks_first_policy_meeting_threshold(head_data, T, r
         assert decision.cost_tokens == len(sets[first])
 
 
-def test_profile_model_selects_every_head_and_checks_the_grid(head_data):
+def test_profile_model_selects_every_head(head_data):
     cfg = ProfilerConfig()
-    profile = profile_model(head_data, cfg, grid=sorted(head_data))
+    profile = profile_model(head_data, cfg)
     assert len(profile) == len(head_data)
     for key, (stats, ctx) in head_data.items():
         assert profile[key] == select_policy(stats, ctx, cfg)
-    with pytest.raises(ProfilerError, match="missing profiling data"):
-        profile_model(head_data, cfg, grid=[(9, 9)])
 
 
 @pytest.mark.parametrize("rows", list(RowAveraging))

@@ -1,9 +1,10 @@
 """Row streams derived directly equal numpy's ``SeedSequence`` streams.
 
-``SyntheticModel._rng`` builds no ``SeedSequence``: it replays numpy's
-entropy mixing from a memoised per-stream pool. The oracle here is the
-object it replaces, ``Generator(PCG64(SeedSequence(seed, spawn_key=key)))``,
-compared by bit generator state and by draws.
+``SyntheticModel._rng`` builds no ``SeedSequence`` per row: it takes
+numpy's pool once per key prefix and replays the mixing of the last key
+word and ``generate_state``. The oracle here is the object it replaces,
+``Generator(PCG64(SeedSequence(seed, spawn_key=key)))``, compared by bit
+generator state and by draws.
 """
 
 from __future__ import annotations
