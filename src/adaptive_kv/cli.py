@@ -110,6 +110,9 @@ def _read_ini(path: str, what: str) -> configparser.ConfigParser:
 def _config_defaults(path: str, command: str, actions: dict) -> dict:
     """Each option the config file sets for ``command``, checked as its flag is."""
     file = _read_ini(path, "config")
+    unknown = [f"{s}.{key}" for s, keys in file.items() for key in keys if key not in actions]
+    if unknown:
+        raise CliError(f"unknown option {unknown[0]} in config {path}")
     values = {}
     for dest, action in actions.items():
         for section in (_SECTIONS.get(dest, command), "global"):

@@ -14,19 +14,18 @@ rows are dropped for good; re-application only ever selects among live
 positions.
 
 The unit of decode is a head group: every head with one policy. A group
-holds its heads' K and V rows in ``(G, capacity, d)`` buffers and their
-positions in a ``(G, capacity)`` one; head g's ``n[g]`` live rows are
+holds its heads' K and V rows in ``(G, capacity, d)`` buffers, and their
+positions and a frequent group's cumulative scores in ``(G, capacity)``
+ones, all in one slot order; head g's ``n[g]`` live rows are
 ``[g, :n[g]]``, at ascending positions ``pos[g, :n[g]]``. Heads without a
 ``frequent`` atom share one retained set; a frequent head ranks by its
-own scores, so counts can differ. A step writes the G new rows at ``n``,
-attends, folds the weights into the scores by one fancy index, re-applies
-the policy to every head in one call and compacts each head in place from
-its first evicted row. Equal counts attend in one stacked product, unequal
-ones per head: BLAS rounds a row differently with the product's length,
-so a zero-padded stacked product would change the bits. A ``full`` group
-only appends. A full buffer grows by a fixed ``_GROW_ROWS`` chunk, never
-by doubling. Per-position token classes and a frequent group's
-cumulative scores grow the same way.
+own scores, so counts can differ, and unequal counts attend head by head
+(see ``HeadGroup``). A group of static atoms (``full``, ``special``,
+``punct``) only appends, as does a frequent group while its budget
+covers every old row; any other step masks every head in one call and
+compacts by shifts: rows before a head's first evicted row stay put,
+each later run of kept rows moves down in one slice. ``generate`` sizes
+a group's buffers for the run; others grow ``_GROW_ROWS`` rows at a time.
 
 With diagnostics on, each step also measures every head's realised
 recovery: the mass its full-history attention row puts on the retained
@@ -51,6 +50,8 @@ from .policies import (
     CompressionPolicy,
     PolicyAtom,
     PolicyContext,
+    _STATIC,
+    _budget,
     full_policy,
     retained_mask,
 )
@@ -153,10 +154,10 @@ def _room(buf: np.ndarray, used: int, axis: int = 0) -> np.ndarray:
     return grown
 
 
-def _stack(rows: list[np.ndarray]) -> np.ndarray:
-    """``rows`` stacked, as long as the longest, dropping each once copied."""
+def _stack(rows: list[np.ndarray], extra: int = 0) -> np.ndarray:
+    """``rows`` stacked, ``extra`` longer than the longest, dropping each once copied."""
     out = np.empty(
-        (len(rows), max(len(row) for row in rows), *rows[0].shape[1:]),
+        (len(rows), max(len(row) for row in rows) + extra, *rows[0].shape[1:]),
         dtype=rows[0].dtype,
     )
     for g in range(len(rows)):
@@ -169,14 +170,15 @@ def _stack(rows: list[np.ndarray]) -> np.ndarray:
 class HeadGroup:
     """The heads of one policy, decoded together.
 
-    ``K`` and ``V`` are ``(G, capacity, d)`` and ``pos`` ``(G, capacity)``;
-    head g's live rows are ``[g, :n[g]]``, at positions ``pos[g, :n[g]]``.
-    Unequal counts attend head by head: BLAS rounds a row differently with
-    the product's length, so padding the stacked product would change bits.
-    ``outputs`` holds each head's pending attention output and ``recovery``
-    its last realised recovery, both in ``keys`` order. Only a frequent
-    group has ``scores``, ``(G, positions)``. With diagnostics, a group that
-    is not ``full`` keeps every key row so far in ``shadow``, by position.
+    ``K`` and ``V`` are ``(G, capacity, d)`` and ``pos`` ``(G, capacity)``,
+    C-contiguous; head g's live rows are ``[g, :n[g]]``, at positions
+    ``pos[g, :n[g]]``. Unequal counts attend head by head: BLAS rounds a
+    row differently with the product's length, so padding the stacked
+    product would change bits. ``outputs`` holds each head's pending
+    attention output and ``recovery`` its last realised recovery, both in
+    ``keys`` order. Only a frequent group has ``scores``, ``(G, capacity)``
+    in slot order. With diagnostics, a group that is not ``full`` keeps
+    every key row so far in ``shadow``, by position.
     """
 
     keys: tuple[tuple[int, int], ...]
@@ -189,6 +191,15 @@ class HeadGroup:
     recovery: np.ndarray
     scores: np.ndarray | None = None
     shadow: np.ndarray | None = None
+    heads: np.ndarray = field(init=False, repr=False)  # arange(G)
+    # The classes of incoming rows the policy keeps whatever their rank: all
+    # under ``local``, whose window always holds the newest row.
+    classes: set[TokenClass] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.heads, atoms = np.arange(len(self.keys)), self.policy.atoms
+        local = set(TokenClass) if PolicyAtom.LOCAL in atoms else set()
+        self.classes = local.union(*(_STATIC.get(atom, ()) for atom in atoms))
 
     def live(self, g: int) -> np.ndarray:
         """Head g's live positions, ascending: a view of ``pos[g, :n[g]]``."""
@@ -204,15 +215,16 @@ class HeadGroup:
         diagnostics: bool,
     ):
         """Append position ``pos``, attend every head over it, re-apply the policy."""
-        n = self.n
+        n, heads, atoms = self.n, self.heads, self.policy.atoms
         counts = n.tolist()
         width = max(counts) + 1
         # Per-head lengths when the counts differ, else None.
         ragged = None if min(counts) + 1 == width else n + 1
-        self.K = K = _room(self.K, width - 1, axis=1)
-        self.V = V = _room(self.V, width - 1, axis=1)
-        self.pos = live = _room(self.pos, width - 1, axis=1)
-        heads = np.arange(len(counts))
+        if width > self.K.shape[1]:
+            for name in ("K", "V", "pos", "scores"):
+                if getattr(self, name) is not None:
+                    setattr(self, name, _room(getattr(self, name), width - 1, axis=1))
+        K, V, live, scores = self.K, self.V, self.pos, self.scores
         Q = np.empty((heads.size, K.shape[2]))
         for g, (layer, head) in enumerate(self.keys):
             K[g, counts[g]] = model.k_row(layer, head, pos, klass, prompt_len)
@@ -221,8 +233,8 @@ class HeadGroup:
         live[heads, n] = pos
         attended = live[:, :width]
         if ragged is not None:
-            # Padding past a head's rows reads the new position: a valid
-            # index that aliases no live row in the score fold.
+            # Padding past a head's rows reads the new position, so every
+            # entry is a valid position below ``pos + 1``.
             visible = np.arange(width) < ragged[:, None]
             attended = np.where(visible, attended, pos)
         w = _weights(K, Q, width, ragged)
@@ -231,13 +243,10 @@ class HeadGroup:
         else:
             self.outputs = np.array([w[g, :m] @ V[g, :m] for g, m in enumerate(ragged)])
 
-        if self.scores is not None:
-            self.scores = scores = _room(self.scores, pos, axis=1)
-            # Where counts differ, the new row and the padding fold into
-            # ``pos``, whose score starts and ends the step at zero.
-            scores[:, pos] = 0.0
-            scores[heads[:, None], attended[:, :-1]] += w[:, :-1]
-            scores[:, pos] = 0.0
+        if scores is not None:
+            # Weights are zero on the padding; the incoming row starts at zero.
+            scores[:, :width] += w
+            scores[heads, n] = 0.0
 
         if diagnostics:
             if self.shadow is None:
@@ -253,22 +262,30 @@ class HeadGroup:
                     else np.add.reduce(taken, axis=1, where=visible, initial=0.0)
                 )
 
-        if self.policy.is_full:
-            self.n = n + 1
+        # No old row can leave if every atom is static, or if the frequent budget
+        # covers every old row: the incoming row (score 0, last slot) ranks last.
+        budget = _budget(self.policy.r_f, pos + 1) if PolicyAtom.FREQUENT in atoms else -1
+        if atoms <= _STATIC.keys() or budget >= width - 1:
+            self.n = n + ((n < budget) | (klass in self.classes))
             return
+        live_scores = None if scores is None else scores[:, :width]
         keep = retained_mask(
-            self.policy, attended, codes, self.scores, prompt_len, pos + 1, ragged
+            self.policy, attended, codes, live_scores, prompt_len, pos + 1, ragged
         )
-        # A kept row moves to its rank among kept rows; rows before a head's
-        # first evicted row stay put.
-        rank = keep.cumsum(axis=1)
-        self.n = rank[:, -1]
-        rows, cols = (keep & (rank <= np.arange(width))).nonzero()
-        if rows.size:
-            dest = rank[rows, cols] - 1
-            K[rows, dest] = K[rows, cols]
-            V[rows, dest] = V[rows, cols]
-            live[rows, dest] = live[rows, cols]
+        self.n = np.count_nonzero(keep, axis=1)
+        if (self.n - keep[heads, n] == n).all():
+            return  # no old row evicted; an evicted incoming row lies past the live ones
+        # Each run of kept rows moves down past the rows evicted before it, in one
+        # 1-D slice per flat buffer (an overlapping 2-D slice copies via a temporary).
+        rows, edges = np.diff(keep, axis=1, prepend=False, append=False).nonzero()
+        rows, at, size = rows[::2], edges[::2], edges[1::2] - edges[::2]
+        dest = np.cumsum(size) - size
+        dest -= dest[np.searchsorted(rows, rows)]
+        bufs = [(b.reshape(heads.size, -1), b[0, 0].size) for b in (K, V, live, scores)
+                if b is not None]
+        for g, a, m, t in zip(*(x[dest < at].tolist() for x in (rows, at, size, dest))):
+            for buf, k in bufs:
+                buf[g, t * k : (t + m) * k] = buf[g, a * k : (a + m) * k]
 
 
 @dataclass
@@ -315,10 +332,8 @@ class CompressedCache:
         self.members = [stacked[i] for i in self._order]
 
     def head_retained(self) -> dict[tuple[int, int], int]:
-        return {key: int(group.n[g]) for key, group, g in self.members}
-
-    def total_retained(self) -> int:
-        return sum(int(group.n.sum()) for group in self.groups)
+        counts = {id(group): group.n.tolist() for group in self.groups}
+        return {key: counts[id(group)][g] for key, group, g in self.members}
 
     def retained_positions(self) -> dict[tuple[int, int], np.ndarray]:
         """Read-only copies of each head's live positions; the heads of a
@@ -388,6 +403,7 @@ def encode_prompt(
     prompt_tokens: list[int],
     profiler_cfg: ProfilerConfig,
     diagnostics: bool = True,
+    reserve: int = 0,
 ) -> tuple[HeadProfile, CompressedCache]:
     """Prompt encoding with one-shot profiling and cache compression.
 
@@ -396,6 +412,7 @@ def encode_prompt(
     the decision carries and the last query's output. Once
     the stream ends, the heads' rows are stacked into groups, each head's
     rows freed as they are copied in. The profile is immutable afterwards.
+    Each group holds ``reserve`` spare rows, for that many decode appends.
     """
     n = len(prompt_tokens)
     decisions = {}
@@ -419,7 +436,7 @@ def encode_prompt(
         rows["outputs"].append(stats.last_row @ V)
         rows["recovery"].append(float(stats.last_row[idx].sum()) if idx.size else 0.0)
         if rows["scores"] is not None:
-            rows["scores"].append(ctx.cumulative_scores)
+            rows["scores"].append(ctx.cumulative_scores[idx])
         if rows["shadow"] is not None:
             rows["shadow"].append(K)
         codes = ctx.codes  # one array, shared by every head's context
@@ -430,15 +447,15 @@ def encode_prompt(
             HeadGroup(
                 keys=tuple(rows["keys"]),
                 policy=policy,
-                K=_stack(rows["K"]),
-                V=_stack(rows["V"]),
+                K=_stack(rows["K"], reserve),
+                V=_stack(rows["V"], reserve),
                 n=np.array([idx.size for idx in rows["pos"]]),
                 # Stacking copies: compaction moves positions within ``pos``.
-                pos=_stack(rows["pos"]),
+                pos=_stack(rows["pos"], reserve),
                 outputs=np.array(rows["outputs"]),
                 recovery=np.array(rows["recovery"]),
-                scores=_stack(rows["scores"]) if rows["scores"] else None,
-                shadow=_stack(rows["shadow"]) if rows["shadow"] else None,
+                scores=_stack(rows["scores"], reserve) if rows["scores"] else None,
+                shadow=_stack(rows["shadow"], reserve) if rows["shadow"] else None,
             )
         )
 
@@ -491,11 +508,12 @@ def generate_step(
 
     next_token = sampler(model.head_logits(cache.outputs()))
 
+    retained = cache.head_retained()
     cache.last_record = StepRecord(
         step=cache.seq_len - cache.prompt_len + 1,
         token_id=next_token,
-        head_retained=cache.head_retained(),
-        total_cache_tokens=cache.total_retained(),
+        head_retained=retained,
+        total_cache_tokens=sum(retained.values()),
         mean_recovery=(
             float(np.mean(cache.recoveries())) if cache.diagnostics else None
         ),
@@ -520,7 +538,8 @@ def generate(
     diagnostics: bool = True,
 ) -> GenerationResult:
     """Encode the prompt once, then run max_new_tokens decoding steps."""
-    _, cache = encode_prompt(model, prompt_tokens, profiler_cfg, diagnostics=diagnostics)
+    reserve = max(gen_cfg.max_new_tokens - 1, 0)  # the first step appends no row
+    _, cache = encode_prompt(model, prompt_tokens, profiler_cfg, diagnostics, reserve)
     return _run_decode(model, cache, gen_cfg)
 
 

@@ -43,6 +43,9 @@ _ATOM_ORDER = (
 )
 
 DEFAULT_RATIO = 0.3
+# The classes each static atom keeps; a row's class never changes.
+_STATIC = {PolicyAtom.FULL: set(TokenClass), PolicyAtom.SPECIAL: {TokenClass.SPECIAL},
+           PolicyAtom.PUNCTUATION: {TokenClass.PUNCTUATION}}
 
 
 @dataclass(frozen=True)
@@ -177,14 +180,15 @@ def retained_mask(
 ) -> np.ndarray:
     """Boolean keep-mask over ``live``, the ascending candidate positions.
 
-    ``codes`` (``CLASS_CODE`` per token) and ``scores`` (cumulative
-    attention, needed only by the frequent atom) are indexed by position.
-    ``live`` may also be a ``(G, M)`` array of G heads' candidates, with
-    ``scores`` one row per head: row g's first ``lengths[g]`` entries are
-    its candidates, and the padding after them is never kept. Padding is
-    still read and checked as positions, so it must lie below
-    ``current_len``. Row g's mask is that of the one-row call on
-    ``live[g, :lengths[g]]``; without ``lengths`` every entry is a
+    ``codes`` holds the ``CLASS_CODE`` of each position. ``scores``
+    (cumulative attention, needed only by the frequent atom) lie in slot
+    order: ``scores[..., i]`` is that of candidate ``live[..., i]``.
+    ``live`` may also be a ``(G, M)`` array of G heads' candidates: row g's
+    first ``lengths[g]`` entries are its candidates, and the padding after
+    them is never kept, whatever its score. Padding is still read and
+    checked as positions, so it must lie below ``current_len``. Row g's
+    mask is that of the one-row call on ``live[g, :lengths[g]]`` and
+    ``scores[g, :lengths[g]]``; without ``lengths`` every entry is a
     candidate.
     """
     rows = live if live.ndim == 2 else live[None]
@@ -194,18 +198,17 @@ def retained_mask(
         raise PolicyError(f"candidate position {last} >= current_len {current_len}")
     visible = None if lengths is None else np.arange(width) < lengths[:, None]
     atoms = policy.atoms
-    keep = (np.ones if PolicyAtom.FULL in atoms else np.zeros)(rows.shape, dtype=bool)
-    if PolicyAtom.SPECIAL in atoms or PolicyAtom.PUNCTUATION in atoms:
-        live_codes = codes[rows]
-        if PolicyAtom.SPECIAL in atoms:
-            keep |= live_codes == CLASS_CODE[TokenClass.SPECIAL]
-        if PolicyAtom.PUNCTUATION in atoms:
-            keep |= live_codes == CLASS_CODE[TokenClass.PUNCTUATION]
+    # Whether the static atoms keep each class code, looked up per candidate.
+    kept = np.zeros(len(CLASS_CODE), dtype=bool)
+    kept[[CLASS_CODE[k] for atom in atoms for k in _STATIC.get(atom, ())]] = True
+    keep = kept[codes[rows]]
     if PolicyAtom.LOCAL in atoms:
         keep |= rows >= current_len - _budget(policy.r_l, prompt_len)
     if PolicyAtom.FREQUENT in atoms and width:
+        if np.shape(scores) != live.shape:
+            raise PolicyError(f"scores shape {np.shape(scores)} is not {live.shape}")
         heads = np.arange(rows.shape[0])[:, None]
-        key = -np.atleast_2d(scores)[heads, rows]
+        key = -scores.reshape(rows.shape)
         if visible is not None:
             # Keyed 0, padding sorts after every candidate: candidates key
             # at most 0, and ties go to the lower column.

@@ -213,6 +213,23 @@ def test_bad_config_value_is_one_error_line(tmp_path, capsys, section, key, raw)
     assert capsys.readouterr().err == expected
 
 
+@pytest.mark.parametrize(
+    "ini, key",
+    [
+        ("[profiler]\nthreshhold = 0.5\n", "profiler.threshhold"),
+        ("[global]\nseed = 5\n[report]\nsteps_per_token = 2\n", "report.steps_per_token"),
+        ("[DEFAULT]\nverbose = 1\n", "DEFAULT.verbose"),
+    ],
+    ids=["misspelled", "unknown-in-command-section", "default-section"],
+)
+def test_config_key_no_flag_names_is_one_error_line(tmp_path, capsys, ini, key):
+    config = tmp_path / "typo.ini"
+    config.write_text(ini, encoding="utf-8")
+    argv = ["profile", "--plan", PLAN, "--out", str(tmp_path / "out")]
+    expect_one_error_line(argv + ["--config", str(config)], capsys, f"unknown option {key}")
+    assert not (tmp_path / "out").exists()
+
+
 def test_trace_prompt_len_follows_generate_section(tmp_path, capsys, monkeypatch):
     # profile has no --max-new-tokens flag, yet [generate] max_new_tokens
     # still sets the prompt a trace leaves for decoding.

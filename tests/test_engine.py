@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from adaptive_kv import engine
 from adaptive_kv.attention import softmax_vector
 from adaptive_kv.engine import (
     CompressedCache,
@@ -30,6 +31,7 @@ from adaptive_kv.policies import (
     feasible_set,
     full_policy,
     retained_indices,
+    retained_mask,
     update_cumulative_scores,
 )
 from adaptive_kv.model import Archetype, ModelConfig, SyntheticModel, cycling_plan
@@ -143,12 +145,26 @@ def check_group_layout(cache, grid):
         assert group.outputs.shape == (heads, group.K.shape[2])
 
 
-# The extra policy evicts a row followed by exactly one kept row, so
+# A local window plus frequent evicts rows mid-buffer at ragged counts, so
+# compaction shifts runs of kept rows.
+WINDOW_FREQUENT = CompressionPolicy(
+    frozenset({PolicyAtom.FREQUENT, PolicyAtom.LOCAL}), r_l=0.5, r_f=0.4
+)
+
+
+# Over the first steps, this frequent budget equals the live count, so
+# only the local window keeps each new row.
+BUDGET_AT_COUNT = CompressionPolicy(
+    frozenset({PolicyAtom.FREQUENT, PolicyAtom.LOCAL}), r_l=0.1, r_f=0.96
+)
+
+
+# The r_f=0.4 policy evicts a row followed by exactly one kept row, so
 # compaction moves a single row. ``None`` profiles ``mixed_model`` so
 # that groups of every kind coexist in one cache.
 @pytest.mark.parametrize(
     "policy",
-    feasible_set() + [feasible_set(r_f=0.4)[2], None],
+    feasible_set() + [feasible_set(r_f=0.4)[2], WINDOW_FREQUENT, BUDGET_AT_COUNT, None],
     ids=lambda p: "mixed-groups" if p is None else str(p),
 )
 def test_cache_matches_list_reference_every_step(request, policy):
@@ -172,10 +188,13 @@ def test_cache_matches_list_reference_every_step(request, policy):
     for key, (group, g) in head_slots(cache).items():
         assert group.policy == profile[key].policy
         assert group.live(g).tolist() == reference_retained(group.policy, contexts[key])
+        if group.scores is not None:
+            live = group.live(g)
+            assert np.array_equal(group.scores[g, : live.size], ref_scores[key][live])
 
     # Each position's class, from the tokens the session has seen.
     classes = [a.klass for a in classify_tokens(prompt, model.vocab)]
-    growths = 0
+    growths = shifts = ragged = 0
     token = None
     for _ in range(STEPS):
         slots = head_slots(cache)
@@ -191,6 +210,7 @@ def test_cache_matches_list_reference_every_step(request, policy):
             continue
         pos = cache.seq_len - 1
         recoveries = []
+        ragged += any(len(set(group.n.tolist())) > 1 for group in cache.groups)
         for key in grid:
             layer, head = key
             group, g = head_slots(cache)[key]
@@ -207,12 +227,15 @@ def test_cache_matches_list_reference_every_step(request, policy):
 
             live = group.live(g).tolist()
             assert live == reference_retained(policy, ctx, attended)
+            # A row evicted below a kept one: compaction shifted the rows after it.
+            shifts += any(p < live[-1] for p in set(previous[key]) - set(live))
             live_rows = [rows(layer, head, p, classes[p]) for p in live]
             n = group.n[g]
             assert np.array_equal(group.K[g, :n], np.array([r[0] for r in live_rows]))
             assert np.array_equal(group.V[g, :n], np.array([r[1] for r in live_rows]))
             if PolicyAtom.FREQUENT in policy.atoms:
-                assert np.array_equal(group.scores[g, : pos + 1], ref_scores[key])
+                # Scores sit in slot order, beside their rows.
+                assert np.array_equal(group.scores[g, :n], ref_scores[key][live])
             history = np.vstack(
                 [rows(layer, head, p, classes[p])[0] for p in range(pos + 1)]
             )
@@ -220,6 +243,8 @@ def test_cache_matches_list_reference_every_step(request, policy):
             recoveries.append(float(full_weights[attended].sum()))
         assert cache.last_record.mean_recovery == float(np.mean(recoveries))
     assert growths >= 1
+    if policy is WINDOW_FREQUENT:
+        assert shifts >= STEPS // 2 and ragged >= STEPS // 2
 
 
 def one_head_groups(group):
@@ -271,9 +296,57 @@ def test_unequal_counts_decode_as_one_head_groups(mixed_model):
             assert np.array_equal(group.K[g, :n], single.K[0, :n])
             assert np.array_equal(group.V[g, :n], single.V[0, :n])
             assert np.array_equal(group.live(g), single.live(0))
-            seen = cache.seq_len
-            assert np.array_equal(group.scores[g, :seen], single.scores[0, :seen])
+            assert np.array_equal(group.scores[g, :n], single.scores[0, :n])
     assert unequal >= STEPS // 2
+
+
+@pytest.mark.parametrize(
+    "policy",
+    [
+        CompressionPolicy(frozenset({PolicyAtom.SPECIAL})),
+        CompressionPolicy(frozenset({PolicyAtom.SPECIAL, PolicyAtom.PUNCTUATION})),
+        # The budget covers every row, so no row ever ranks out.
+        CompressionPolicy(frozenset({PolicyAtom.FREQUENT}), r_f=1.0),
+    ],
+    ids=str,
+)
+def test_group_that_cannot_evict_appends_without_a_keep_mask(
+    small_model, monkeypatch, policy
+):
+    """A group of static atoms, or one whose frequent budget covers every
+    row, keeps every old row and decides only the new one, with no keep-mask."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return retained_mask(*args)
+
+    monkeypatch.setattr(engine, "retained_mask", counted)
+    prompt = small_model.prompt_token_ids(PROMPT_LEN)
+    # Hot sampling, so the session also draws special and punctuation ids.
+    cfg = GenerationConfig(STEPS, Nucleus(temperature=50.0, top_p=1.0, seed=2))
+    run = generate_fixed_baseline(small_model, prompt, policy, cfg)
+    assert calls == []
+    seen = [a.klass for a in classify_tokens(prompt + run.tokens, small_model.vocab)]
+    # Decode appended rows of every class, kept and dropped.
+    assert set(seen[PROMPT_LEN:-1]) == set(TokenClass)
+    for rec in run.records:
+        length = PROMPT_LEN + rec.step - 1
+        ctx = PolicyContext(make_codes(seen[:length]), PROMPT_LEN, length, np.zeros(length))
+        expected = reference_retained(policy, ctx)
+        for live in rec.retained_positions.values():
+            assert live.tolist() == expected
+
+    # With no atom known as static and no budget that covers the old rows,
+    # every step masks, and gives the same bits.
+    monkeypatch.setattr(engine, "_STATIC", {})
+    monkeypatch.setattr(engine, "_budget", lambda ratio, length: -1)
+    masked = generate_fixed_baseline(small_model, prompt, policy, cfg)
+    assert calls and masked.tokens == run.tokens
+    assert np.array_equal(masked.cache.outputs(), run.cache.outputs())
+    assert [r.mean_recovery for r in masked.records] == [
+        r.mean_recovery for r in run.records
+    ]
 
 
 @pytest.mark.parametrize("sampling", [None, Nucleus(seed=5)], ids=["greedy", "nucleus"])
@@ -324,6 +397,42 @@ def test_reference_cache_holds_every_model_row_across_buffer_growth(small_model)
         expected = [rows(layer, head, a.position, a.klass) for a in seen]
         assert np.array_equal(group.K[g, :seq_len], np.array([r[0] for r in expected]))
         assert np.array_equal(group.V[g, :seq_len], np.array([r[1] for r in expected]))
+
+
+def test_generate_sizes_every_group_for_the_run_once(mixed_model, monkeypatch):
+    """No group buffer is replaced during ``generate``; stepping the same
+    session directly grows them in chunks and gives the same bits."""
+    prompt = mixed_model.prompt_token_ids(GOLDEN_PROMPT)
+    cfg = GenerationConfig(STEPS, Nucleus(seed=4))
+    names = ("K", "V", "pos", "scores", "shadow")
+
+    def buffers(cache):
+        return [getattr(group, name) for group in cache.groups for name in names]
+
+    before = []
+    run_decode = engine._run_decode
+
+    def recorded(model, cache, gen_cfg):
+        before.extend(buffers(cache))
+        return run_decode(model, cache, gen_cfg)
+
+    monkeypatch.setattr(engine, "_run_decode", recorded)
+    run = generate(mixed_model, prompt, mixed_groups_config(), cfg)
+    assert len(run.cache.groups) == 4
+    assert all(a is b for a, b in zip(before, buffers(run.cache), strict=True))
+
+    _, cache = encode_prompt(mixed_model, prompt, mixed_groups_config())
+    first = buffers(cache)
+    sampler, token, tokens = _Sampler(cfg.sampling), None, []
+    for _ in range(STEPS):
+        token, cache = generate_step(mixed_model, cache, token, sampler)
+        tokens.append(token)
+    assert any(a is not b for a, b in zip(first, buffers(cache)))
+    assert tokens == run.tokens
+    assert np.array_equal(cache.outputs(), run.cache.outputs())
+    assert cache.retained_positions().keys() == run.cache.retained_positions().keys()
+    for key, live in cache.retained_positions().items():
+        assert np.array_equal(live, run.cache.retained_positions()[key])
 
 
 def test_cache_from_another_head_grid_is_rejected(small_model, mixed_model):

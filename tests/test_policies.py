@@ -132,7 +132,7 @@ def test_candidates_restrict_selection_without_changing_budgets():
     unrestricted = retained_mask(policy, everything, codes, scores, 10, 10)
     assert everything[unrestricted].tolist() == [0, 1, 2]
     live = np.array([2, 5, 7, 9])
-    restricted = retained_mask(policy, live, codes, scores, 10, 10)
+    restricted = retained_mask(policy, live, codes, scores[live], 10, 10)
     assert live[restricted].tolist() == [2, 5, 7]
 
 
@@ -141,19 +141,20 @@ def test_retained_mask_rejects_bad_candidates_and_live_scores():
     codes = np.zeros(4, dtype=np.int8)
     live = np.array([0, 2, 3])
     with pytest.raises(PolicyError, match="candidate position 3 >= current_len 3"):
-        retained_mask(policy, live, codes, np.zeros(4), 3, 3)
-    # Evicted positions are not checked; live ones are.
-    assert retained_mask(policy, live, codes, np.array([1.0, -1.0, 0.0, 2.0]), 4, 4).any()
+        retained_mask(policy, live, codes, np.zeros(3), 3, 3)
+    # Scores are aligned with the candidates, one per entry of ``live``.
+    with pytest.raises(PolicyError, match=r"scores shape \(4,\) is not \(3,\)"):
+        retained_mask(policy, live, codes, np.zeros(4), 4, 4)
     for bad in (-1.0, np.nan, np.inf):
-        scores = np.array([1.0, 0.0, bad, 2.0])
+        scores = np.array([1.0, bad, 2.0])
         with pytest.raises(PolicyError, match="finite and >= 0"):
             retained_mask(policy, live, codes, scores, 4, 4)
     # Per-head rows: row 0 has two candidates, then padding at position 2.
     rows = np.array([[0, 3, 2], [1, 2, 3]])
     with pytest.raises(PolicyError, match="candidate position 3 >= current_len 3"):
-        retained_mask(policy, rows, codes, np.zeros((2, 4)), 3, 3, np.array([2, 3]))
+        retained_mask(policy, rows, codes, np.zeros((2, 3)), 3, 3, np.array([2, 3]))
     for bad in (-1.0, np.nan, np.inf):
-        scores = np.array([[1.0, 0.0, bad, 2.0], [0.0, 1.0, 1.0, 1.0]])
+        scores = np.array([[1.0, 0.0, bad], [0.0, 1.0, 1.0]])
         # Padding is not checked; candidates are.
         keep = retained_mask(policy, rows, codes, scores, 4, 4, np.array([2, 3]))
         assert keep[0, :2].any() and not keep[0, 2]
@@ -197,10 +198,15 @@ def test_each_row_of_a_padded_mask_is_its_one_row_mask(
     live = rng.integers(0, current_len, size=(heads, int(lengths.max())))
     for g, row in enumerate(rows):
         live[g, : row.size] = row
-    keep = retained_mask(policy, live, codes, scores, prompt_len, current_len, lengths)
+    # Scores in slot order, beside their candidates; the padding's are any
+    # value at all, since padding is never ranked.
+    aligned = np.take_along_axis(scores, live, axis=1)
+    for g, row in enumerate(rows):
+        aligned[g, row.size :] = rng.choice([np.nan, -1.0, 9.0])
+    keep = retained_mask(policy, live, codes, aligned, prompt_len, current_len, lengths)
     assert keep.shape == live.shape
     for g, row in enumerate(rows):
-        one = retained_mask(policy, row, codes, scores[g], prompt_len, current_len)
+        one = retained_mask(policy, row, codes, scores[g, row], prompt_len, current_len)
         assert keep[g, : row.size].tolist() == one.tolist()
         assert not keep[g, row.size :].any()
         if policy.atoms == {PolicyAtom.FREQUENT}:
