@@ -4,27 +4,30 @@ Each head follows one archetype: its query vectors plant a large logit on
 the target key columns (special-class tokens, the recent window, or a
 fixed sparse column set) and bounded uniform noise elsewhere, so the
 archetype's attention-mass bound holds at every decoding step by
-construction rather than by sampling. All randomness is derived from
-``SeedSequence(config.seed, spawn_key=...)`` streams, making every row a
-pure function of (seed, layer, head, position) regardless of call order.
-Rows build no ``SeedSequence`` of their own: ``SyntheticModel._rng`` takes
-numpy's pool once per stream prefix (role, layer, head), replays the
-mixing of the position word and ``generate_state`` in Python, and hands
-the state words to ``PCG64``. So each row's generator and draws equal
-those of ``PCG64(SeedSequence(seed, spawn_key=key))``, as
-``tests/test_row_seeding.py`` checks against numpy.
+construction rather than by sampling.
+
+Row noise comes from counter-based streams (Philox; Salmon et al.,
+"Parallel Random Numbers: As Easy as 1, 2, 3", SC'11), one per (role,
+layer), keyed by ``SeedSequence(seed, spawn_key=(role, layer))``. Row
+(pos, head) owns the ``B = ceil(d / 4)`` four-word blocks from counter
+``(pos * H + head) * B``, read as ``4 * B`` uniform(-1, 1) words: a key
+row takes the first ``d - 4`` words times the noise amplitude, a query
+row the same times ``sqrt(d)``, and a value row the first ``d`` words.
+Every row is read by jumping its stream to that counter, so it is a pure
+function of (seed, role, layer, head, pos) whatever the call order. Rows
+are laid out back to back with no gaps, positions major and heads minor,
+so one ``(n * H, 4 * B)`` draw of a stream holds n positions' rows for
+every head of the layer, each equal to the row read alone.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .tokens import TokenClass, VocabMetadata
 
@@ -47,6 +50,8 @@ _ROLE_QUERY = 1
 _ROLE_VALUE = 2
 _ROLE_PROMPT = 3
 _ROLE_HEAD_WEIGHTS = 4
+# Philox counters are 256-bit; a jump back is a jump forward modulo this.
+_PHILOX_PERIOD = 1 << 256
 
 DEFAULT_VOCAB = VocabMetadata(
     special_ids=frozenset({0, 1}), punctuation_ids=frozenset({2, 3, 4})
@@ -135,115 +140,6 @@ def linear_head_weights(config: ModelConfig) -> np.ndarray:
     return rng.uniform(-1.0, 1.0, (config.vocab_size, dim)) / math.sqrt(dim)
 
 
-# SeedSequence's pool size and hash constants (numpy's bit_generator.pyx).
-_POOL_SIZE = 4
-_MASK32 = 0xFFFFFFFF
-_INIT_A = 0x43B0D7E5
-_MULT_A = 0x931E8875
-_INIT_B = 0x8B51F9DD
-_MULT_B = 0x58F38DED
-_MIX_MULT_L = 0xCA01F9DD
-_MIX_MULT_R = 0x4973F715
-
-
-def _entropy_words(n: int) -> list[int]:
-    """``n`` as little-endian uint32 words, as SeedSequence splits entropy."""
-    n = operator.index(n)
-    if n < 0:
-        raise ValueError("expected non-negative integer")
-    words = [n & _MASK32]
-    while n := n >> 32:
-        words.append(n & _MASK32)
-    return words
-
-
-def _hash_consts(
-    hash_const: int, mult: int, count: int
-) -> tuple[tuple[int, int], ...]:
-    """(xor, multiplier) of ``count`` hashes in a row, from ``hash_const``.
-
-    SeedSequence advances its hash constant once per hash whatever the
-    data, so these are fixed by the hash's place in the sequence.
-    """
-    consts = []
-    for _ in range(count):
-        step = hash_const * mult & _MASK32
-        consts.append((hash_const, step))
-        hash_const = step
-    return tuple(consts)
-
-
-@lru_cache(maxsize=1 << 13)
-def _word_hashes(word: int, hash_const: int) -> tuple[tuple[int, ...], int]:
-    """One entropy word hashed for each pool lane, times ``_MIX_MULT_R``.
-
-    They depend only on the word and the hash constant reached before it,
-    so every row stream of a model shares them for its position word.
-    """
-    consts = _hash_consts(hash_const, _MULT_A, _POOL_SIZE)
-    hashes = []
-    for xor, mult in consts:
-        value = (word ^ xor) * mult & _MASK32
-        hashes.append(_MIX_MULT_R * (value ^ value >> 16))
-    return tuple(hashes), consts[-1][1]
-
-
-def _absorb(
-    pool: tuple[int, ...], hash_const: int, words: list[int]
-) -> tuple[tuple[int, ...], int]:
-    """Mix entropy words past the pool size into every pool lane."""
-    for word in words:
-        (h0, h1, h2, h3), hash_const = _word_hashes(word, hash_const)
-        p0, p1, p2, p3 = pool
-        p0 = (_MIX_MULT_L * p0 - h0) & _MASK32
-        p1 = (_MIX_MULT_L * p1 - h1) & _MASK32
-        p2 = (_MIX_MULT_L * p2 - h2) & _MASK32
-        p3 = (_MIX_MULT_L * p3 - h3) & _MASK32
-        pool = (p0 ^ p0 >> 16, p1 ^ p1 >> 16, p2 ^ p2 >> 16, p3 ^ p3 >> 16)
-    return pool, hash_const
-
-
-# generate_state's (xor, multiplier) for each of the eight uint32 words
-# PCG64 asks for.
-((_X0, _M0), (_X1, _M1), (_X2, _M2), (_X3, _M3),
- (_X4, _M4), (_X5, _M5), (_X6, _M6), (_X7, _M7)) = _hash_consts(
-    _INIT_B, _MULT_B, 2 * _POOL_SIZE
-)  # fmt: skip
-
-
-def _state_words(pool: tuple[int, ...]) -> np.ndarray:
-    """``generate_state(4, np.uint64)`` of a finished pool."""
-    p0, p1, p2, p3 = pool
-    a = (p0 ^ _X0) * _M0 & _MASK32
-    b = (p1 ^ _X1) * _M1 & _MASK32
-    c = (p2 ^ _X2) * _M2 & _MASK32
-    d = (p3 ^ _X3) * _M3 & _MASK32
-    e = (p0 ^ _X4) * _M4 & _MASK32
-    f = (p1 ^ _X5) * _M5 & _MASK32
-    g = (p2 ^ _X6) * _M6 & _MASK32
-    h = (p3 ^ _X7) * _M7 & _MASK32
-    return np.array(
-        (
-            a ^ a >> 16 | (b ^ b >> 16) << 32,
-            c ^ c >> 16 | (d ^ d >> 16) << 32,
-            e ^ e >> 16 | (f ^ f >> 16) << 32,
-            g ^ g >> 16 | (h ^ h >> 16) << 32,
-        ),
-        dtype=np.uint64,
-    )
-
-
-class _StateWords(ISeedSequence):
-    """Hands PCG64 the state words its SeedSequence would have generated."""
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        # PCG64 makes exactly one request: four uint64 words.
-        return self.words
-
-
 def _indicator_logit(dominance: float, max_context: int) -> float:
     # Mass on the planted set stays >= dominance even when max_context - 1
     # noise-boosted competitors are visible.
@@ -324,36 +220,25 @@ class SyntheticModel:
         self._indicator = _indicator_logit(dominance, max_context)
         self._sqrt_d = math.sqrt(float(config.head_dim))
         self._head_weights: np.ndarray | None = None
-        self._pools: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
+        # Philox blocks (four words each) per noise row, and each
+        # (role, layer) stream's generator with the block it stands at.
+        self._row_blocks = (config.head_dim + 3) // 4
+        self._streams: dict[tuple[int, int], list] = {}
 
-    def _pool(self, prefix: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-        """Pool and hash constant of ``SeedSequence(seed, spawn_key=prefix)``.
-
-        One ``SeedSequence`` per prefix; rows replay only their last word.
-        The constant advances once per hash, and each entropy word (the run
-        entropy padded to ``_POOL_SIZE``) is hashed into every pool lane.
-        """
-        state = self._pools.get(prefix)
-        if state is None:
-            seed = self.config.seed
-            pool = np.random.SeedSequence(seed, spawn_key=prefix).pool
-            words = max(len(_entropy_words(seed)), _POOL_SIZE)
-            words += sum(len(_entropy_words(k)) for k in prefix)
-            hash_const = _INIT_A * pow(_MULT_A, _POOL_SIZE * words, 1 << 32) & _MASK32
-            state = tuple(pool.tolist()), hash_const
-            self._pools[prefix] = state
-        return state
-
-    def _rng(self, role: int, *key: int) -> np.random.Generator:
-        """``Generator(PCG64(SeedSequence(seed, spawn_key=(role, *key))))``.
-
-        Only the last key entry is mixed per call; the pool before it is
-        memoised per stream.
-        """
-        stream = (role, *key)
-        pool, hash_const = self._pool(stream[:-1])
-        pool, _ = _absorb(pool, hash_const, _entropy_words(stream[-1]))
-        return np.random.Generator(np.random.PCG64(_StateWords(_state_words(pool))))
+    def _noise(self, role: int, layer: int, head: int, pos: int, n: int) -> np.ndarray:
+        """The first ``n`` uniform(-1, 1) words of row (pos, head) of the
+        (role, layer) stream, read at that row's counter whatever was read
+        before."""
+        stream = self._streams.get((role, layer))
+        if stream is None:
+            seq = np.random.SeedSequence(self.config.seed, spawn_key=(role, layer))
+            stream = [np.random.Generator(np.random.Philox(seq)), 0]
+            self._streams[(role, layer)] = stream
+        gen, at = stream
+        start = (pos * self.config.num_heads + head) * self._row_blocks
+        gen.bit_generator.advance((start - at) % _PHILOX_PERIOD)
+        stream[1] = start + (n + 3) // 4
+        return gen.uniform(-1.0, 1.0, n)
 
     def _check_position(self, pos: int):
         if pos >= self.max_context:
@@ -369,8 +254,8 @@ class SyntheticModel:
         """Deterministic prompt: position 0 special, fixed punctuation slots."""
         if prompt_len < 1:
             raise ModelError("prompt_len must be >= 1")
-        rng = self._rng(_ROLE_PROMPT)
-        ids = rng.integers(
+        seq = np.random.SeedSequence(self.config.seed, spawn_key=(_ROLE_PROMPT,))
+        ids = np.random.Generator(np.random.PCG64(seq)).integers(
             _FIRST_WORD_ID, self.config.vocab_size, size=prompt_len
         ).tolist()
         ids[0] = min(self.vocab.special_ids)
@@ -393,10 +278,8 @@ class SyntheticModel:
         if pos in sparse_columns(prompt_len):
             row[_DIM_COLUMN] = 1.0
         row[_DIM_POSITION] = pos * _POS_SCALE
-        rng = self._rng(_ROLE_KEY, layer, head, pos)
-        row[_NUM_PLANTED_DIMS:] = rng.uniform(
-            -self._noise_amp, self._noise_amp, d - _NUM_PLANTED_DIMS
-        )
+        noise = self._noise(_ROLE_KEY, layer, head, pos, d - _NUM_PLANTED_DIMS)
+        np.multiply(noise, self._noise_amp, out=row[_NUM_PLANTED_DIMS:])
         return row
 
     def q_row(self, layer: int, head: int, pos: int, prompt_len: int) -> np.ndarray:
@@ -411,16 +294,13 @@ class SyntheticModel:
         elif archetype is Archetype.LOCAL_DOMINANT:
             beta = _local_slope(self.dominance, self.local_window(prompt_len))
             row[_DIM_POSITION] = beta * self._sqrt_d / _POS_SCALE
-        rng = self._rng(_ROLE_QUERY, layer, head, pos)
-        row[_NUM_PLANTED_DIMS:] = self._sqrt_d * rng.uniform(
-            -self._noise_amp, self._noise_amp, d - _NUM_PLANTED_DIMS
-        )
+        noise = self._noise(_ROLE_QUERY, layer, head, pos, d - _NUM_PLANTED_DIMS)
+        np.multiply(noise, self._sqrt_d * self._noise_amp, out=row[_NUM_PLANTED_DIMS:])
         return row
 
     def v_row(self, layer: int, head: int, pos: int) -> np.ndarray:
         self._check_position(pos)
-        rng = self._rng(_ROLE_VALUE, layer, head, pos)
-        return rng.uniform(-1.0, 1.0, self.config.head_dim)
+        return self._noise(_ROLE_VALUE, layer, head, pos, self.config.head_dim)
 
     def head_logits(self, concat_outputs: np.ndarray) -> np.ndarray:
         """Next-token logits: seeded linear map over concatenated outputs."""

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import tracemalloc
 import warnings
 
@@ -159,12 +160,19 @@ BUDGET_AT_COUNT = CompressionPolicy(
 )
 
 
-# The r_f=0.4 policy evicts a row followed by exactly one kept row, so
-# compaction moves a single row. ``None`` profiles ``mixed_model`` so
-# that groups of every kind coexist in one cache.
+# This policy sometimes evicts a row followed by exactly one kept row, so
+# compaction moves a single row.
+SINGLE_ROW_MOVE = CompressionPolicy(
+    frozenset({PolicyAtom.FREQUENT, PolicyAtom.LOCAL}), r_l=0.5, r_f=0.1
+)
+
+
+# ``None`` profiles ``mixed_model`` so that groups of every kind coexist in
+# one cache.
 @pytest.mark.parametrize(
     "policy",
-    feasible_set() + [feasible_set(r_f=0.4)[2], WINDOW_FREQUENT, BUDGET_AT_COUNT, None],
+    feasible_set()
+    + [feasible_set(r_f=0.4)[2], WINDOW_FREQUENT, BUDGET_AT_COUNT, SINGLE_ROW_MOVE, None],
     ids=lambda p: "mixed-groups" if p is None else str(p),
 )
 def test_cache_matches_list_reference_every_step(request, policy):
@@ -194,7 +202,7 @@ def test_cache_matches_list_reference_every_step(request, policy):
 
     # Each position's class, from the tokens the session has seen.
     classes = [a.klass for a in classify_tokens(prompt, model.vocab)]
-    growths = shifts = ragged = 0
+    growths = shifts = ragged = single_moves = 0
     token = None
     for _ in range(STEPS):
         slots = head_slots(cache)
@@ -229,6 +237,12 @@ def test_cache_matches_list_reference_every_step(request, policy):
             assert live == reference_retained(policy, ctx, attended)
             # A row evicted below a kept one: compaction shifted the rows after it.
             shifts += any(p < live[-1] for p in set(previous[key]) - set(live))
+            # A lone kept row after an eviction: compaction moved a single row.
+            kept = [p in live for p in attended]
+            if False in kept:
+                after = kept[kept.index(False) :]
+                runs = [len(list(run)) for k, run in itertools.groupby(after) if k]
+                single_moves += runs.count(1)
             live_rows = [rows(layer, head, p, classes[p]) for p in live]
             n = group.n[g]
             assert np.array_equal(group.K[g, :n], np.array([r[0] for r in live_rows]))
@@ -245,6 +259,8 @@ def test_cache_matches_list_reference_every_step(request, policy):
     assert growths >= 1
     if policy is WINDOW_FREQUENT:
         assert shifts >= STEPS // 2 and ragged >= STEPS // 2
+    if policy is SINGLE_ROW_MOVE:
+        assert single_moves >= 1
 
 
 def one_head_groups(group):
@@ -263,9 +279,10 @@ def one_head_groups(group):
 def test_unequal_counts_decode_as_one_head_groups(mixed_model):
     """A group whose heads hold different counts has the bits of one group
     per head, each attending over only its own rows."""
-    # Each head's top-budget positions overlap the specials differently.
+    # A budget of one or two rows makes each head's top positions overlap
+    # the specials that decoding emits differently.
     policy = CompressionPolicy(
-        frozenset({PolicyAtom.SPECIAL, PolicyAtom.FREQUENT}), r_f=0.1
+        frozenset({PolicyAtom.SPECIAL, PolicyAtom.FREQUENT}), r_f=0.02
     )
     prompt = mixed_model.prompt_token_ids(GOLDEN_PROMPT)
     _, cache = encode_prompt(mixed_model, prompt, ProfilerConfig.fixed(policy))
@@ -588,7 +605,7 @@ def _record_digest(records) -> str:
 # frequent heads, decoded past two buffer growths with diagnostics and
 # nucleus sampling. Its digest pins the bits of every step record.
 DECODE_GOLDEN_SHA256 = (
-    "d26c93dab4fd182e73446fe429be233f1c9fd95978a385c4bc531b2b1da49eab"
+    "8dadffaf5610cedab4fe23969274b7ec24aaf63ede868966900bd29deb33a442"
 )
 
 

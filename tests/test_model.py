@@ -1,7 +1,13 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adaptive_kv.attention import PromptStats
 from adaptive_kv.engine import GenerationConfig, prompt_head_data, reference_generate
@@ -11,6 +17,12 @@ from adaptive_kv.model import (
     ModelConfig,
     ModelError,
     SyntheticModel,
+    _NUM_PLANTED_DIMS,
+    _ROLE_KEY,
+    _ROLE_PROMPT,
+    _ROLE_QUERY,
+    _ROLE_VALUE,
+    cycling_plan,
     punctuation_positions,
     sparse_columns,
 )
@@ -187,3 +199,127 @@ def test_phase_switch_changes_archetype_at_position():
 def test_switch_requires_both_fields():
     with pytest.raises(ModelError, match="switch"):
         HeadPlan(Archetype.DIFFUSE, switch_to=Archetype.LOCAL_DOMINANT)
+
+
+SEEDS = st.one_of(
+    st.sampled_from([0, 2**32 - 1, 2**32]),
+    st.integers(0, 2**32).map(lambda k: 2**64 + k),
+    st.integers(0, 2**32).map(lambda k: 2**160 + k),
+)
+
+
+def seeded_model(seed: int, num_heads: int = 4, head_dim: int = 16) -> SyntheticModel:
+    config = ModelConfig(num_layers=2, num_heads=num_heads, head_dim=head_dim,
+                         vocab_size=32, seed=seed)
+    return SyntheticModel(config, cycling_plan(config, list(Archetype)), DOMINANCE)
+
+
+def stream_draw(seed: int, role: int, layer: int, rows: int, d: int) -> np.ndarray:
+    """One ``(rows, 4 * ceil(d / 4))`` uniform(-1, 1) draw of a (role, layer)
+    stream, from its start."""
+    seq = np.random.SeedSequence(seed, spawn_key=(role, layer))
+    gen = np.random.Generator(np.random.Philox(seq))
+    return gen.uniform(-1.0, 1.0, (rows, 4 * ((d + 3) // 4)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(SEEDS, st.integers(6, 40), st.integers(1, 5), st.integers(1, 8), st.randoms())
+def test_rows_in_any_order_are_slices_of_one_stream_draw(seed, d, heads, n, rnd):
+    model = seeded_model(seed, heads, d)
+    layer, planted, amp = 1, _NUM_PLANTED_DIMS, model._noise_amp
+    draws = {
+        role: stream_draw(seed, role, layer, n * heads, d)
+        for role in (_ROLE_KEY, _ROLE_QUERY, _ROLE_VALUE)
+    }
+    rows = [(pos, head) for pos in range(n) for head in range(heads)]
+    shuffled = rnd.sample(rows, len(rows))
+    for pos, head in shuffled + shuffled[::-1]:
+        i = pos * heads + head
+        k = model.k_row(layer, head, pos, TokenClass.OTHER, n)[planted:]
+        q = model.q_row(layer, head, pos, n)[planted:]
+        v = model.v_row(layer, head, pos)
+        want_k = draws[_ROLE_KEY][i, : d - planted] * amp
+        want_q = draws[_ROLE_QUERY][i, : d - planted] * (model._sqrt_d * amp)
+        assert k.tobytes() == want_k.tobytes()
+        assert q.tobytes() == want_q.tobytes()
+        assert v.tobytes() == draws[_ROLE_VALUE][i, :d].tobytes()
+
+
+def counter_row(seed: int, role: int, layer: int, start: int, n: int) -> np.ndarray:
+    """``n`` uniform(-1, 1) words of a (role, layer) stream from Philox
+    counter ``start``, positioned by the constructor rather than a jump."""
+    seq = np.random.SeedSequence(seed, spawn_key=(role, layer))
+    return np.random.Generator(np.random.Philox(seq, counter=start)).uniform(-1.0, 1.0, n)
+
+
+def noise_row(model: SyntheticModel, role: int, layer: int, head: int, pos: int):
+    """The noise part of one row, read through the public row accessors."""
+    if role == _ROLE_KEY:
+        return model.k_row(layer, head, pos, TokenClass.OTHER, pos + 1)[_NUM_PLANTED_DIMS:]
+    if role == _ROLE_QUERY:
+        return model.q_row(layer, head, pos, pos + 1)[_NUM_PLANTED_DIMS:]
+    return model.v_row(layer, head, pos)
+
+
+ROW_ROLES = st.sampled_from([_ROLE_KEY, _ROLE_QUERY, _ROLE_VALUE])
+ROW_KEYS = st.tuples(ROW_ROLES, st.integers(0, 1), st.integers(0, 3), st.integers(0, 4095))
+
+
+@settings(max_examples=200, deadline=None)
+@given(SEEDS, ROW_KEYS)
+def test_row_read_alone_matches_its_philox_counter(seed, key):
+    role, layer, head, pos = key
+    model = seeded_model(seed)
+    d, heads = model.config.head_dim, model.config.num_heads
+    start = (pos * heads + head) * ((d + 3) // 4)
+    if role == _ROLE_VALUE:
+        want = counter_row(seed, role, layer, start, d)
+    else:
+        scale = model._noise_amp * (model._sqrt_d if role == _ROLE_QUERY else 1.0)
+        want = counter_row(seed, role, layer, start, d - _NUM_PLANTED_DIMS) * scale
+    assert noise_row(model, role, layer, head, pos).tobytes() == want.tobytes()
+
+
+@settings(max_examples=50, deadline=None)
+@given(SEEDS, st.lists(ROW_KEYS, min_size=2, max_size=8))
+def test_memoised_streams_do_not_leak_between_roles_and_layers(seed, keys):
+    model = seeded_model(seed)
+    for key in keys + keys[::-1]:
+        want = noise_row(seeded_model(seed), *key)
+        assert noise_row(model, *key).tobytes() == want.tobytes()
+
+
+@settings(max_examples=20, deadline=None)
+@given(SEEDS, st.integers(1, 200))
+def test_prompt_is_drawn_from_its_pcg64_stream(seed, prompt_len):
+    model = seeded_model(seed)
+    seq = np.random.SeedSequence(seed, spawn_key=(_ROLE_PROMPT,))
+    rng = np.random.Generator(np.random.PCG64(seq))
+    want = rng.integers(5, model.config.vocab_size, size=prompt_len).tolist()
+    want[0] = min(model.vocab.special_ids)
+    punct_ids = sorted(model.vocab.punctuation_ids)
+    for slot, pos in enumerate(punctuation_positions(prompt_len)):
+        want[pos] = punct_ids[slot % len(punct_ids)]
+    assert model.prompt_token_ids(prompt_len) == want
+
+
+def test_negative_seed_raises_value_error_without_hanging():
+    # Splitting a negative seed into words by shifting never ends and grows
+    # a list, so the child runs under a timeout and a 1 GiB address-space cap.
+    code = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from adaptive_kv.model import Archetype, ModelConfig, SyntheticModel\n"
+        "m = SyntheticModel(ModelConfig(1, 1, 16, 32, -3),"
+        " {(0, 0): Archetype.DIFFUSE}, 0.97)\n"
+        "try:\n"
+        "    m.v_row(0, 0, 0)\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        timeout=30, env=env, check=True,
+    )
+    assert done.stdout.strip() == "expected non-negative integer"
