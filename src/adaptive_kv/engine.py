@@ -5,13 +5,15 @@ attention column sums and last row in ``BLOCK_ROWS``-row blocks, never
 the P x P map, profiles the head once on them and compresses its cache
 to the retained set the profiler chose. A fixed-policy baseline is the
 same pass under a one-candidate family (``ProfilerConfig.fixed``). The
-prompt is classified once; every head shares its class codes. Phase two
-generates token by token: each step appends the incoming token's K/V
-row, attends over the retained positions plus that row, folds the
-attention row into the frequency bookkeeping, re-applies the frozen
-policy to the grown cache, and finally samples the next token. Evicted
-rows are dropped for good; re-application only ever selects among live
-positions.
+prompt is classified once; every head shares its class codes. Model rows
+are read once per layer: one ``(P, H, d)`` block call per role, from
+which each head gets contiguous copies. Phase two generates token by
+token: each step reads the incoming position's rows of every head with
+one call per role and layer, appends each head's K/V row, attends over
+the retained positions plus that row, folds the attention row into the
+frequency bookkeeping, re-applies the frozen policy to the grown cache,
+and finally samples the next token. Evicted rows are dropped for good;
+re-application only ever selects among live positions.
 
 The unit of decode is a head group: every head with one policy. A group
 holds its heads' K and V rows in ``(G, capacity, d)`` buffers, and their
@@ -192,12 +194,15 @@ class HeadGroup:
     scores: np.ndarray | None = None
     shadow: np.ndarray | None = None
     heads: np.ndarray = field(init=False, repr=False)  # arange(G)
+    # Each head's (layer, head) index pair, for reading a step's model rows.
+    grid_index: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
     # The classes of incoming rows the policy keeps whatever their rank: all
     # under ``local``, whose window always holds the newest row.
     classes: set[TokenClass] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.heads, atoms = np.arange(len(self.keys)), self.policy.atoms
+        self.grid_index = tuple(np.array(self.keys, dtype=np.intp).reshape(-1, 2).T)
         local = set(TokenClass) if PolicyAtom.LOCAL in atoms else set()
         self.classes = local.union(*(_STATIC.get(atom, ()) for atom in atoms))
 
@@ -207,14 +212,19 @@ class HeadGroup:
 
     def advance(
         self,
-        model,
+        new_rows: np.ndarray,
         pos: int,
         klass: TokenClass,
         prompt_len: int,
         codes: np.ndarray,
         diagnostics: bool,
     ):
-        """Append position ``pos``, attend every head over it, re-apply the policy."""
+        """Append position ``pos``, attend every head over it, re-apply the policy.
+
+        ``new_rows`` holds the model's K, V and Q rows at ``pos`` as
+        ``(3, num_layers, num_heads, d)``; each head reads its own by
+        (layer, head) index.
+        """
         n, heads, atoms = self.n, self.heads, self.policy.atoms
         counts = n.tolist()
         width = max(counts) + 1
@@ -225,11 +235,9 @@ class HeadGroup:
                 if getattr(self, name) is not None:
                     setattr(self, name, _room(getattr(self, name), width - 1, axis=1))
         K, V, live, scores = self.K, self.V, self.pos, self.scores
-        Q = np.empty((heads.size, K.shape[2]))
-        for g, (layer, head) in enumerate(self.keys):
-            K[g, counts[g]] = model.k_row(layer, head, pos, klass, prompt_len)
-            V[g, counts[g]] = model.v_row(layer, head, pos)
-            Q[g] = model.q_row(layer, head, pos, prompt_len)
+        k, v, Q = new_rows[(slice(None), *self.grid_index)]
+        K[heads, n] = k
+        V[heads, n] = v
         live[heads, n] = pos
         attended = live[:, :width]
         if ragged is not None:
@@ -277,7 +285,11 @@ class HeadGroup:
             return  # no old row evicted; an evicted incoming row lies past the live ones
         # Each run of kept rows moves down past the rows evicted before it, in one
         # 1-D slice per flat buffer (an overlapping 2-D slice copies via a temporary).
-        rows, edges = np.diff(keep, axis=1, prepend=False, append=False).nonzero()
+        # Run edges come from one pass over the mask with a False column each side.
+        padded = np.zeros((heads.size, width + 2), dtype=bool)
+        padded[:, 1:-1] = keep
+        flat = padded.ravel()
+        rows, edges = np.divmod(np.flatnonzero(flat[1:] != flat[:-1]), width + 2)
         rows, at, size = rows[::2], edges[::2], edges[1::2] - edges[::2]
         dest = np.cumsum(size) - size
         dest -= dest[np.searchsorted(rows, rows)]
@@ -360,6 +372,9 @@ class CompressedCache:
 def prompt_head_data(model, tokens: list[int], prompt_len: int | None = None):
     """Full-context pass, streamed one head at a time in ``head_grid()`` order.
 
+    Each layer's K, V and Q rows are read as one ``(n, H, d)`` block per
+    role, held while that layer's heads stream.
+
     ``prompt_len`` defaults to the full token list; diagnostic callers
     re-encoding a prompt plus generated tokens pass the true prompt length
     so model rows and policy budgets stay anchored to it.
@@ -367,8 +382,8 @@ def prompt_head_data(model, tokens: list[int], prompt_len: int | None = None):
     Yields ``(key, K, V, stats, ctx)`` per head: its K/V rows, the
     ``PromptStats`` of its attention map (column sums and last row, from
     ``causal_attention``'s blocked pass) and the PolicyContext the
-    profiler consumes, seeded with those column sums. Each head is
-    computed when it is asked for. The tokens are classified once; every
+    profiler consumes, seeded with those column sums. Each head's attention
+    is computed when it is asked for. The tokens are classified once; every
     context shares one read-only ``codes`` array.
     """
     if not tokens:
@@ -378,20 +393,26 @@ def prompt_head_data(model, tokens: list[int], prompt_len: int | None = None):
     p = n if prompt_len is None else prompt_len
     if not 1 <= p <= n:
         raise EngineError(f"prompt_len {p} out of range for {n} tokens")
-    klasses = [a.klass for a in classify_tokens(tokens, model.vocab)]
-    codes = np.array([CLASS_CODE[k] for k in klasses], dtype=np.int8)
+    codes = np.array(
+        [CLASS_CODE[a.klass] for a in classify_tokens(tokens, model.vocab)], dtype=np.int8
+    )
     codes.setflags(write=False)
-    for layer, head in cfg.head_grid():
-        # One flat copy per role, with the bits of ``np.array(rows)``.
-        K = [model.k_row(layer, head, pos, klasses[pos], p) for pos in range(n)]
-        K = np.concatenate(K).reshape(n, -1)
-        V = np.concatenate([model.v_row(layer, head, pos) for pos in range(n)]).reshape(n, -1)
-        Q = np.concatenate([model.q_row(layer, head, pos, p) for pos in range(n)]).reshape(n, -1)
-        stats = causal_attention(Q, K, cfg.head_dim)
-        ctx = PolicyContext(
-            codes=codes, prompt_len=p, current_len=n, cumulative_scores=stats.colsum
+    heads, at = np.arange(cfg.num_heads), np.arange(n)[:, None]
+    for layer in range(cfg.num_layers):
+        # One (n, H, d) block per role; each head gets contiguous copies.
+        blocks = (
+            model.k_row(layer, heads, at, codes[:, None], p),
+            model.v_row(layer, heads, at),
+            model.q_row(layer, heads, at, p),
         )
-        yield (layer, head), K, V, stats, ctx
+        for head in range(cfg.num_heads):
+            K, V, Q = (np.ascontiguousarray(block[:, head]) for block in blocks)
+            stats = causal_attention(Q, K, cfg.head_dim)
+            ctx = PolicyContext(
+                codes=codes, prompt_len=p, current_len=n, cumulative_scores=stats.colsum
+            )
+            yield (layer, head), K, V, stats, ctx
+        del blocks  # so that one layer's blocks are alive at a time
 
 
 def _grid(model) -> tuple[int, int]:
@@ -472,6 +493,19 @@ def encode_prompt(
     return profile, cache
 
 
+def _step_rows(model, pos: int, code, prompt_len: int) -> np.ndarray:
+    """Every head's K, V and Q rows at ``pos`` as ``(3, num_layers, num_heads,
+    d)``, one model call per role and layer."""
+    cfg = model.config
+    heads = np.arange(cfg.num_heads)
+    rows = np.empty((3, cfg.num_layers, cfg.num_heads, cfg.head_dim))
+    for layer in range(cfg.num_layers):
+        rows[0, layer] = model.k_row(layer, heads, pos, code, prompt_len)
+        rows[1, layer] = model.v_row(layer, heads, pos)
+        rows[2, layer] = model.q_row(layer, heads, pos, prompt_len)
+    return rows
+
+
 def generate_step(
     model,
     cache: CompressedCache,
@@ -500,9 +534,10 @@ def generate_step(
         klass = model.vocab.classify_id(last_token)
         cache.codes = _room(cache.codes, pos)
         cache.codes[pos] = CLASS_CODE[klass]
+        new_rows = _step_rows(model, pos, cache.codes[pos], cache.prompt_len)
         for group in cache.groups:
             group.advance(
-                model, pos, klass, cache.prompt_len, cache.codes, cache.diagnostics
+                new_rows, pos, klass, cache.prompt_len, cache.codes, cache.diagnostics
             )
         cache.seq_len = pos + 1
 

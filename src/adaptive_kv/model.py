@@ -13,11 +13,21 @@ layer), keyed by ``SeedSequence(seed, spawn_key=(role, layer))``. Row
 ``(pos * H + head) * B``, read as ``4 * B`` uniform(-1, 1) words: a key
 row takes the first ``d - 4`` words times the noise amplitude, a query
 row the same times ``sqrt(d)``, and a value row the first ``d`` words.
-Every row is read by jumping its stream to that counter, so it is a pure
-function of (seed, role, layer, head, pos) whatever the call order. Rows
-are laid out back to back with no gaps, positions major and heads minor,
-so one ``(n * H, 4 * B)`` draw of a stream holds n positions' rows for
-every head of the layer, each equal to the row read alone.
+Every read jumps its stream to the counter it starts at, so a row is a
+pure function of (seed, role, layer, head, pos) whatever the call order.
+Rows are laid out back to back with no gaps, positions major and heads
+minor, so one draw holds n positions' rows for every head of a layer.
+
+Row methods take one row or a block. ``k_row``, ``q_row`` and ``v_row``
+with int ``head`` and ``pos`` return one ``(d,)`` row. With an int array
+for either, ``head`` and ``pos`` broadcast together, ``k_row``'s
+``klass`` is a ``CLASS_CODE`` array that broadcasts to their shape, and
+the result has shape ``broadcast shape + (d,)``, each row bit-equal to
+the same row read alone. A decode step reads ``(H, d)`` with ``pos`` an int
+and ``head`` every head; the prompt pass reads ``(n, H, d)`` with ``pos``
+as ``positions[:, None]``. A ``SyntheticModel`` block is one draw over
+the counter span its rows cover, with the planted dims filled by array
+code; the model keeps no drawn rows between calls.
 """
 
 from __future__ import annotations
@@ -25,11 +35,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .tokens import TokenClass, VocabMetadata
+from .tokens import CLASS_CODE, TokenClass, VocabMetadata
 
 # Feature layout of key rows: indicator dims, a position ramp, then noise.
 _DIM_SPECIAL = 0
@@ -225,27 +235,74 @@ class SyntheticModel:
         self._row_blocks = (config.head_dim + 3) // 4
         self._streams: dict[tuple[int, int], list] = {}
 
-    def _noise(self, role: int, layer: int, head: int, pos: int, n: int) -> np.ndarray:
-        """The first ``n`` uniform(-1, 1) words of row (pos, head) of the
-        (role, layer) stream, read at that row's counter whatever was read
-        before."""
+    def _noise(self, role: int, layer: int, row: int, n: int) -> np.ndarray:
+        """``n`` uniform(-1, 1) words of the (role, layer) stream from the
+        start of flat row ``row = pos * H + head``, read at that row's
+        counter whatever was read before."""
         stream = self._streams.get((role, layer))
         if stream is None:
             seq = np.random.SeedSequence(self.config.seed, spawn_key=(role, layer))
             stream = [np.random.Generator(np.random.Philox(seq)), 0]
             self._streams[(role, layer)] = stream
         gen, at = stream
-        start = (pos * self.config.num_heads + head) * self._row_blocks
+        start = row * self._row_blocks
         gen.bit_generator.advance((start - at) % _PHILOX_PERIOD)
         stream[1] = start + (n + 3) // 4
         return gen.uniform(-1.0, 1.0, n)
 
+    def _noise_block(
+        self, role: int, layer: int, head: np.ndarray, pos: np.ndarray, n: int
+    ) -> np.ndarray:
+        """The first ``n`` words of every row (pos, head), ``head`` and
+        ``pos`` broadcast, sliced from one draw over the rows' counter span."""
+        flat = pos * self.config.num_heads + head
+        if flat.size == 0:
+            return np.empty(flat.shape + (n,))
+        self._check_position(int(pos.min()))
+        self._check_position(int(pos.max()))
+        lo = int(flat.min())
+        width = 4 * self._row_blocks
+        span = self._noise(role, layer, lo, (int(flat.max()) - lo + 1) * width)
+        return span.reshape(-1, width)[flat - lo, :n]
+
     def _check_position(self, pos: int):
+        if pos < 0:
+            raise ModelError(f"position {pos} is negative")
         if pos >= self.max_context:
             raise ModelError(
                 f"position {pos} exceeds max_context={self.max_context}; "
                 "dominance bounds are only guaranteed below it"
             )
+
+    def _query_peak(
+        self, archetype: Archetype, prompt_len: int
+    ) -> tuple[int, float] | None:
+        """The planted dim of a query row under ``archetype`` and its value,
+        or None for a diffuse row, which plants nothing."""
+        if archetype is Archetype.SPECIAL_DOMINANT:
+            return _DIM_SPECIAL, self._indicator * self._sqrt_d
+        if archetype is Archetype.COLUMN_SPARSE:
+            return _DIM_COLUMN, self._indicator * self._sqrt_d
+        if archetype is Archetype.LOCAL_DOMINANT:
+            beta = _local_slope(self.dominance, self.local_window(prompt_len))
+            return _DIM_POSITION, beta * self._sqrt_d / _POS_SCALE
+        return None
+
+    @cached_property
+    def _plan_codes(self) -> np.ndarray:
+        """``(3, layers, heads)`` ints: each head's archetype and the one it
+        switches to (as indices into ``Archetype``) and its switch step; a
+        stationary head switches to its own archetype at step 1."""
+        order = list(Archetype)
+        codes = np.empty((3, self.config.num_layers, self.config.num_heads), np.int64)
+        for (layer, head), plan in self.plan.items():
+            switched = plan.switch_to is not None
+            codes[:, layer, head] = (
+                order.index(plan.archetype),
+                order.index(plan.switch_to if switched else plan.archetype),
+                plan.switch_step if switched else 1,
+            )
+        return codes
 
     def local_window(self, prompt_len: int) -> int:
         return math.ceil(self.local_window_frac * prompt_len)
@@ -265,9 +322,10 @@ class SyntheticModel:
                 ids[pos] = punct_ids[slot % len(punct_ids)]
         return [int(t) for t in ids]
 
-    def k_row(
-        self, layer: int, head: int, pos: int, klass: TokenClass, prompt_len: int
-    ) -> np.ndarray:
+    def k_row(self, layer: int, head, pos, klass, prompt_len: int) -> np.ndarray:
+        if isinstance(head, np.ndarray) or isinstance(pos, np.ndarray):
+            head, pos = np.asarray(head), np.asarray(pos)
+            return self._k_block(layer, head, pos, klass, prompt_len)
         self._check_position(pos)
         d = self.config.head_dim
         row = np.zeros(d)
@@ -278,29 +336,64 @@ class SyntheticModel:
         if pos in sparse_columns(prompt_len):
             row[_DIM_COLUMN] = 1.0
         row[_DIM_POSITION] = pos * _POS_SCALE
-        noise = self._noise(_ROLE_KEY, layer, head, pos, d - _NUM_PLANTED_DIMS)
+        noise = self._noise(
+            _ROLE_KEY, layer, pos * self.config.num_heads + head, d - _NUM_PLANTED_DIMS
+        )
         np.multiply(noise, self._noise_amp, out=row[_NUM_PLANTED_DIMS:])
         return row
 
-    def q_row(self, layer: int, head: int, pos: int, prompt_len: int) -> np.ndarray:
+    def _k_block(self, layer, head, pos, klass, prompt_len) -> np.ndarray:
+        d = self.config.head_dim
+        noise = self._noise_block(_ROLE_KEY, layer, head, pos, d - _NUM_PLANTED_DIMS)
+        klass = np.asarray(klass)
+        row = np.zeros(noise.shape[:-1] + (d,))
+        row[..., _DIM_SPECIAL] = klass == CLASS_CODE[TokenClass.SPECIAL]
+        row[..., _DIM_PUNCT] = klass == CLASS_CODE[TokenClass.PUNCTUATION]
+        for col in sparse_columns(prompt_len):
+            np.copyto(row[..., _DIM_COLUMN], 1.0, where=pos == col)
+        row[..., _DIM_POSITION] = pos * _POS_SCALE
+        np.multiply(noise, self._noise_amp, out=row[..., _NUM_PLANTED_DIMS:])
+        return row
+
+    def q_row(self, layer: int, head, pos, prompt_len: int) -> np.ndarray:
+        if isinstance(head, np.ndarray) or isinstance(pos, np.ndarray):
+            head, pos = np.asarray(head), np.asarray(pos)
+            return self._q_block(layer, head, pos, prompt_len)
         self._check_position(pos)
         d = self.config.head_dim
         row = np.zeros(d)
         archetype = self.plan[(layer, head)].archetype_at(pos, prompt_len)
-        if archetype is Archetype.SPECIAL_DOMINANT:
-            row[_DIM_SPECIAL] = self._indicator * self._sqrt_d
-        elif archetype is Archetype.COLUMN_SPARSE:
-            row[_DIM_COLUMN] = self._indicator * self._sqrt_d
-        elif archetype is Archetype.LOCAL_DOMINANT:
-            beta = _local_slope(self.dominance, self.local_window(prompt_len))
-            row[_DIM_POSITION] = beta * self._sqrt_d / _POS_SCALE
-        noise = self._noise(_ROLE_QUERY, layer, head, pos, d - _NUM_PLANTED_DIMS)
+        peak = self._query_peak(archetype, prompt_len)
+        if peak is not None:
+            row[peak[0]] = peak[1]
+        noise = self._noise(
+            _ROLE_QUERY, layer, pos * self.config.num_heads + head, d - _NUM_PLANTED_DIMS
+        )
         np.multiply(noise, self._sqrt_d * self._noise_amp, out=row[_NUM_PLANTED_DIMS:])
         return row
 
-    def v_row(self, layer: int, head: int, pos: int) -> np.ndarray:
+    def _q_block(self, layer, head, pos, prompt_len) -> np.ndarray:
+        d = self.config.head_dim
+        noise = self._noise_block(_ROLE_QUERY, layer, head, pos, d - _NUM_PLANTED_DIMS)
+        row = np.zeros(noise.shape[:-1] + (d,))
+        base, switch_to, switch_step = self._plan_codes[:, layer, head]
+        code = np.where(pos >= prompt_len + switch_step - 1, switch_to, base)
+        for index, archetype in enumerate(Archetype):
+            peak = self._query_peak(archetype, prompt_len)
+            if peak is not None:
+                np.copyto(row[..., peak[0]], peak[1], where=code == index)
+        np.multiply(
+            noise, self._sqrt_d * self._noise_amp, out=row[..., _NUM_PLANTED_DIMS:]
+        )
+        return row
+
+    def v_row(self, layer: int, head, pos) -> np.ndarray:
+        d = self.config.head_dim
+        if isinstance(head, np.ndarray) or isinstance(pos, np.ndarray):
+            head, pos = np.asarray(head), np.asarray(pos)
+            return self._noise_block(_ROLE_VALUE, layer, head, pos, d)
         self._check_position(pos)
-        return self._noise(_ROLE_VALUE, layer, head, pos, self.config.head_dim)
+        return self._noise(_ROLE_VALUE, layer, pos * self.config.num_heads + head, d)
 
     def head_logits(self, concat_outputs: np.ndarray) -> np.ndarray:
         """Next-token logits: seeded linear map over concatenated outputs."""

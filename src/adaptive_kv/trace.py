@@ -224,25 +224,27 @@ def record_trace(model, tokens: list[int], prompt_len: int) -> AttentionTrace:
 
     Rows are anchored to ``prompt_len`` as in a generation session whose
     prompt is the first ``prompt_len`` tokens, so replaying the trace
-    with that prompt reproduces the session.
+    with that prompt reproduces the session. Each role of a layer is read
+    in one ``(n, H, d)`` block; every block's rows are views into it.
     """
     annotations = [
         TokenAnnotation(pos, tid, model.vocab.classify_id(tid))
         for pos, tid in enumerate(tokens)
     ]
-    blocks = {
-        (layer, head): [
-            TraceBlock(
-                step=pos,
-                k=model.k_row(layer, head, pos, a.klass, prompt_len),
-                v=model.v_row(layer, head, pos),
-                q=model.q_row(layer, head, pos, prompt_len),
-            )
-            for pos, a in enumerate(annotations)
-        ]
-        for layer, head in model.config.head_grid()
-    }
-    return AttentionTrace(model.config, annotations, blocks)
+    cfg = model.config
+    codes = np.array([CLASS_CODE[a.klass] for a in annotations], dtype=np.int8)
+    heads, at = np.arange(cfg.num_heads), np.arange(len(tokens))[:, None]
+    blocks = {}
+    for layer in range(cfg.num_layers):
+        k = model.k_row(layer, heads, at, codes[:, None], prompt_len)
+        v = model.v_row(layer, heads, at)
+        q = model.q_row(layer, heads, at, prompt_len)
+        for head in range(cfg.num_heads):
+            blocks[(layer, head)] = [
+                TraceBlock(step=pos, k=k[pos, head], v=v[pos, head], q=q[pos, head])
+                for pos in range(len(tokens))
+            ]
+    return AttentionTrace(cfg, annotations, blocks)
 
 
 class TraceModel:
@@ -298,13 +300,37 @@ class TraceModel:
             )
         return self._token_ids[:prompt_len]
 
+    def _block(self, rows: dict, layer: int, head, pos) -> np.ndarray:
+        """Rows of ``layer`` at ``head`` and ``pos`` broadcast, copied out of
+        the per-head arrays: row by row at one int position, else one
+        gather per head."""
+        if not isinstance(pos, np.ndarray) and head.size:
+            p = self._pos(pos)
+            picked = [rows[layer, h][p] for h in head.ravel().tolist()]
+            return np.concatenate(picked).reshape(head.shape + (-1,))
+        head, pos = np.broadcast_arrays(head, pos)
+        if pos.size:
+            self._pos(int(pos.min()))
+            self._pos(int(pos.max()))
+        out = np.empty(head.shape + (self.config.head_dim,))
+        for h in np.unique(head).tolist():
+            at = head == h
+            out[at] = rows[layer, h][pos[at]]
+        return out
+
     def k_row(self, layer, head, pos, klass, prompt_len) -> np.ndarray:
+        if isinstance(head, np.ndarray) or isinstance(pos, np.ndarray):
+            return self._block(self._k, layer, head, pos)
         return self._k[layer, head][self._pos(pos)]
 
     def v_row(self, layer, head, pos) -> np.ndarray:
+        if isinstance(head, np.ndarray) or isinstance(pos, np.ndarray):
+            return self._block(self._v, layer, head, pos)
         return self._v[layer, head][self._pos(pos)]
 
     def q_row(self, layer, head, pos, prompt_len) -> np.ndarray:
+        if isinstance(head, np.ndarray) or isinstance(pos, np.ndarray):
+            return self._block(self._q, layer, head, pos)
         return self._q[layer, head][self._pos(pos)]
 
     def head_logits(self, concat_outputs: np.ndarray) -> np.ndarray:

@@ -7,9 +7,11 @@
 that unbinds any of them breaks ``perfbench/run.py --trace 1``.
 
 Every benchmark session also reaches the model through a wrapper that
-exposes only the per-row model API (``hostspeed.TickingModel`` untraced,
+exposes only the row model API (``hostspeed.TickingModel`` untraced,
 ``tracer.ModelProxy`` traced), so an engine call to any other model
-method would fail every session.
+method would fail every session. Through either wrapper, an encode reads
+each role of a layer in one block and so does each decode step that
+appends a row: a fallback to reads row by row fails here.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ import importlib
 from pathlib import Path
 
 import pytest
+
+from collections import Counter
 
 from adaptive_kv import engine
 from adaptive_kv.profiler import ProfilerConfig
@@ -108,3 +112,52 @@ def test_sessions_run_through_benchmark_model_wrappers(
     wrapped = wrapped_models(perfbench, model)[wrapper]
     assert wrapped.prompt_token_ids(16) == prompt
     assert run_session(wrapped, prompt, diagnostics=True) == expected
+
+
+class CountingModel:
+    """A model handle that counts calls of each row and head method."""
+
+    def __init__(self, model):
+        self.config, self.vocab, self.calls = model.config, model.vocab, Counter()
+        for method in ("k_row", "q_row", "v_row", "head_logits", "prompt_token_ids"):
+            setattr(self, method, self._counted(method, getattr(model, method)))
+
+    def _counted(self, method, fn):
+        def counted(*args, **kwargs):
+            self.calls[method] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    def take(self) -> Counter:
+        calls, self.calls = self.calls, Counter()
+        return calls
+
+
+@pytest.mark.parametrize("kind", ["synthetic", "replay"])
+@pytest.mark.parametrize("wrapper", ["ticking", "traced"])
+def test_sessions_read_model_rows_once_per_role_and_layer(
+    perfbench, small_model, kind, wrapper
+):
+    prompt = small_model.prompt_token_ids(16)
+    model = small_model
+    if kind == "replay":
+        model = TraceModel(record_trace(small_model, prompt + [5, 6, 7], len(prompt)))
+    counting = CountingModel(model)
+    wrapped = wrapped_models(perfbench, counting)[wrapper]
+    per_role = Counter(
+        {role: model.config.num_layers for role in ("k_row", "q_row", "v_row")}
+    )
+    for encode in (
+        lambda: engine.encode_prompt(wrapped, prompt, ProfilerConfig())[1],
+        lambda: engine.reference_generate(
+            wrapped, prompt, engine.GenerationConfig(0)
+        ).cache,
+    ):
+        cache = encode()
+        assert counting.take() == per_role
+        token = None
+        for step in range(4):
+            token, cache = engine.generate_step(wrapped, cache, token)
+            rows = per_role if step else Counter()
+            assert counting.take() == rows + Counter(head_logits=1)

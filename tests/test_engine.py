@@ -317,6 +317,59 @@ def test_unequal_counts_decode_as_one_head_groups(mixed_model):
     assert unequal >= STEPS // 2
 
 
+def test_ragged_frequent_group_matches_one_head_groups_on_fixed_rows():
+    """A frequent group whose heads start with different counts, fed the same
+    rows as one group per head, keeps the bits of those groups at every step.
+
+    The counts differ by construction: each head keeps every special its own
+    live set holds, and the head that starts below the budget grows."""
+    rng = np.random.default_rng(20)
+    layers, heads, d, prompt_len, steps = 2, 2, 8, 40, 30
+    keys = ((0, 1), (1, 0), (1, 1))
+    policy = CompressionPolicy(
+        frozenset({PolicyAtom.SPECIAL, PolicyAtom.FREQUENT}), r_f=0.2
+    )
+    codes = rng.choice(np.array([0, 2, 2, 2], dtype=np.int8), prompt_len + steps)
+    shadow = rng.standard_normal((len(keys), prompt_len + steps, d))
+    live = [np.sort(rng.choice(prompt_len, m, replace=False)) for m in (3, 11, 24)]
+    width = max(idx.size for idx in live) + steps
+    buffers = {name: np.zeros((len(keys), width) + tail)
+               for name, tail in (("K", (d,)), ("V", (d,)), ("scores", ()))}
+    pos = np.zeros((len(keys), width), dtype=np.intp)
+    for g, idx in enumerate(live):
+        buffers["K"][g, : idx.size] = shadow[g, idx]
+        buffers["V"][g, : idx.size] = rng.standard_normal((idx.size, d))
+        buffers["scores"][g, : idx.size] = rng.uniform(0.0, 3.0, idx.size)
+        pos[g, : idx.size] = idx
+    group = HeadGroup(
+        keys=keys, policy=policy, pos=pos, n=np.array([idx.size for idx in live]),
+        outputs=np.zeros((len(keys), d)), recovery=np.zeros(len(keys)), shadow=shadow,
+        **buffers,
+    )
+    singles = one_head_groups(group)
+    ragged = 0
+    for at in range(prompt_len, prompt_len + steps):
+        new_rows = rng.standard_normal((3, layers, heads, d))
+        klass = {0: TokenClass.SPECIAL, 2: TokenClass.OTHER}[int(codes[at])]
+        for g in [group, *singles]:
+            g.advance(new_rows, at, klass, prompt_len, codes, diagnostics=True)
+        ragged += len(set(group.n.tolist())) > 1
+        for g, single in enumerate(singles):
+            n = group.n[g]
+            assert single.n.tolist() == [n]
+            assert np.array_equal(group.live(g), single.live(0))
+            assert np.array_equal(group.K[g, :n], single.K[0, :n])
+            assert np.array_equal(group.V[g, :n], single.V[0, :n])
+            assert np.array_equal(group.scores[g, :n], single.scores[0, :n])
+            assert group.outputs[g].tobytes() == single.outputs[0].tobytes()
+            assert group.recovery[g].tobytes() == single.recovery[0].tobytes()
+            # Each head appended its own row of the step.
+            layer, head = keys[g]
+            if group.live(g)[-1] == at:
+                assert np.array_equal(group.K[g, n - 1], new_rows[0, layer, head])
+    assert ragged == steps
+
+
 @pytest.mark.parametrize(
     "policy",
     [

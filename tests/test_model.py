@@ -27,7 +27,8 @@ from adaptive_kv.model import (
     sparse_columns,
 )
 from adaptive_kv.profiler import recovery_ratio
-from adaptive_kv.tokens import CLASS_CODE, TokenClass, classify_tokens
+from adaptive_kv.tokens import CLASS_CODE, TokenAnnotation, TokenClass, classify_tokens
+from adaptive_kv.trace import AttentionTrace, TraceBlock, TraceModel, record_trace
 from conftest import explicit_map, head_maps
 
 CONFIG = ModelConfig(num_layers=1, num_heads=4, head_dim=16, vocab_size=32, seed=11)
@@ -323,3 +324,142 @@ def test_negative_seed_raises_value_error_without_hanging():
         timeout=30, env=env, check=True,
     )
     assert done.stdout.strip() == "expected non-negative integer"
+
+
+def role_reads(model: SyntheticModel) -> dict:
+    """Each role's read of layer 0, as ``read(head, pos)``."""
+    return {
+        "k": lambda head, pos: model.k_row(0, head, pos, TokenClass.OTHER, 8),
+        "q": lambda head, pos: model.q_row(0, head, pos, 8),
+        "v": lambda head, pos: model.v_row(0, head, pos),
+    }
+
+
+@pytest.mark.parametrize("role", ["k", "q", "v"])
+def test_negative_positions_rejected_in_scalar_and_block_reads(role):
+    read = role_reads(seeded_model(5))[role]
+    reads = ((0, -1, -1), (np.arange(4), -1, -1), (0, np.array([3, -2, 0]), -2))
+    for head, pos, bad in reads:
+        with pytest.raises(ModelError, match=f"^position {bad} is negative$"):
+            read(head, pos)
+    # A rejected read leaves the stream where a fresh model's stands.
+    assert read(1, 3).tobytes() == role_reads(seeded_model(5))[role](1, 3).tobytes()
+
+
+def test_trace_model_block_rejects_positions_outside_the_trace():
+    model = seeded_model(5)
+    trace = TraceModel(record_trace(model, model.prompt_token_ids(6), 6))
+    heads = np.arange(model.config.num_heads)
+    for pos in (-1, 6, np.array([[0], [-1]]), np.array([[5], [6]])):
+        for read in (
+            lambda: trace.k_row(0, heads, pos, 2, 6),
+            lambda: trace.q_row(0, heads, pos, 6),
+            lambda: trace.v_row(0, heads, pos),
+        ):
+            with pytest.raises(ModelError, match="outside trace length 6"):
+                read()
+
+
+@st.composite
+def switching_models(draw):
+    """A seeded model with random archetypes, some switching at decode steps
+    that fall inside ``n`` positions, with a prompt of ``prompt_len <= n``."""
+    seed = draw(SEEDS)
+    d, heads = draw(st.integers(6, 40)), draw(st.integers(1, 5))
+    n = draw(st.integers(1, 12))
+    prompt_len = draw(st.integers(1, n))
+    config = ModelConfig(
+        num_layers=2, num_heads=heads, head_dim=d, vocab_size=32, seed=seed
+    )
+    archetypes = st.sampled_from(list(Archetype))
+    plan = {}
+    for key in config.head_grid():
+        if draw(st.booleans()):
+            step = draw(st.integers(1, n - prompt_len + 1))
+            plan[key] = HeadPlan(draw(archetypes), draw(archetypes), step)
+        else:
+            plan[key] = HeadPlan(draw(archetypes))
+    tokens = draw(st.lists(st.integers(0, 31), min_size=n, max_size=n))
+    return SyntheticModel(config, plan, DOMINANCE), tokens, prompt_len
+
+
+def scalar_trace(model: SyntheticModel, tokens: list[int], prompt_len: int) -> TraceModel:
+    """A trace of ``model``'s rows, each read alone."""
+    annotations = [
+        TokenAnnotation(pos, tid, model.vocab.classify_id(tid))
+        for pos, tid in enumerate(tokens)
+    ]
+    blocks = {
+        (layer, head): [
+            TraceBlock(
+                a.position,
+                model.k_row(layer, head, a.position, a.klass, prompt_len),
+                model.v_row(layer, head, a.position),
+                model.q_row(layer, head, a.position, prompt_len),
+            )
+            for a in annotations
+        ]
+        for layer, head in model.config.head_grid()
+    }
+    return TraceModel(AttentionTrace(model.config, annotations, blocks))
+
+
+@settings(max_examples=60, deadline=None)
+@given(switching_models(), st.randoms())
+def test_block_equals_its_rows_read_one_at_a_time(drawn, rnd):
+    synthetic, tokens, prompt_len = drawn
+    cfg = synthetic.config
+    n, heads = len(tokens), cfg.num_heads
+    classes = [synthetic.vocab.classify_id(t) for t in tokens]
+    codes = np.array([CLASS_CODE[k] for k in classes], dtype=np.int8)
+    trace = scalar_trace(synthetic, tokens, prompt_len)
+    step = rnd.randrange(n)
+    # (head, pos, class) arrays of each call shape: a decode step over every
+    # head, the prompt pass, and scattered rows in any order with repeats.
+    picks = [(rnd.randrange(heads), rnd.randrange(n)) for _ in range(rnd.randint(1, 9))]
+    shapes = [
+        (np.arange(heads), step, codes[step]),
+        (np.arange(heads), np.arange(n)[:, None], codes[:, None]),
+        (np.array([h for h, _ in picks]), np.array([p for _, p in picks]),
+         codes[[p for _, p in picks]]),
+    ]
+    for model in (synthetic, trace):
+        for head, pos, klass in shapes:
+            layer = rnd.randrange(cfg.num_layers)
+            blocks = {
+                "k": model.k_row(layer, head, pos, klass, prompt_len),
+                "q": model.q_row(layer, head, pos, prompt_len),
+                "v": model.v_row(layer, head, pos),
+            }
+            shape = np.broadcast_shapes(np.shape(head), np.shape(pos))
+            cells = list(np.ndindex(shape))
+            for cell in rnd.sample(cells, len(cells)):
+                h = int(np.broadcast_to(head, shape)[cell])
+                p = int(np.broadcast_to(pos, shape)[cell])
+                alone = {
+                    "k": model.k_row(layer, h, p, classes[p], prompt_len),
+                    "q": model.q_row(layer, h, p, prompt_len),
+                    "v": model.v_row(layer, h, p),
+                }
+                for role, block in blocks.items():
+                    assert block.shape == shape + (cfg.head_dim,)
+                    assert block[cell].tobytes() == alone[role].tobytes(), (role, cell)
+
+
+def test_record_trace_reads_each_role_of_a_layer_in_one_block(model):
+    calls = []
+
+    class Counting:
+        config, vocab = model.config, model.vocab
+
+        def __getattr__(self, name):
+            calls.append(name)
+            return getattr(model, name)
+
+    tokens = model.prompt_token_ids(PROMPT_LEN)
+    recorded = record_trace(Counting(), tokens, PROMPT_LEN)
+    assert sorted(calls) == sorted(["k_row", "q_row", "v_row"] * CONFIG.num_layers)
+    alone = scalar_trace(model, tokens, PROMPT_LEN)
+    for role in ("_k", "_v", "_q"):
+        for key, rows in getattr(TraceModel(recorded), role).items():
+            assert rows.tobytes() == getattr(alone, role)[key].tobytes()
