@@ -1,6 +1,6 @@
 """Adaptive KV-cache compression with per-head attention profiling."""
 
-from .attention import AttentionError, causal_attention, softmax_rows
+from .attention import AttentionError, causal_attention
 from .engine import (
     CompressedCache,
     EngineError,
@@ -8,6 +8,7 @@ from .engine import (
     GenerationResult,
     GreedyArgmax,
     Nucleus,
+    Sampler,
     encode_prompt,
     generate,
     generate_fixed_baseline,
@@ -20,7 +21,6 @@ from .metrics import (
     compare_adaptive_vs_fixed,
     consistency_report,
     full_cache_bytes,
-    layer_distribution_report,
     pruned_ratio,
     sidecar_overhead_fraction,
     tradeoff_curve,
@@ -35,27 +35,21 @@ from .model import (
 from .policies import (
     CompressionPolicy,
     PolicyAtom,
-    PolicyContext,
     PolicyError,
     feasible_set,
     format_policy,
     full_policy,
     parse_policy,
-    retained_indices,
-    update_cumulative_scores,
 )
 from .profiler import (
     HeadProfile,
     ProfilerConfig,
     RowAveraging,
-    profile_model,
-    recovery_ratio,
     select_policy,
 )
 from .tokens import TokenAnnotation, TokenClass, VocabMetadata, classify_tokens
 from .trace import (
     AttentionTrace,
-    TraceBlock,
     TraceDimensionError,
     TraceError,
     TraceHeaderError,

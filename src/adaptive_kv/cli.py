@@ -24,7 +24,7 @@ import configparser
 import logging
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .engine import (
@@ -46,8 +46,8 @@ from .metrics import (
     consistency_report,
     dataclass_rows,
     full_cache_bytes,
-    layer_distribution_report,
     layer_distribution_rows,
+    profile_rows,
     rows_to_csv,
     rows_to_json,
     sidecar_overhead_fraction,
@@ -81,6 +81,15 @@ _SECTIONS = {
 }
 # The --max-new-tokens default, which also sizes a trace's default prompt.
 _MAX_NEW_TOKENS = 32
+# Each [model] key of a plan file: its type, and its default (None: required).
+_PLAN_KEYS = {
+    **{f.name: (int, None) for f in fields(ModelConfig)},
+    "dominance": (float, 0.97),
+    "prompt_len": (int, 48),
+    "steps": (int, 0),
+    "local_window_frac": (float, 0.3),
+    "max_context": (int, 4096),
+}
 
 
 class CliError(Exception):
@@ -130,44 +139,36 @@ def _config_defaults(path: str, command: str, actions: dict) -> dict:
 
 
 def _parse_head_key(raw: str) -> tuple[int, int]:
-    parts = raw.split(".")
-    if len(parts) != 2:
-        raise CliError(f"parse error: bad head key {raw!r}, expected layer.head")
+    layer, _, head = raw.partition(".")
     try:
-        return int(parts[0]), int(parts[1])
+        return int(layer), int(head)
     except ValueError:
-        raise CliError(f"parse error: bad head key {raw!r}") from None
+        raise CliError(
+            f"parse error: bad head key {raw!r}, expected layer.head"
+        ) from None
 
 
 def _parse_archetype_token(raw: str, where: str) -> HeadPlan:
-    text = raw.strip()
-    switch_to = None
-    switch_step = None
-    if "->" in text:
-        base, _, rest = text.partition("->")
-        target, _, at = rest.partition("@")
-        if not at:
-            raise CliError(
-                f"parse error: phase switch {raw!r} at {where} needs '@step'"
-            )
+    base, switch, rest = raw.strip().partition("->")
+
+    def archetype(text: str) -> Archetype:
         try:
-            switch_step = int(at)
-        except ValueError:
-            raise CliError(f"parse error: bad switch step {at!r} at {where}") from None
-        text, switch_text = base.strip(), target.strip()
-    try:
-        archetype = Archetype(text)
-    except ValueError:
-        raise CliError(f"parse error: unknown archetype {text!r} at {where}") from None
-    if "->" in raw:
-        try:
-            switch_to = Archetype(switch_text)
+            return Archetype(text.strip())
         except ValueError:
             raise CliError(
-                f"parse error: unknown archetype {switch_text!r} at {where}"
+                f"parse error: unknown archetype {text.strip()!r} at {where}"
             ) from None
-        return HeadPlan(archetype, switch_to=switch_to, switch_step=switch_step)
-    return HeadPlan(archetype)
+
+    if not switch:
+        return HeadPlan(archetype(base))
+    target, _, at = rest.partition("@")
+    if not at:
+        raise CliError(f"parse error: phase switch {raw!r} at {where} needs '@step'")
+    try:
+        step = int(at)
+    except ValueError:
+        raise CliError(f"parse error: bad switch step {at!r} at {where}") from None
+    return HeadPlan(archetype(base), switch_to=archetype(target), switch_step=step)
 
 
 def load_plan(path: str):
@@ -175,34 +176,20 @@ def load_plan(path: str):
     parser = _read_ini(path, "plan")
     if not parser.has_section("model"):
         raise CliError("plan parse error: missing [model] section")
-
-    def model_value(key, default=None, get=parser.getint, kind="integer"):
-        if parser.has_option("model", key):
-            try:
-                return get("model", key)
-            except ValueError:
-                raise CliError(
-                    f"plan parse error: bad {kind} for model.{key}"
-                ) from None
-        if default is None:
+    unknown = [key for key in parser.options("model") if key not in _PLAN_KEYS]
+    if unknown:
+        raise CliError(f"plan parse error: unknown key model.{unknown[0]}")
+    values = {}
+    for key, (kind, default) in _PLAN_KEYS.items():
+        raw = parser.get("model", key, fallback=None)
+        if raw is None and default is None:
             raise CliError(f"plan parse error: missing model.{key}")
-        return default
-
-    def model_float(key, default):
-        return model_value(key, default, parser.getfloat, "number")
-
-    config = ModelConfig(
-        num_layers=model_value("num_layers"),
-        num_heads=model_value("num_heads"),
-        head_dim=model_value("head_dim"),
-        vocab_size=model_value("vocab_size"),
-        seed=model_value("seed"),
-    )
-    dominance = model_float("dominance", 0.97)
-    prompt_len = model_value("prompt_len", 48)
-    steps = model_value("steps", 0)
-    frac = model_float("local_window_frac", 0.3)
-    max_context = model_value("max_context", 4096)
+        try:
+            values[key] = default if raw is None else kind(raw)
+        except ValueError:
+            what = "integer" if kind is int else "number"
+            raise CliError(f"plan parse error: bad {what} for model.{key}") from None
+    config = ModelConfig(**{f.name: values[f.name] for f in fields(ModelConfig)})
 
     if not parser.has_section("heads") or not parser.options("heads"):
         raise CliError("no heads defined")
@@ -221,13 +208,13 @@ def load_plan(path: str):
         model = SyntheticModel(
             config,
             plan,
-            dominance,
-            local_window_frac=frac,
-            max_context=max_context,
+            values["dominance"],
+            local_window_frac=values["local_window_frac"],
+            max_context=values["max_context"],
         )
     except ModelError as exc:
         raise CliError(str(exc)) from exc
-    return model, prompt_len, steps
+    return model, values["prompt_len"], values["steps"]
 
 
 def _load_model(args: argparse.Namespace):
@@ -338,9 +325,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
     from .engine import encode_prompt
 
     profile, _ = encode_prompt(model, prompt, cfg, diagnostics=False)
-    _write(out / "head_profile.csv", profile.to_csv())
-    dist = layer_distribution_report(profile)
-    columns, rows = layer_distribution_rows(dist)
+    _write(out / "head_profile.csv", rows_to_csv(*profile_rows(profile)))
+    columns, rows = layer_distribution_rows(profile)
     _emit_report(out, "layer_distribution", columns, rows, args.format)
     print(f"profiled {len(profile)} heads at T={cfg.recovery_threshold:g}")
     return 0
@@ -360,7 +346,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     else:
         cfg = _profiler_config(args)
         result = generate(model, prompt, cfg, gen_cfg)
-    _write(out / "head_profile.csv", result.profile.to_csv())
+    _write(out / "head_profile.csv", rows_to_csv(*profile_rows(result.profile)))
     _write(
         out / "diagnostics.ndjson",
         records_to_ndjson(

@@ -101,7 +101,9 @@ class GenerationConfig:
             raise EngineError("max_new_tokens must be >= 0")
 
 
-class _Sampler:
+class Sampler:
+    """Next-token sampler; one serves every step of a session, RNG and all."""
+
     def __init__(self, sampling: GreedyArgmax | Nucleus):
         self.sampling = sampling
         self._rng = (
@@ -121,6 +123,10 @@ class _Sampler:
         kept = order[: cut + 1]
         weights = probs[kept] / probs[kept].sum()
         return int(self._rng.choice(kept, p=weights))
+
+
+# perfbench/run.py reads the sampler by this name.
+_Sampler = Sampler
 
 
 def _weights(
@@ -510,7 +516,7 @@ def generate_step(
     model,
     cache: CompressedCache,
     last_token: int | None = None,
-    sampler: _Sampler | None = None,
+    sampler: Sampler | None = None,
 ) -> tuple[int, CompressedCache]:
     """Advance one decoding step and sample the next token.
 
@@ -525,9 +531,9 @@ def generate_step(
     if _grid(model) != cache.grid:
         raise EngineError("cache/profile mismatch: head grid does not match the model")
     if sampler is None:
-        sampler = _Sampler(GreedyArgmax())
-    elif not isinstance(sampler, _Sampler):
-        raise EngineError(f"sampler must be a _Sampler or None, got {sampler!r}")
+        sampler = Sampler(GreedyArgmax())
+    elif not isinstance(sampler, Sampler):
+        raise EngineError(f"sampler must be a Sampler or None, got {sampler!r}")
 
     if last_token is not None:
         pos = cache.seq_len
@@ -598,7 +604,7 @@ def generate_fixed_baseline(
 def _run_decode(
     model, cache: CompressedCache, gen_cfg: GenerationConfig
 ) -> GenerationResult:
-    sampler = _Sampler(gen_cfg.sampling)
+    sampler = Sampler(gen_cfg.sampling)
     tokens: list[int] = []
     records: list[StepRecord] = []
     token = None

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections import Counter
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -104,20 +105,6 @@ class TradeoffPoint:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0 + 1e-12:
                 raise MetricsError(f"{name}={value} outside [0, 1]")
-
-
-def layer_distribution_report(profile: HeadProfile) -> dict[int, dict[str, float]]:
-    """Per-layer fraction of heads assigned to each policy."""
-    per_layer: dict[int, dict[str, int]] = {}
-    for (layer, _), decision in profile.items():
-        bucket = per_layer.setdefault(layer, {})
-        name = format_policy(decision.policy)
-        bucket[name] = bucket.get(name, 0) + 1
-    report: dict[int, dict[str, float]] = {}
-    for layer, counts in sorted(per_layer.items()):
-        total = sum(counts.values())
-        report[layer] = {name: count / total for name, count in sorted(counts.items())}
-    return report
 
 
 @dataclass(frozen=True)
@@ -302,12 +289,23 @@ def dataclass_rows(row_type: type, rows: list) -> tuple[list[str], list[list]]:
     return columns, [[getattr(row, name) for name in columns] for row in rows]
 
 
-def layer_distribution_rows(
-    report: dict[int, dict[str, float]]
-) -> tuple[list[str], list[list]]:
+def profile_rows(profile: HeadProfile) -> tuple[list[str], list[list]]:
+    """One row per head: its policy, recovery and cost, in head order."""
     rows = [
-        [layer, policy, fraction]
-        for layer, dist in sorted(report.items())
-        for policy, fraction in sorted(dist.items())
+        [layer, head, format_policy(d.policy), d.recovery, d.cost_tokens]
+        for (layer, head), d in profile.items()
+    ]
+    return ["layer", "head", "policy", "recovery", "cost_tokens"], rows
+
+
+def layer_distribution_rows(profile: HeadProfile) -> tuple[list[str], list[list]]:
+    """Per-layer fraction of heads assigned to each policy."""
+    heads = Counter(layer for layer, _ in profile.decisions)
+    counts = Counter(
+        (layer, format_policy(d.policy)) for (layer, _), d in profile.items()
+    )
+    rows = [
+        [layer, policy, count / heads[layer]]
+        for (layer, policy), count in sorted(counts.items())
     ]
     return ["layer", "policy", "fraction"], rows

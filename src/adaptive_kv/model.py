@@ -93,6 +93,12 @@ class ModelConfig:
             if getattr(self, name) < 1:
                 raise ModelError(f"{name} must be >= 1, got {getattr(self, name)}")
 
+    def check_head(self, head: int):
+        """Raise unless ``head`` is a head of the grid; a row counter such
+        as ``pos * H + head`` would otherwise read another head's row."""
+        if not 0 <= head < self.num_heads:
+            raise ModelError(f"head {head} outside 0..{self.num_heads - 1}")
+
     def head_grid(self) -> list[tuple[int, int]]:
         return [
             (layer, head)
@@ -255,14 +261,20 @@ class SyntheticModel:
     ) -> np.ndarray:
         """The first ``n`` words of every row (pos, head), ``head`` and
         ``pos`` broadcast, sliced from one draw over the rows' counter span."""
+        head, pos = np.asarray(head), np.asarray(pos)
         flat = pos * self.config.num_heads + head
         if flat.size == 0:
             return np.empty(flat.shape + (n,))
-        self._check_position(int(pos.min()))
-        self._check_position(int(pos.max()))
-        lo = int(flat.min())
+        self.config.check_head(int(head.min()))
+        self.config.check_head(int(head.max()))
+        lo, hi = int(flat.min()), int(flat.max())
+        # With every head in range, the rows are in range just when their
+        # positions are, so a decode read pays for no position reductions.
+        if lo < 0 or hi >= self.max_context * self.config.num_heads:
+            self._check_position(int(pos.min()))
+            self._check_position(int(pos.max()))
         width = 4 * self._row_blocks
-        span = self._noise(role, layer, lo, (int(flat.max()) - lo + 1) * width)
+        span = self._noise(role, layer, lo, (hi - lo + 1) * width)
         return span.reshape(-1, width)[flat - lo, :n]
 
     def _check_position(self, pos: int):
@@ -324,8 +336,8 @@ class SyntheticModel:
 
     def k_row(self, layer: int, head, pos, klass, prompt_len: int) -> np.ndarray:
         if isinstance(head, np.ndarray) or isinstance(pos, np.ndarray):
-            head, pos = np.asarray(head), np.asarray(pos)
             return self._k_block(layer, head, pos, klass, prompt_len)
+        self.config.check_head(head)
         self._check_position(pos)
         d = self.config.head_dim
         row = np.zeros(d)
@@ -357,8 +369,8 @@ class SyntheticModel:
 
     def q_row(self, layer: int, head, pos, prompt_len: int) -> np.ndarray:
         if isinstance(head, np.ndarray) or isinstance(pos, np.ndarray):
-            head, pos = np.asarray(head), np.asarray(pos)
             return self._q_block(layer, head, pos, prompt_len)
+        self.config.check_head(head)
         self._check_position(pos)
         d = self.config.head_dim
         row = np.zeros(d)
@@ -390,8 +402,8 @@ class SyntheticModel:
     def v_row(self, layer: int, head, pos) -> np.ndarray:
         d = self.config.head_dim
         if isinstance(head, np.ndarray) or isinstance(pos, np.ndarray):
-            head, pos = np.asarray(head), np.asarray(pos)
             return self._noise_block(_ROLE_VALUE, layer, head, pos, d)
+        self.config.check_head(head)
         self._check_position(pos)
         return self._noise(_ROLE_VALUE, layer, pos * self.config.num_heads + head, d)
 

@@ -34,8 +34,8 @@ class PolicyAtom(Enum):
     FULL = "full"
 
 
-# Canonical rendering order for hybrid policy strings.
-_ATOM_ORDER = (
+# Atom order of the default nested family and of hybrid policy strings.
+DEFAULT_FEASIBLE_ORDER = (
     PolicyAtom.SPECIAL,
     PolicyAtom.PUNCTUATION,
     PolicyAtom.FREQUENT,
@@ -84,7 +84,7 @@ def format_policy(policy: CompressionPolicy) -> str:
     if policy.is_full:
         return "full"
     parts = []
-    for atom in _ATOM_ORDER:
+    for atom in DEFAULT_FEASIBLE_ORDER:
         if atom not in policy.atoms:
             continue
         if atom is PolicyAtom.FREQUENT:
@@ -233,14 +233,6 @@ def retained_indices(policy: CompressionPolicy, ctx: PolicyContext) -> np.ndarra
     scores, codes = ctx.cumulative_scores, ctx.codes
     keep = retained_mask(policy, live, codes, scores, ctx.prompt_len, ctx.current_len)
     return live[keep]
-
-
-DEFAULT_FEASIBLE_ORDER = (
-    PolicyAtom.SPECIAL,
-    PolicyAtom.PUNCTUATION,
-    PolicyAtom.FREQUENT,
-    PolicyAtom.LOCAL,
-)
 
 
 def feasible_set(

@@ -13,8 +13,6 @@ as a mass threshold.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping
@@ -26,7 +24,6 @@ from .policies import (
     CompressionPolicy,
     PolicyContext,
     feasible_set,
-    format_policy,
     full_policy,
     retained_indices,
 )
@@ -151,16 +148,6 @@ class HeadProfile:
 
     def items(self):
         return sorted(self.decisions.items())
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["layer", "head", "policy", "recovery", "cost_tokens"])
-        for (layer, head), d in self.items():
-            writer.writerow(
-                [layer, head, format_policy(d.policy), repr(d.recovery), d.cost_tokens]
-            )
-        return buf.getvalue()
 
 
 def profile_model(

@@ -48,52 +48,40 @@ class TraceBlock:
     q: np.ndarray
 
 
-def _check_block(layer: int, head: int, block: TraceBlock, prev_step: int, d: int):
-    """Raise for a block's first fault: its step, then K, V, Q shape and values."""
-    if block.step <= prev_step:
-        raise TraceDimensionError(
-            f"steps not strictly increasing at (layer={layer}, "
-            f"head={head}, step={block.step})"
-        )
-    for name, row in (("K", block.k), ("V", block.v), ("Q", block.q)):
-        if row.shape != (d,):
-            raise TraceDimensionError(
-                f"{name} row at (layer={layer}, head={head}, "
-                f"step={block.step}) has length {row.shape}, "
-                f"expected {d}"
-            )
-        if not np.all(np.isfinite(row)):
-            raise TraceDimensionError(
-                f"{name} row at (layer={layer}, head={head}, "
-                f"step={block.step}) has non-finite entries"
-            )
+def _first_fault(layer: int, head: int, entries: list[TraceBlock], d: int):
+    """The message of the first rule ``entries`` break, or None.
 
-
-def _first_faulty_block(entries: list[TraceBlock], d: int) -> int | None:
-    """Index of the first block ``_check_block`` rejects, or None.
-
-    Steps and shapes are checked block by block up to the first fault;
-    the rows before it are checked for finiteness in one concatenated pass.
+    Blocks are taken in order. A block's step must exceed the one before,
+    then each of its K, V and Q rows must have length ``d`` and finite
+    entries. Steps and lengths are checked row by row up to the first
+    fault; the rows before it are checked for finiteness in one
+    concatenated pass, so a non-finite row among them comes first.
     """
-    shape = (d,)
-    end = len(entries)
-    prev_step = -1
-    for i, block in enumerate(entries):
-        if (
-            block.step <= prev_step
-            or block.k.shape != shape
-            or block.v.shape != shape
-            or block.q.shape != shape
-        ):
-            end = i
+
+    def at(block: TraceBlock) -> str:
+        return f"(layer={layer}, head={head}, step={block.step})"
+
+    shape, rows, fault, prev_step = (d,), [], None, -1
+    for block in entries:
+        if block.step <= prev_step:
+            fault = f"steps not strictly increasing at {at(block)}"
+            break
+        for row in (block.k, block.v, block.q):
+            if row.shape != shape:
+                name = "KVQ"[len(rows) % 3]
+                fault = f"{name} row at {at(block)} has length {row.shape}, expected {d}"
+                break
+            rows.append(row)
+        if fault is not None:
             break
         prev_step = block.step
-    if end:
-        rows = np.concatenate([row for b in entries[:end] for row in (b.k, b.v, b.q)])
-        finite = np.isfinite(rows).reshape(-1, d).all(axis=1)
+    if rows:
+        finite = np.isfinite(np.concatenate(rows)).reshape(-1, d).all(axis=1)
         if not finite.all():
-            return int(np.argmin(finite)) // 3
-    return end if end < len(entries) else None
+            bad = int(np.argmin(finite))
+            name = "KVQ"[bad % 3]
+            fault = f"{name} row at {at(entries[bad // 3])} has non-finite entries"
+    return fault
 
 
 @dataclass
@@ -109,10 +97,9 @@ class AttentionTrace:
                 raise TraceDimensionError(f"layer {layer} out of range")
             if not 0 <= head < self.config.num_heads:
                 raise TraceDimensionError(f"head {head} out of range")
-            bad = _first_faulty_block(entries, d)
-            if bad is not None:
-                prev_step = entries[bad - 1].step if bad else -1
-                _check_block(layer, head, entries[bad], prev_step, d)
+            fault = _first_fault(layer, head, entries, d)
+            if fault is not None:
+                raise TraceDimensionError(fault)
 
     def vocab_metadata(self) -> VocabMetadata:
         """Reconstruct the special/punctuation id sets from the token table."""
@@ -300,38 +287,41 @@ class TraceModel:
             )
         return self._token_ids[:prompt_len]
 
+    def _heads(self, head: np.ndarray) -> list[int]:
+        """The entries of ``head`` as ints, each checked to name a head."""
+        heads = head.ravel().tolist()
+        if heads:
+            self.config.check_head(min(heads))
+            self.config.check_head(max(heads))
+        return heads
+
     def _block(self, rows: dict, layer: int, head, pos) -> np.ndarray:
         """Rows of ``layer`` at ``head`` and ``pos`` broadcast, copied out of
         the per-head arrays: row by row at one int position, else one
-        gather per head."""
+        gather per head. Int ``head`` and ``pos`` read one ``(d,)`` row."""
+        head = np.asarray(head)
         if not isinstance(pos, np.ndarray) and head.size:
             p = self._pos(pos)
-            picked = [rows[layer, h][p] for h in head.ravel().tolist()]
+            picked = [rows[layer, h][p] for h in self._heads(head)]
             return np.concatenate(picked).reshape(head.shape + (-1,))
         head, pos = np.broadcast_arrays(head, pos)
         if pos.size:
             self._pos(int(pos.min()))
             self._pos(int(pos.max()))
         out = np.empty(head.shape + (self.config.head_dim,))
-        for h in np.unique(head).tolist():
+        for h in self._heads(np.unique(head)):
             at = head == h
             out[at] = rows[layer, h][pos[at]]
         return out
 
     def k_row(self, layer, head, pos, klass, prompt_len) -> np.ndarray:
-        if isinstance(head, np.ndarray) or isinstance(pos, np.ndarray):
-            return self._block(self._k, layer, head, pos)
-        return self._k[layer, head][self._pos(pos)]
+        return self._block(self._k, layer, head, pos)
 
     def v_row(self, layer, head, pos) -> np.ndarray:
-        if isinstance(head, np.ndarray) or isinstance(pos, np.ndarray):
-            return self._block(self._v, layer, head, pos)
-        return self._v[layer, head][self._pos(pos)]
+        return self._block(self._v, layer, head, pos)
 
     def q_row(self, layer, head, pos, prompt_len) -> np.ndarray:
-        if isinstance(head, np.ndarray) or isinstance(pos, np.ndarray):
-            return self._block(self._q, layer, head, pos)
-        return self._q[layer, head][self._pos(pos)]
+        return self._block(self._q, layer, head, pos)
 
     def head_logits(self, concat_outputs: np.ndarray) -> np.ndarray:
         return self._head_weights @ concat_outputs

@@ -4,7 +4,9 @@
 ``TARGETS``, ``perfbench/hostspeed.py`` ticks through
 ``engine.causal_attention``, and a traced run reads the
 ``engine.prompt_head_data`` span of ``reference_generate``. A refactor
-that unbinds any of them breaks ``perfbench/run.py --trace 1``.
+that unbinds any of them breaks ``perfbench/run.py --trace 1``, and every
+name a perfbench script imports from the package or reads off one of its
+modules must resolve too.
 
 Every benchmark session also reaches the model through a wrapper that
 exposes only the row model API (``hostspeed.TickingModel`` untraced,
@@ -16,6 +18,7 @@ appends a row: a fallback to reads row by row fails here.
 
 from __future__ import annotations
 
+import ast
 import importlib
 from pathlib import Path
 
@@ -24,6 +27,7 @@ import pytest
 from collections import Counter
 
 from adaptive_kv import engine
+from adaptive_kv.metrics import profile_rows
 from adaptive_kv.profiler import ProfilerConfig
 from adaptive_kv.trace import TraceModel, record_trace
 
@@ -42,6 +46,48 @@ def test_every_tracer_target_resolves(perfbench):
     tracer, _ = perfbench
     for module, attr, _ in tracer.TARGETS:
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+
+
+def perfbench_reads():
+    """Each (script, module, name) a perfbench script takes from the package:
+    ``from adaptive_kv.<module> import <name>``, and every ``alias.<name>``
+    read off a module bound by ``from adaptive_kv import <module> as alias``."""
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = {}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom) or node.level:
+                continue
+            for alias in node.names:
+                if node.module == "adaptive_kv":
+                    modules[alias.asname or alias.name] = f"adaptive_kv.{alias.name}"
+                elif node.module.startswith("adaptive_kv."):
+                    yield path.name, node.module, alias.name
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Load)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules
+            ):
+                yield path.name, modules[node.value.id], node.attr
+
+
+def test_every_package_name_perfbench_reads_resolves():
+    reads = set(perfbench_reads())
+    # The scan finds the reads it exists for, so a parse change cannot
+    # empty it unnoticed.
+    for expected in (
+        ("run.py", "adaptive_kv.engine", "_Sampler"),
+        ("workloads.py", "adaptive_kv.trace", "TraceBlock"),
+        ("run.py", "adaptive_kv.metrics", "run_mean_recovery"),
+        ("checks.py", "adaptive_kv.policies", "full_policy"),
+    ):
+        assert expected in reads
+    for script, module, name in sorted(reads):
+        assert hasattr(importlib.import_module(module), name), (
+            f"perfbench/{script} reads {module}.{name}"
+        )
 
 
 class CountingHost:
@@ -88,7 +134,7 @@ def run_session(model, prompt, diagnostics: bool):
     profile, cache = engine.encode_prompt(
         model, prompt, ProfilerConfig(), diagnostics=diagnostics
     )
-    sampler = engine._Sampler(engine.Nucleus(seed=5))
+    sampler = engine.Sampler(engine.Nucleus(seed=5))
     tokens, token = [], None
     for _ in range(3):
         token, cache = engine.generate_step(model, cache, token, sampler)
@@ -96,7 +142,7 @@ def run_session(model, prompt, diagnostics: bool):
     reference = engine.reference_generate(
         model, prompt, engine.GenerationConfig(3, engine.Nucleus(seed=5))
     )
-    return profile.to_csv(), tokens, reference.tokens
+    return profile_rows(profile), tokens, reference.tokens
 
 
 @pytest.mark.parametrize("kind", ["synthetic", "replay"])

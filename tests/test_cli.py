@@ -156,6 +156,35 @@ def test_bad_plan_number_is_one_error_line(tmp_path, capsys, key):
     )
 
 
+@pytest.mark.parametrize(
+    "old, new, match",
+    [
+        ("[model]", "[shape]", "plan parse error: missing [model] section"),
+        ("seed = 2310\n", "", "plan parse error: missing model.seed"),
+        ("num_heads = 4", "num_heads = four", "bad integer for model.num_heads"),
+        ("dominance", "dominanse", "plan parse error: unknown key model.dominanse"),
+        ("0.3 = diffuse", "0.3 = difuse", "unknown archetype 'difuse' at heads.0.3"),
+        ("->diffuse@4", "->difuse@4", "unknown archetype 'difuse' at heads.0.2"),
+        ("->diffuse@4", "->diffuse", "phase switch 'special->diffuse' at heads.0.2"),
+        ("@4", "@four", "bad switch step 'four' at heads.0.2"),
+        ("1.1 = special", "1.2.3 = special", "bad head key '1.2.3'"),
+    ],
+    ids=[
+        "no-model-section", "missing-key", "bad-integer", "unknown-key",
+        "unknown-archetype", "unknown-switch-target", "switch-without-step",
+        "bad-switch-step", "bad-head-key",
+    ],
+)
+def test_bad_plan_is_one_error_line(tmp_path, capsys, old, new, match):
+    plan = tmp_path / "plan.ini"
+    text = (DATA / "plan.ini").read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    plan.write_text(text.replace(old, new), encoding="utf-8")
+    expect_one_error_line(
+        ["profile", "--plan", str(plan), "--out", str(tmp_path / "out")], capsys, match
+    )
+
+
 def run_with_config(tmp_path, capsys, argv, ini: str):
     """Run ``argv`` with ``--config`` naming a file holding ``ini``; return stdout."""
     config = tmp_path / "akv.ini"

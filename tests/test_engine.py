@@ -16,7 +16,7 @@ from adaptive_kv.engine import (
     GenerationConfig,
     HeadGroup,
     Nucleus,
-    _Sampler,
+    Sampler,
     encode_prompt,
     generate,
     generate_fixed_baseline,
@@ -493,7 +493,7 @@ def test_generate_sizes_every_group_for_the_run_once(mixed_model, monkeypatch):
 
     _, cache = encode_prompt(mixed_model, prompt, mixed_groups_config())
     first = buffers(cache)
-    sampler, token, tokens = _Sampler(cfg.sampling), None, []
+    sampler, token, tokens = Sampler(cfg.sampling), None, []
     for _ in range(STEPS):
         token, cache = generate_step(mixed_model, cache, token, sampler)
         tokens.append(token)
@@ -540,12 +540,12 @@ def test_stepping_with_one_sampler_reproduces_generate():
     nucleus = Nucleus(seed=5)
     run = generate(model, prompt, ProfilerConfig(), GenerationConfig(12, nucleus))
     _, cache = encode_prompt(model, prompt, ProfilerConfig())
-    sampler, token, tokens = _Sampler(nucleus), None, []
+    sampler, token, tokens = Sampler(nucleus), None, []
     for _ in range(12):
         token, cache = generate_step(model, cache, token, sampler)
         tokens.append(token)
     assert tokens == run.tokens
-    with pytest.raises(EngineError, match="sampler must be a _Sampler or None"):
+    with pytest.raises(EngineError, match="sampler must be a Sampler or None"):
         generate_step(model, cache, token, nucleus)
 
 

@@ -346,6 +346,23 @@ def test_negative_positions_rejected_in_scalar_and_block_reads(role):
     assert read(1, 3).tobytes() == role_reads(seeded_model(5))[role](1, 3).tobytes()
 
 
+@pytest.mark.parametrize("role", ["k", "q", "v"])
+def test_heads_outside_the_grid_rejected_by_both_models(role):
+    model = seeded_model(5)
+    trace = TraceModel(record_trace(model, model.prompt_token_ids(8), 8))
+    reads = (
+        (4, 0),
+        (-1, 1),
+        (np.array([0, 4]), 2),
+        (np.arange(4) - 1, np.array([[0], [1]])),
+    )
+    for read in (role_reads(model)[role], role_reads(trace)[role]):
+        for head, pos in reads:
+            # Head 4 at H=4 would otherwise alias row (pos + 1, head 0).
+            with pytest.raises(ModelError, match=r"^head (4|-1) outside 0\.\.3$"):
+                read(head, pos)
+
+
 def test_trace_model_block_rejects_positions_outside_the_trace():
     model = seeded_model(5)
     trace = TraceModel(record_trace(model, model.prompt_token_ids(6), 6))

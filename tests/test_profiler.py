@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from adaptive_kv.attention import PromptStats, causal_attention
 from adaptive_kv.engine import encode_prompt, prompt_head_data
+from adaptive_kv.metrics import profile_rows
 from adaptive_kv.policies import (
     CompressionPolicy,
     PolicyAtom,
@@ -67,7 +68,7 @@ def test_streamed_encode_profile_equals_profile_over_all_maps(
     cfg = ProfilerConfig(recovery_threshold=0.9, rows=rows)
     prompt = mixed_model.prompt_token_ids(PROMPT_LEN)
     profile, _ = encode_prompt(mixed_model, prompt, cfg, diagnostics=False)
-    assert profile.to_csv() == profile_model(head_data, cfg).to_csv()
+    assert profile_rows(profile) == profile_rows(profile_model(head_data, cfg))
 
 
 def test_positions_outside_the_map_are_rejected(head_data):
