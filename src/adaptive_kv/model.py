@@ -13,10 +13,19 @@ layer), keyed by ``SeedSequence(seed, spawn_key=(role, layer))``. Row
 ``(pos * H + head) * B``, read as ``4 * B`` uniform(-1, 1) words: a key
 row takes the first ``d - 4`` words times the noise amplitude, a query
 row the same times ``sqrt(d)``, and a value row the first ``d`` words.
-Every read jumps its stream to the counter it starts at, so a row is a
+Every draw jumps its stream to the counter it starts at, so a row is a
 pure function of (seed, role, layer, head, pos) whatever the call order.
 Rows are laid out back to back with no gaps, positions major and heads
 minor, so one draw holds n positions' rows for every head of a layer.
+
+Each stream keeps one read-ahead window: the rows of ``W = 16`` positions
+(``W * H`` rows) drawn from the first row of a read that missed it. A
+read inside the window slices it; a miss spanning at most ``W * H`` rows
+refills the window in place from its first row; a larger read, such as
+the prompt pass, draws its own span and leaves the window as it was. A
+model so holds at most ``3 * L`` windows of ``W * H`` rows of ``4 * B``
+words, whatever it has read: 12 streams at 4 layers, 384 KB at 8 heads
+and ``d = 32``. Every row it returns owns its memory.
 
 Row methods take one row or a block. ``k_row``, ``q_row`` and ``v_row``
 with int ``head`` and ``pos`` return one ``(d,)`` row. With an int array
@@ -25,9 +34,9 @@ for either, ``head`` and ``pos`` broadcast together, ``k_row``'s
 the result has shape ``broadcast shape + (d,)``, each row bit-equal to
 the same row read alone. A decode step reads ``(H, d)`` with ``pos`` an int
 and ``head`` every head; the prompt pass reads ``(n, H, d)`` with ``pos``
-as ``positions[:, None]``. A ``SyntheticModel`` block is one draw over
-the counter span its rows cover, with the planted dims filled by array
-code; the model keeps no drawn rows between calls.
+as ``positions[:, None]``. A ``SyntheticModel`` block is gathered from
+the rows over the counter span it covers, with the planted dims filled
+from per-class and per-archetype tables.
 """
 
 from __future__ import annotations
@@ -35,7 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -62,6 +71,13 @@ _ROLE_PROMPT = 3
 _ROLE_HEAD_WEIGHTS = 4
 # Philox counters are 256-bit; a jump back is a jump forward modulo this.
 _PHILOX_PERIOD = 1 << 256
+# Positions of rows each (role, layer) stream draws ahead of need.
+_WINDOW_POSITIONS = 16
+# Key-row indicator dims of each class code; other classes plant nothing.
+_CLASS_DIMS = np.zeros((max(CLASS_CODE.values()) + 1, _NUM_PLANTED_DIMS))
+_CLASS_DIMS[CLASS_CODE[TokenClass.SPECIAL], _DIM_SPECIAL] = 1.0
+_CLASS_DIMS[CLASS_CODE[TokenClass.PUNCTUATION], _DIM_PUNCT] = 1.0
+_CLASS_DIMS.setflags(write=False)
 
 DEFAULT_VOCAB = VocabMetadata(
     special_ids=frozenset({0, 1}), punctuation_ids=frozenset({2, 3, 4})
@@ -92,6 +108,11 @@ class ModelConfig:
         for name in ("num_layers", "num_heads", "head_dim", "vocab_size"):
             if getattr(self, name) < 1:
                 raise ModelError(f"{name} must be >= 1, got {getattr(self, name)}")
+
+    def check_layer(self, layer: int):
+        """Raise unless ``layer`` is a layer of the grid."""
+        if not 0 <= layer < self.num_layers:
+            raise ModelError(f"layer {layer} outside 0..{self.num_layers - 1}")
 
     def check_head(self, head: int):
         """Raise unless ``head`` is a head of the grid; a row counter such
@@ -125,12 +146,6 @@ class HeadPlan:
             raise ModelError("switch_to and switch_step must be set together")
         if self.switch_step is not None and self.switch_step < 1:
             raise ModelError("switch_step must be a decoding step >= 1")
-
-    def archetype_at(self, pos: int, prompt_len: int) -> Archetype:
-        if self.switch_to is None:
-            return self.archetype
-        switch_pos = prompt_len + self.switch_step - 1
-        return self.switch_to if pos >= switch_pos else self.archetype
 
 
 # Pure helpers called for every synthesized row; cached.
@@ -178,6 +193,36 @@ def _local_slope(dominance: float, window: int) -> float:
     for _ in range(80):
         beta = (target + math.log(1.0 / (1.0 - math.exp(-beta)))) / window
     return beta
+
+
+class _RowStream:
+    """One (role, layer) Philox stream, the block counter it stands at, and
+    its read-ahead window, which holds flat rows ``start..stop - 1``; the
+    window is allocated at the first read that fills it."""
+
+    __slots__ = ("gen", "at", "row_blocks", "window", "start", "stop")
+
+    def __init__(self, seed: int, role: int, layer: int, row_blocks: int):
+        seq = np.random.SeedSequence(seed, spawn_key=(role, layer))
+        self.gen = np.random.Generator(np.random.Philox(seq))
+        self.at, self.row_blocks = 0, row_blocks
+        self.window, self.start, self.stop = None, 0, 0
+
+    def fill(self, row: int, out: np.ndarray) -> np.ndarray:
+        """``out`` filled with the words of rows ``row..row + len(out) - 1``,
+        read at their counters whatever was drawn before."""
+        start = row * self.row_blocks
+        self.gen.bit_generator.advance((start - self.at) % _PHILOX_PERIOD)
+        self.at = start + len(out) * self.row_blocks
+        # Bit-equal to uniform(-1, 1), which is -1 + 2 * random(); the
+        # doubling is exact. Refilling one window in place, rather than
+        # allocating a new one per miss among the rows a caller keeps, held
+        # the benchmark's peak resident memory within about 1% of the
+        # model without windows.
+        self.gen.random(out=out)
+        np.multiply(out, 2.0, out=out)
+        np.add(out, -1.0, out=out)
+        return out
 
 
 class SyntheticModel:
@@ -236,46 +281,66 @@ class SyntheticModel:
         self._indicator = _indicator_logit(dominance, max_context)
         self._sqrt_d = math.sqrt(float(config.head_dim))
         self._head_weights: np.ndarray | None = None
-        # Philox blocks (four words each) per noise row, and each
-        # (role, layer) stream's generator with the block it stands at.
+        # Philox blocks (four words each) per noise row, rows per read-ahead
+        # window, and each (role, layer) stream.
         self._row_blocks = (config.head_dim + 3) // 4
-        self._streams: dict[tuple[int, int], list] = {}
+        self._window_rows = _WINDOW_POSITIONS * config.num_heads
+        self._streams: dict[tuple[int, int], _RowStream] = {}
+        # The prompt length the query tables were built for, and the tables.
+        self._query_tables: tuple = (None,)
 
-    def _noise(self, role: int, layer: int, row: int, n: int) -> np.ndarray:
-        """``n`` uniform(-1, 1) words of the (role, layer) stream from the
-        start of flat row ``row = pos * H + head``, read at that row's
-        counter whatever was read before."""
+    def _rows(self, role: int, layer: int, lo: int, hi: int) -> np.ndarray:
+        """Flat rows ``lo..hi`` (``pos * H + head``) of the (role, layer)
+        stream as ``(hi - lo + 1, 4 * B)`` uniform(-1, 1) words: a view of
+        the stream's window when they lie inside it, else from a new draw."""
         stream = self._streams.get((role, layer))
         if stream is None:
-            seq = np.random.SeedSequence(self.config.seed, spawn_key=(role, layer))
-            stream = [np.random.Generator(np.random.Philox(seq)), 0]
+            stream = _RowStream(self.config.seed, role, layer, self._row_blocks)
             self._streams[(role, layer)] = stream
-        gen, at = stream
-        start = row * self._row_blocks
-        gen.bit_generator.advance((start - at) % _PHILOX_PERIOD)
-        stream[1] = start + (n + 3) // 4
-        return gen.uniform(-1.0, 1.0, n)
+        if stream.start <= lo and hi < stream.stop:
+            return stream.window[lo - stream.start : hi - stream.start + 1]
+        if hi - lo + 1 > self._window_rows:
+            return stream.fill(lo, np.empty((hi - lo + 1, 4 * self._row_blocks)))
+        if stream.window is None:
+            # Not at stream creation, which is often amid a prompt pass's
+            # temporaries.
+            stream.window = np.empty((self._window_rows, 4 * self._row_blocks))
+        stream.start, stream.stop = lo, lo + self._window_rows
+        return stream.fill(lo, stream.window)[: hi - lo + 1]
+
+    def _noise(self, role: int, layer: int, head: int, pos: int) -> np.ndarray:
+        """The words of row (pos, head): a view of the stream's rows, which
+        the caller copies out."""
+        flat = pos * self.config.num_heads + head
+        return self._rows(role, layer, flat, flat)[0]
 
     def _noise_block(
-        self, role: int, layer: int, head: np.ndarray, pos: np.ndarray, n: int
-    ) -> np.ndarray:
+        self, role: int, layer: int, head, pos, n: int
+    ) -> tuple[np.ndarray, int | None]:
         """The first ``n`` words of every row (pos, head), ``head`` and
-        ``pos`` broadcast, sliced from one draw over the rows' counter span."""
-        head, pos = np.asarray(head), np.asarray(pos)
-        flat = pos * self.config.num_heads + head
-        if flat.size == 0:
-            return np.empty(flat.shape + (n,))
-        self.config.check_head(int(head.min()))
-        self.config.check_head(int(head.max()))
-        lo, hi = int(flat.min()), int(flat.max())
-        # With every head in range, the rows are in range just when their
-        # positions are, so a decode read pays for no position reductions.
-        if lo < 0 or hi >= self.max_context * self.config.num_heads:
-            self._check_position(int(pos.min()))
-            self._check_position(int(pos.max()))
-        width = 4 * self._row_blocks
-        span = self._noise(role, layer, lo, (hi - lo + 1) * width)
-        return span.reshape(-1, width)[flat - lo, :n]
+        ``pos`` broadcast, as a new ``broadcast shape + (n,)`` array
+        gathered from the rows between the least and the greatest
+        (pos, head), and the position all rows share, or None."""
+        head, heads = np.asarray(head), self.config.num_heads
+        if head.size == 0 or np.size(pos) == 0:
+            shape = np.broadcast_shapes(head.shape, np.shape(pos))
+            return np.empty(shape + (n,)), None
+        # Python min and max over the few head entries cost less than two
+        # numpy reductions; a decode read's int position needs none.
+        head_list = head.ravel().tolist()
+        head_lo, head_hi = min(head_list), max(head_list)
+        self.config.check_head(head_lo)
+        self.config.check_head(head_hi)
+        if isinstance(pos, np.ndarray):
+            pos_lo, pos_hi = int(pos.min()), int(pos.max())
+        else:
+            pos_lo = pos_hi = int(pos)
+        self._check_position(pos_lo)
+        self._check_position(pos_hi)
+        lo = pos_lo * heads + head_lo
+        rows = self._rows(role, layer, lo, pos_hi * heads + head_hi)
+        at = pos_lo if pos_lo == pos_hi else None
+        return rows[(pos * heads - lo) + head, :n], at
 
     def _check_position(self, pos: int):
         if pos < 0:
@@ -286,35 +351,34 @@ class SyntheticModel:
                 "dominance bounds are only guaranteed below it"
             )
 
-    def _query_peak(
-        self, archetype: Archetype, prompt_len: int
-    ) -> tuple[int, float] | None:
-        """The planted dim of a query row under ``archetype`` and its value,
-        or None for a diffuse row, which plants nothing."""
-        if archetype is Archetype.SPECIAL_DOMINANT:
-            return _DIM_SPECIAL, self._indicator * self._sqrt_d
-        if archetype is Archetype.COLUMN_SPARSE:
-            return _DIM_COLUMN, self._indicator * self._sqrt_d
-        if archetype is Archetype.LOCAL_DOMINANT:
+    def _query_plan(self, prompt_len: int) -> tuple[np.ndarray, np.ndarray]:
+        """Each head's switch position, ``(layers, heads)``, and its planted
+        query dims before it and from it on, ``(layers, heads, 2, 4)``, for
+        prompts of ``prompt_len``. Decode step s reads position
+        ``prompt_len + s - 1``; a stationary head's two phases agree. The
+        tables of the last prompt length asked for are kept."""
+        if self._query_tables[0] != prompt_len:
+            peak = self._indicator * self._sqrt_d
             beta = _local_slope(self.dominance, self.local_window(prompt_len))
-            return _DIM_POSITION, beta * self._sqrt_d / _POS_SCALE
-        return None
-
-    @cached_property
-    def _plan_codes(self) -> np.ndarray:
-        """``(3, layers, heads)`` ints: each head's archetype and the one it
-        switches to (as indices into ``Archetype``) and its switch step; a
-        stationary head switches to its own archetype at step 1."""
-        order = list(Archetype)
-        codes = np.empty((3, self.config.num_layers, self.config.num_heads), np.int64)
-        for (layer, head), plan in self.plan.items():
-            switched = plan.switch_to is not None
-            codes[:, layer, head] = (
-                order.index(plan.archetype),
-                order.index(plan.switch_to if switched else plan.archetype),
-                plan.switch_step if switched else 1,
-            )
-        return codes
+            planted = {
+                Archetype.SPECIAL_DOMINANT: (_DIM_SPECIAL, peak),
+                Archetype.COLUMN_SPARSE: (_DIM_COLUMN, peak),
+                Archetype.LOCAL_DOMINANT: (
+                    _DIM_POSITION, beta * self._sqrt_d / _POS_SCALE
+                ),
+            }
+            cfg = self.config
+            switch_pos = np.empty((cfg.num_layers, cfg.num_heads), np.int64)
+            dims = np.zeros((cfg.num_layers, cfg.num_heads, 2, _NUM_PLANTED_DIMS))
+            for (layer, head), plan in self.plan.items():
+                phases = (plan.archetype, plan.switch_to or plan.archetype)
+                for phase, archetype in enumerate(phases):
+                    if archetype in planted:
+                        dim, value = planted[archetype]
+                        dims[layer, head, phase, dim] = value
+                switch_pos[layer, head] = prompt_len + (plan.switch_step or 1) - 1
+            self._query_tables = (prompt_len, switch_pos, dims)
+        return self._query_tables[1:]
 
     def local_window(self, prompt_len: int) -> int:
         return math.ceil(self.local_window_frac * prompt_len)
@@ -335,6 +399,7 @@ class SyntheticModel:
         return [int(t) for t in ids]
 
     def k_row(self, layer: int, head, pos, klass, prompt_len: int) -> np.ndarray:
+        self.config.check_layer(layer)
         if isinstance(head, np.ndarray) or isinstance(pos, np.ndarray):
             return self._k_block(layer, head, pos, klass, prompt_len)
         self.config.check_head(head)
@@ -348,64 +413,68 @@ class SyntheticModel:
         if pos in sparse_columns(prompt_len):
             row[_DIM_COLUMN] = 1.0
         row[_DIM_POSITION] = pos * _POS_SCALE
-        noise = self._noise(
-            _ROLE_KEY, layer, pos * self.config.num_heads + head, d - _NUM_PLANTED_DIMS
+        noise = self._noise(_ROLE_KEY, layer, head, pos)
+        np.multiply(
+            noise[: d - _NUM_PLANTED_DIMS], self._noise_amp, out=row[_NUM_PLANTED_DIMS:]
         )
-        np.multiply(noise, self._noise_amp, out=row[_NUM_PLANTED_DIMS:])
         return row
 
     def _k_block(self, layer, head, pos, klass, prompt_len) -> np.ndarray:
         d = self.config.head_dim
-        noise = self._noise_block(_ROLE_KEY, layer, head, pos, d - _NUM_PLANTED_DIMS)
-        klass = np.asarray(klass)
-        row = np.zeros(noise.shape[:-1] + (d,))
-        row[..., _DIM_SPECIAL] = klass == CLASS_CODE[TokenClass.SPECIAL]
-        row[..., _DIM_PUNCT] = klass == CLASS_CODE[TokenClass.PUNCTUATION]
-        for col in sparse_columns(prompt_len):
-            np.copyto(row[..., _DIM_COLUMN], 1.0, where=pos == col)
-        row[..., _DIM_POSITION] = pos * _POS_SCALE
+        noise, at = self._noise_block(
+            _ROLE_KEY, layer, head, pos, d - _NUM_PLANTED_DIMS
+        )
+        row = np.empty(noise.shape[:-1] + (d,))
+        row[..., :_NUM_PLANTED_DIMS] = _CLASS_DIMS[klass]
+        columns = sparse_columns(prompt_len)
+        if at is None:
+            row[..., _DIM_COLUMN] = np.isin(pos, columns)
+            row[..., _DIM_POSITION] = pos * _POS_SCALE
+        else:
+            row[..., _DIM_COLUMN:_NUM_PLANTED_DIMS] = (at in columns, at * _POS_SCALE)
         np.multiply(noise, self._noise_amp, out=row[..., _NUM_PLANTED_DIMS:])
         return row
 
     def q_row(self, layer: int, head, pos, prompt_len: int) -> np.ndarray:
+        self.config.check_layer(layer)
         if isinstance(head, np.ndarray) or isinstance(pos, np.ndarray):
             return self._q_block(layer, head, pos, prompt_len)
         self.config.check_head(head)
         self._check_position(pos)
         d = self.config.head_dim
-        row = np.zeros(d)
-        archetype = self.plan[(layer, head)].archetype_at(pos, prompt_len)
-        peak = self._query_peak(archetype, prompt_len)
-        if peak is not None:
-            row[peak[0]] = peak[1]
-        noise = self._noise(
-            _ROLE_QUERY, layer, pos * self.config.num_heads + head, d - _NUM_PLANTED_DIMS
+        row = np.empty(d)
+        switch_pos, dims = self._query_plan(prompt_len)
+        row[:_NUM_PLANTED_DIMS] = dims[layer, head, int(pos >= switch_pos[layer, head])]
+        noise = self._noise(_ROLE_QUERY, layer, head, pos)
+        np.multiply(
+            noise[: d - _NUM_PLANTED_DIMS],
+            self._sqrt_d * self._noise_amp,
+            out=row[_NUM_PLANTED_DIMS:],
         )
-        np.multiply(noise, self._sqrt_d * self._noise_amp, out=row[_NUM_PLANTED_DIMS:])
         return row
 
     def _q_block(self, layer, head, pos, prompt_len) -> np.ndarray:
         d = self.config.head_dim
-        noise = self._noise_block(_ROLE_QUERY, layer, head, pos, d - _NUM_PLANTED_DIMS)
-        row = np.zeros(noise.shape[:-1] + (d,))
-        base, switch_to, switch_step = self._plan_codes[:, layer, head]
-        code = np.where(pos >= prompt_len + switch_step - 1, switch_to, base)
-        for index, archetype in enumerate(Archetype):
-            peak = self._query_peak(archetype, prompt_len)
-            if peak is not None:
-                np.copyto(row[..., peak[0]], peak[1], where=code == index)
+        noise, _ = self._noise_block(
+            _ROLE_QUERY, layer, head, pos, d - _NUM_PLANTED_DIMS
+        )
+        switch_pos, dims = self._query_plan(prompt_len)
+        row = np.empty(noise.shape[:-1] + (d,))
+        phase = (pos >= switch_pos[layer, head]).astype(np.intp)
+        row[..., :_NUM_PLANTED_DIMS] = dims[layer, head, phase]
         np.multiply(
             noise, self._sqrt_d * self._noise_amp, out=row[..., _NUM_PLANTED_DIMS:]
         )
         return row
 
     def v_row(self, layer: int, head, pos) -> np.ndarray:
+        self.config.check_layer(layer)
         d = self.config.head_dim
         if isinstance(head, np.ndarray) or isinstance(pos, np.ndarray):
-            return self._noise_block(_ROLE_VALUE, layer, head, pos, d)
+            return self._noise_block(_ROLE_VALUE, layer, head, pos, d)[0]
         self.config.check_head(head)
         self._check_position(pos)
-        return self._noise(_ROLE_VALUE, layer, pos * self.config.num_heads + head, d)
+        return self._noise(_ROLE_VALUE, layer, head, pos)[:d].copy()
 
     def head_logits(self, concat_outputs: np.ndarray) -> np.ndarray:
         """Next-token logits: seeded linear map over concatenated outputs."""

@@ -1,9 +1,14 @@
 """Attention-trace file I/O.
 
-Binary container: magic ``AKVT``, version u16, the model config as
-fixed-width little-endian integers, a token table, then per
-(layer, head, step) blocks of length-prefixed float64 arrays holding the
-K, V, and Q rows of that position. Round-trips are lossless bit-for-bit.
+Binary container, all little-endian: magic ``AKVT``, version u16, the
+model config (``num_layers``, ``num_heads``, ``head_dim``, ``vocab_size``
+as u32, ``seed`` as i64), a u32 token count and that many (u32 id, u8
+class code) entries, then one record per (layer, head, step) to the end
+of the file. A record is packed with no padding: layer u16, head u16,
+step u32, then for each of K, V and Q in turn a u32 length, always
+``head_dim``, and ``head_dim`` float64 entries. Each (layer, head)'s
+records are written together, by step; a reader takes the records as one
+array. Round-trips are lossless bit-for-bit.
 """
 
 from __future__ import annotations
@@ -22,6 +27,13 @@ MAGIC = b"AKVT"
 VERSION = 1
 
 _CODE_CLASS = {v: k for k, v in CLASS_CODE.items()}
+# Records per write, through one reused buffer. A buffer per (layer, head)
+# (0.9 MB at 1,151 steps and head_dim 32) raised the replay benchmark's
+# peak resident memory by about 2.5 MB, and filling fields through
+# np.stack's per-row views at times raised it by 15-25 MB: a sink that
+# grows as it is written is moved and copied when other allocations land
+# beside it.
+_RECORDS_PER_WRITE = 64
 
 
 class TraceError(Exception):
@@ -110,6 +122,15 @@ class AttentionTrace:
         return VocabMetadata(frozenset(special), frozenset(punct))
 
 
+def _record_dtype(d: int) -> np.dtype:
+    """One packed AKVT record: the ``<HHI`` tag, then K, V and Q, each a
+    u32 length and ``d`` float64 entries."""
+    fields = [("layer", "<u2"), ("head", "<u2"), ("step", "<u4")]
+    for role in "kvq":
+        fields += [(f"{role}_len", "<u4"), (role, "<f8", (d,))]
+    return np.dtype(fields)
+
+
 def _write_binary(trace: AttentionTrace, buf: io.BufferedIOBase):
     cfg = trace.config
     buf.write(MAGIC)
@@ -127,13 +148,18 @@ def _write_binary(trace: AttentionTrace, buf: io.BufferedIOBase):
     buf.write(struct.pack("<I", len(trace.tokens)))
     for tok in trace.tokens:
         buf.write(struct.pack("<IB", tok.token_id, CLASS_CODE[tok.klass]))
+    buffer = np.empty(_RECORDS_PER_WRITE, _record_dtype(cfg.head_dim))
     for (layer, head) in sorted(trace.blocks):
-        for block in trace.blocks[(layer, head)]:
-            buf.write(struct.pack("<HHI", layer, head, block.step))
-            for row in (block.k, block.v, block.q):
-                data = np.ascontiguousarray(row, dtype="<f8")
-                buf.write(struct.pack("<I", data.size))
-                buf.write(data.tobytes())
+        entries = trace.blocks[(layer, head)]
+        for start in range(0, len(entries), _RECORDS_PER_WRITE):
+            part = entries[start : start + _RECORDS_PER_WRITE]
+            records = buffer[: len(part)]
+            records["layer"], records["head"] = layer, head
+            records["step"] = [block.step for block in part]
+            for role in "kvq":
+                records[f"{role}_len"] = cfg.head_dim
+                records[role] = [getattr(block, role) for block in part]
+            buf.write(records)
 
 
 def write_trace(trace: AttentionTrace, sink):
@@ -174,24 +200,40 @@ def _read_binary(data: bytes) -> AttentionTrace:
             raise TraceHeaderError(f"token {pos}: unknown class code {code}")
         tokens.append(TokenAnnotation(pos, token_id, _CODE_CLASS[code]))
 
+    try:
+        dtype = _record_dtype(head_dim)
+    except ValueError as exc:
+        raise TraceHeaderError(f"malformed header: head_dim {head_dim}: {exc}") from exc
+    at = buf.tell()
+    count, extra = divmod(len(data) - at, dtype.itemsize)
+    if extra:
+        raise TraceTruncatedError(
+            f"truncated payload while reading block {count}: "
+            f"{extra} of {dtype.itemsize} bytes"
+        )
+    # A view of the whole payload, so every row's base is one array of
+    # all its bytes.
+    payload = np.frombuffer(data, np.uint8)
+    records = payload[at:].view(dtype)
+    lengths = np.stack([records[f"{role}_len"] for role in "kvq"], axis=-1)
+    bad = np.flatnonzero(lengths != head_dim)
+    if bad.size:
+        i, role = divmod(int(bad[0]), 3)
+        raise TraceDimensionError(
+            f"{'KVQ'[role]} row at (layer={records['layer'][i]}, "
+            f"head={records['head'][i]}, step={records['step'][i]}) "
+            f"has length ({lengths[i, role]},), expected {head_dim}"
+        )
     blocks: dict[tuple[int, int], list[TraceBlock]] = {}
-    while True:
-        tag = buf.read(8)
-        if not tag:
-            break
-        if len(tag) < 8:
-            raise TraceTruncatedError("truncated payload while reading block tag")
-        layer, head, step = struct.unpack("<HHI", tag)
-        rows = []
-        for name in ("K", "V", "Q"):
-            (length,) = struct.unpack(
-                "<I", _read_exact(buf, 4, f"{name} length at step {step}")
-            )
-            at = buf.tell()
-            _read_exact(buf, 8 * length, f"{name} row at step {step}")
-            rows.append(np.frombuffer(data, dtype="<f8", count=length, offset=at))
-        blocks.setdefault((layer, head), []).append(
-            TraceBlock(step, rows[0], rows[1], rows[2])
+    layers, heads, steps = (records[name] for name in ("layer", "head", "step"))
+    k, v, q = records["k"], records["v"], records["q"]
+    # Runs of records of one (layer, head), in file order.
+    changes = (layers[1:] != layers[:-1]) | (heads[1:] != heads[:-1])
+    starts = [0] + (np.flatnonzero(changes) + 1).tolist() if count else []
+    for start, stop in zip(starts, starts[1:] + [count]):
+        run = slice(start, stop)
+        blocks.setdefault((int(layers[start]), int(heads[start])), []).extend(
+            map(TraceBlock, steps[run].tolist(), k[run], v[run], q[run])
         )
     return AttentionTrace(config, tokens, blocks)
 
@@ -299,6 +341,7 @@ class TraceModel:
         """Rows of ``layer`` at ``head`` and ``pos`` broadcast, copied out of
         the per-head arrays: row by row at one int position, else one
         gather per head. Int ``head`` and ``pos`` read one ``(d,)`` row."""
+        self.config.check_layer(layer)
         head = np.asarray(head)
         if not isinstance(pos, np.ndarray) and head.size:
             p = self._pos(pos)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import io
 from pathlib import Path
 
 import pytest
@@ -29,7 +30,8 @@ from collections import Counter
 from adaptive_kv import engine
 from adaptive_kv.metrics import profile_rows
 from adaptive_kv.profiler import ProfilerConfig
-from adaptive_kv.trace import TraceModel, record_trace
+from adaptive_kv.model import ModelConfig
+from adaptive_kv.trace import TraceModel, record_trace, write_trace
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -207,3 +209,23 @@ def test_sessions_read_model_rows_once_per_role_and_layer(
             token, cache = engine.generate_step(wrapped, cache, token)
             rows = per_role if step else Counter()
             assert counting.take() == rows + Counter(head_logits=1)
+
+
+def test_benchmark_recorder_writes_the_same_trace_bytes(monkeypatch):
+    # The benchmark records rows one at a time, head by head; the package
+    # reads each role of a layer in one block. Both must write one file.
+    monkeypatch.syspath_prepend(str(ROOT))
+    workloads = importlib.import_module("perfbench.workloads")
+    config = ModelConfig(2, 3, 10, workloads.VOCAB_SIZE, seed=2310)
+    prompt = workloads.synthetic_model(config).prompt_token_ids(40)
+    continuation = workloads.continuation_tokens(5, 50, config.vocab_size)
+    scalar, block = io.BytesIO(), io.BytesIO()
+    write_trace(
+        workloads.record_trace(workloads.synthetic_model(config), prompt, continuation),
+        scalar,
+    )
+    write_trace(
+        record_trace(workloads.synthetic_model(config), prompt + continuation, 40),
+        block,
+    )
+    assert scalar.getvalue() == block.getvalue()

@@ -22,6 +22,7 @@ from adaptive_kv.model import (
     _ROLE_PROMPT,
     _ROLE_QUERY,
     _ROLE_VALUE,
+    _WINDOW_POSITIONS,
     cycling_plan,
     punctuation_positions,
     sparse_columns,
@@ -363,6 +364,33 @@ def test_heads_outside_the_grid_rejected_by_both_models(role):
                 read(head, pos)
 
 
+def layer_reads(model) -> dict:
+    """Each role's read, as ``read(layer, head, pos)``."""
+    return {
+        "k": lambda layer, head, pos: model.k_row(
+            layer, head, pos, TokenClass.OTHER, 8
+        ),
+        "q": lambda layer, head, pos: model.q_row(layer, head, pos, 8),
+        "v": lambda layer, head, pos: model.v_row(layer, head, pos),
+    }
+
+
+@pytest.mark.parametrize("role", ["k", "q", "v"])
+def test_layers_outside_the_grid_rejected_by_both_models(role):
+    model = seeded_model(5)
+    trace = TraceModel(record_trace(model, model.prompt_token_ids(8), 8))
+    fresh = seeded_model(5)
+    heads = np.arange(4)
+    for read in (layer_reads(fresh)[role], layer_reads(trace)[role]):
+        for layer in (2, -1):
+            for head, pos in ((0, 1), (heads, 1), (heads, np.array([[0], [1]]))):
+                message = rf"^layer {layer} outside 0\.\.1$"
+                with pytest.raises(ModelError, match=message):
+                    read(layer, head, pos)
+    # No stream was made for a layer the model does not have.
+    assert fresh._streams == {}
+
+
 def test_trace_model_block_rejects_positions_outside_the_trace():
     model = seeded_model(5)
     trace = TraceModel(record_trace(model, model.prompt_token_ids(6), 6))
@@ -480,3 +508,88 @@ def test_record_trace_reads_each_role_of_a_layer_in_one_block(model):
     for role in ("_k", "_v", "_q"):
         for key, rows in getattr(TraceModel(recorded), role).items():
             assert rows.tobytes() == getattr(alone, role)[key].tobytes()
+
+
+WINDOW = _WINDOW_POSITIONS
+
+
+@st.composite
+def row_reads(draw, heads: int):
+    """One read of a role and layer: a row, a decode step over every head,
+    a span of positions over every head (up to three windows long), or
+    scattered (head, pos) pairs; positions jump back and forth and spans
+    straddle window edges."""
+    role, layer = draw(st.sampled_from("kqv")), draw(st.integers(0, 1))
+    pos = st.integers(0, 4 * WINDOW)
+    kind = draw(st.sampled_from(["row", "step", "span", "scatter"]))
+    if kind == "row":
+        return role, layer, draw(st.integers(0, heads - 1)), draw(pos)
+    if kind == "step":
+        return role, layer, np.arange(heads), draw(pos)
+    if kind == "span":
+        start, count = draw(pos), draw(st.integers(1, 3 * WINDOW))
+        return role, layer, np.arange(heads), np.arange(start, start + count)[:, None]
+    pairs = draw(
+        st.lists(st.tuples(st.integers(0, heads - 1), pos), min_size=1, max_size=6)
+    )
+    return role, layer, np.array([h for h, _ in pairs]), np.array([p for _, p in pairs])
+
+
+@st.composite
+def read_sequences(draw):
+    seed, heads, d = draw(SEEDS), draw(st.integers(1, 4)), draw(st.integers(6, 20))
+    reads = draw(st.lists(row_reads(heads), min_size=1, max_size=10))
+    # Class codes of every position a read can reach.
+    rng = np.random.default_rng(draw(st.integers(0, 99)))
+    codes = rng.integers(0, 3, 8 * WINDOW).astype(np.int8)
+    return seed, heads, d, draw(st.integers(1, 4 * WINDOW)), codes, reads
+
+
+def read_rows(model, read, codes, prompt_len) -> np.ndarray:
+    role, layer, head, pos = read
+    if role == "v":
+        return model.v_row(layer, head, pos)
+    if role == "q":
+        return model.q_row(layer, head, pos, prompt_len)
+    if isinstance(head, np.ndarray) or isinstance(pos, np.ndarray):
+        return model.k_row(layer, head, pos, codes[pos], prompt_len)
+    klass = {code: klass for klass, code in CLASS_CODE.items()}[codes[pos]]
+    return model.k_row(layer, head, pos, klass, prompt_len)
+
+
+@settings(max_examples=80, deadline=None)
+@given(read_sequences())
+def test_window_reads_equal_fresh_reads_and_own_their_rows(drawn):
+    seed, heads, d, prompt_len, codes, reads = drawn
+    model = seeded_model(seed, heads, d)
+    window_rows = WINDOW * heads
+    returned = []
+    for read in reads + reads[::-1]:
+        windows = {
+            key: (stream.start, stream.stop, np.asarray(stream.window).tobytes())
+            for key, stream in model._streams.items()
+        }
+        got = read_rows(model, read, codes, prompt_len)
+        want = read_rows(seeded_model(seed, heads, d), read, codes, prompt_len)
+        assert got.tobytes() == want.tobytes()
+        assert got.shape == want.shape
+        assert not any(np.shares_memory(got, earlier) for earlier in returned)
+        returned.append(got)
+        # A read whose rows span more than a window draws its own span and
+        # leaves every window as it was; no stream ever holds more than W
+        # positions.
+        _, _, head, pos = read
+        span = (np.ptp(pos) * heads) + np.ptp(head) + 1
+        if span > window_rows:
+            for key, window in windows.items():
+                stream = model._streams[key]
+                window_now = np.asarray(stream.window).tobytes()
+                assert (stream.start, stream.stop, window_now) == window
+        assert all(
+            s.window is None or len(s.window) <= window_rows
+            for s in model._streams.values()
+        )
+        # Writing into a returned row leaves a re-read unchanged.
+        got += 1.0
+        again = read_rows(model, read, codes, prompt_len)
+        assert again.tobytes() == want.tobytes()
