@@ -51,14 +51,13 @@ from .attention import causal_attention, softmax_vector
 from .policies import (
     CompressionPolicy,
     PolicyAtom,
-    PolicyContext,
-    _STATIC,
-    _budget,
+    appended_counts,
     full_policy,
+    newest_kept,
     retained_mask,
 )
 from .profiler import HeadProfile, ProfilerConfig, select_policy
-from .tokens import CLASS_CODE, TokenClass, classify_tokens
+from .tokens import classify_tokens
 
 # The engine calls none of these; they stay bound here only because
 # perfbench/tracer.py patches them by attribute.
@@ -202,15 +201,14 @@ class HeadGroup:
     heads: np.ndarray = field(init=False, repr=False)  # arange(G)
     # Each head's (layer, head) index pair, for reading a step's model rows.
     grid_index: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
-    # The classes of incoming rows the policy keeps whatever their rank: all
-    # under ``local``, whose window always holds the newest row.
-    classes: set[TokenClass] = field(init=False, repr=False)
+    # Whether the policy keeps an incoming row of each class code whatever
+    # the scores (``newest_kept``).
+    newest: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.heads, atoms = np.arange(len(self.keys)), self.policy.atoms
+        self.heads = np.arange(len(self.keys))
         self.grid_index = tuple(np.array(self.keys, dtype=np.intp).reshape(-1, 2).T)
-        local = set(TokenClass) if PolicyAtom.LOCAL in atoms else set()
-        self.classes = local.union(*(_STATIC.get(atom, ()) for atom in atoms))
+        self.newest = newest_kept(self.policy)
 
     def live(self, g: int) -> np.ndarray:
         """Head g's live positions, ascending: a view of ``pos[g, :n[g]]``."""
@@ -220,7 +218,6 @@ class HeadGroup:
         self,
         new_rows: np.ndarray,
         pos: int,
-        klass: TokenClass,
         prompt_len: int,
         codes: np.ndarray,
         diagnostics: bool,
@@ -229,9 +226,10 @@ class HeadGroup:
 
         ``new_rows`` holds the model's K, V and Q rows at ``pos`` as
         ``(3, num_layers, num_heads, d)``; each head reads its own by
-        (layer, head) index.
+        (layer, head) index. ``codes`` holds the class codes of positions
+        ``0..pos``.
         """
-        n, heads, atoms = self.n, self.heads, self.policy.atoms
+        n, heads = self.n, self.heads
         counts = n.tolist()
         width = max(counts) + 1
         # Per-head lengths when the counts differ, else None.
@@ -276,11 +274,9 @@ class HeadGroup:
                     else np.add.reduce(taken, axis=1, where=visible, initial=0.0)
                 )
 
-        # No old row can leave if every atom is static, or if the frequent budget
-        # covers every old row: the incoming row (score 0, last slot) ranks last.
-        budget = _budget(self.policy.r_f, pos + 1) if PolicyAtom.FREQUENT in atoms else -1
-        if atoms <= _STATIC.keys() or budget >= width - 1:
-            self.n = n + ((n < budget) | (klass in self.classes))
+        grown = appended_counts(self.policy, self.newest, n, width - 1, codes[pos], pos + 1)
+        if grown is not None:
+            self.n = grown
             return
         live_scores = None if scores is None else scores[:, :width]
         keep = retained_mask(
@@ -321,7 +317,7 @@ class StepRecord:
 class CompressedCache:
     """Head-group compressed KV state owned by one generation session.
 
-    ``codes`` holds the ``CLASS_CODE`` of each position in its first
+    ``codes`` holds the ``TokenClass`` code of each position in its first
     ``seq_len`` entries. ``grid`` is the ``(num_layers, num_heads)`` of the
     model the cache was encoded for; the groups hold every head of that
     grid once.
@@ -385,12 +381,11 @@ def prompt_head_data(model, tokens: list[int], prompt_len: int | None = None):
     re-encoding a prompt plus generated tokens pass the true prompt length
     so model rows and policy budgets stay anchored to it.
 
-    Yields ``(key, K, V, stats, ctx)`` per head: its K/V rows, the
+    Yields ``(key, K, V, stats, codes)`` per head: its K/V rows, the
     ``PromptStats`` of its attention map (column sums and last row, from
-    ``causal_attention``'s blocked pass) and the PolicyContext the
-    profiler consumes, seeded with those column sums. Each head's attention
-    is computed when it is asked for. The tokens are classified once; every
-    context shares one read-only ``codes`` array.
+    ``causal_attention``'s blocked pass) and the tokens' class codes. Each
+    head's attention is computed when it is asked for. The tokens are
+    classified once; every head shares one read-only ``codes`` array.
     """
     if not tokens:
         raise EngineError("empty prompt")
@@ -399,9 +394,7 @@ def prompt_head_data(model, tokens: list[int], prompt_len: int | None = None):
     p = n if prompt_len is None else prompt_len
     if not 1 <= p <= n:
         raise EngineError(f"prompt_len {p} out of range for {n} tokens")
-    codes = np.array(
-        [CLASS_CODE[a.klass] for a in classify_tokens(tokens, model.vocab)], dtype=np.int8
-    )
+    codes = np.array([a.klass for a in classify_tokens(tokens, model.vocab)], np.int8)
     codes.setflags(write=False)
     heads, at = np.arange(cfg.num_heads), np.arange(n)[:, None]
     for layer in range(cfg.num_layers):
@@ -413,11 +406,7 @@ def prompt_head_data(model, tokens: list[int], prompt_len: int | None = None):
         )
         for head in range(cfg.num_heads):
             K, V, Q = (np.ascontiguousarray(block[:, head]) for block in blocks)
-            stats = causal_attention(Q, K, cfg.head_dim)
-            ctx = PolicyContext(
-                codes=codes, prompt_len=p, current_len=n, cumulative_scores=stats.colsum
-            )
-            yield (layer, head), K, V, stats, ctx
+            yield (layer, head), K, V, causal_attention(Q, K, cfg.head_dim), codes
         del blocks  # so that one layer's blocks are alive at a time
 
 
@@ -445,8 +434,8 @@ def encode_prompt(
     decisions = {}
     # Rows of each group's heads, by policy.
     pending: dict[CompressionPolicy, dict] = {}
-    for key, K, V, stats, ctx in prompt_head_data(model, prompt_tokens):
-        decisions[key] = decision = select_policy(stats, ctx, profiler_cfg)
+    for key, K, V, stats, codes in prompt_head_data(model, prompt_tokens):
+        decisions[key] = decision = select_policy(stats, codes, n, profiler_cfg)
         policy, idx = decision.policy, decision.retained
         rows = pending.setdefault(
             policy,
@@ -463,10 +452,9 @@ def encode_prompt(
         rows["outputs"].append(stats.last_row @ V)
         rows["recovery"].append(float(stats.last_row[idx].sum()) if idx.size else 0.0)
         if rows["scores"] is not None:
-            rows["scores"].append(ctx.cumulative_scores[idx])
+            rows["scores"].append(stats.colsum[idx])
         if rows["shadow"] is not None:
             rows["shadow"].append(K)
-        codes = ctx.codes  # one array, shared by every head's context
 
     groups = []
     for policy, rows in pending.items():
@@ -539,12 +527,10 @@ def generate_step(
         pos = cache.seq_len
         klass = model.vocab.classify_id(last_token)
         cache.codes = _room(cache.codes, pos)
-        cache.codes[pos] = CLASS_CODE[klass]
-        new_rows = _step_rows(model, pos, cache.codes[pos], cache.prompt_len)
+        cache.codes[pos] = klass
+        new_rows = _step_rows(model, pos, klass, cache.prompt_len)
         for group in cache.groups:
-            group.advance(
-                new_rows, pos, klass, cache.prompt_len, cache.codes, cache.diagnostics
-            )
+            group.advance(new_rows, pos, cache.prompt_len, cache.codes, cache.diagnostics)
         cache.seq_len = pos + 1
 
     next_token = sampler(model.head_logits(cache.outputs()))
@@ -630,11 +616,10 @@ def reference_generate(
     shape = (len(keys), n + max(gen_cfg.max_new_tokens - 1, 0), model.config.head_dim)
     K_all, V_all = np.empty(shape), np.empty(shape)
     outputs = np.empty((len(keys), shape[2]))
-    for g, (_, K, V, stats, ctx) in enumerate(prompt_head_data(model, prompt_tokens)):
+    for g, (_, K, V, stats, codes) in enumerate(prompt_head_data(model, prompt_tokens)):
         K_all[g, :n] = K
         V_all[g, :n] = V
         outputs[g] = stats.last_row @ V
-        codes = ctx.codes
     group = HeadGroup(
         keys=keys,
         policy=full_policy(),

@@ -146,8 +146,8 @@ def consistency_report(
     per_step: list[list[ConsistencyEntry]] = [[] for _ in steps]
     for layer, head in model.config.head_grid():
         for entries, step, stream in zip(per_step, steps, streams):
-            _, _, _, stats, ctx = next(stream)
-            policy = select_policy(stats, ctx, profiler_cfg).policy
+            _, _, _, stats, codes = next(stream)
+            policy = select_policy(stats, codes, n, profiler_cfg).policy
             if step == steps[0]:
                 first = policy
             name = format_policy(policy)
@@ -174,10 +174,10 @@ def tradeoff_curve(
     # One prompt pass: each head is profiled at every threshold on its
     # statistics as the stream yields them.
     per_T: list[list] = [[] for _ in cfgs]
-    for _, _, _, stats, ctx in prompt_head_data(model, prompt_tokens):
-        for decisions, cfg in zip(per_T, cfgs):
-            decisions.append(select_policy(stats, ctx, cfg))
     n = len(prompt_tokens)
+    for _, _, _, stats, codes in prompt_head_data(model, prompt_tokens):
+        for decisions, cfg in zip(per_T, cfgs):
+            decisions.append(select_policy(stats, codes, n, cfg))
     points = []
     for T, decisions in zip(T_values, per_T):
         costs = [d.cost_tokens for d in decisions]

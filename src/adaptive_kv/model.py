@@ -28,15 +28,17 @@ words, whatever it has read: 12 streams at 4 layers, 384 KB at 8 heads
 and ``d = 32``. Every row it returns owns its memory.
 
 Row methods take one row or a block. ``k_row``, ``q_row`` and ``v_row``
-with int ``head`` and ``pos`` return one ``(d,)`` row. With an int array
-for either, ``head`` and ``pos`` broadcast together, ``k_row``'s
-``klass`` is a ``CLASS_CODE`` array that broadcasts to their shape, and
-the result has shape ``broadcast shape + (d,)``, each row bit-equal to
-the same row read alone. A decode step reads ``(H, d)`` with ``pos`` an int
-and ``head`` every head; the prompt pass reads ``(n, H, d)`` with ``pos``
-as ``positions[:, None]``. A ``SyntheticModel`` block is gathered from
-the rows over the counter span it covers, with the planted dims filled
-from per-class and per-archetype tables.
+with int ``head`` and ``pos`` return one ``(d,)`` row. ``k_row``'s
+``klass`` is a ``TokenClass`` code; a code that names no class is a
+``ModelError``. With an int array for either, ``head`` and ``pos``
+broadcast together, ``klass`` is a code array that broadcasts to their
+shape, and the result has shape ``broadcast shape + (d,)``, each row
+bit-equal to the same row read alone. A decode step reads ``(H, d)``
+with ``pos`` an int and ``head`` every head; the prompt pass reads
+``(n, H, d)`` with ``pos`` as ``positions[:, None]``. A
+``SyntheticModel`` block is gathered from the rows over the counter span
+it covers, with the planted dims filled from per-class and per-archetype
+tables.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .tokens import CLASS_CODE, TokenClass, VocabMetadata
+from .tokens import TokenClass, VocabMetadata
 
 # Feature layout of key rows: indicator dims, a position ramp, then noise.
 _DIM_SPECIAL = 0
@@ -74,9 +76,9 @@ _PHILOX_PERIOD = 1 << 256
 # Positions of rows each (role, layer) stream draws ahead of need.
 _WINDOW_POSITIONS = 16
 # Key-row indicator dims of each class code; other classes plant nothing.
-_CLASS_DIMS = np.zeros((max(CLASS_CODE.values()) + 1, _NUM_PLANTED_DIMS))
-_CLASS_DIMS[CLASS_CODE[TokenClass.SPECIAL], _DIM_SPECIAL] = 1.0
-_CLASS_DIMS[CLASS_CODE[TokenClass.PUNCTUATION], _DIM_PUNCT] = 1.0
+_CLASS_DIMS = np.zeros((len(TokenClass), _NUM_PLANTED_DIMS))
+_CLASS_DIMS[TokenClass.SPECIAL, _DIM_SPECIAL] = 1.0
+_CLASS_DIMS[TokenClass.PUNCTUATION, _DIM_PUNCT] = 1.0
 _CLASS_DIMS.setflags(write=False)
 
 DEFAULT_VOCAB = VocabMetadata(
@@ -193,6 +195,17 @@ def _local_slope(dominance: float, window: int) -> float:
     for _ in range(80):
         beta = (target + math.log(1.0 / (1.0 - math.exp(-beta)))) / window
     return beta
+
+
+def _check_class(klass):
+    """Raise unless each class code in ``klass`` names a ``TokenClass``."""
+    if isinstance(klass, np.ndarray):  # initial=0 lets an empty array pass
+        lo, hi = klass.min(initial=0), klass.max(initial=0)
+    else:
+        lo = hi = klass
+    if lo < 0 or hi >= len(_CLASS_DIMS):
+        bad = lo if lo < 0 else hi
+        raise ModelError(f"class code {bad} outside 0..{len(_CLASS_DIMS) - 1}")
 
 
 class _RowStream:
@@ -404,14 +417,11 @@ class SyntheticModel:
             return self._k_block(layer, head, pos, klass, prompt_len)
         self.config.check_head(head)
         self._check_position(pos)
+        _check_class(klass)
         d = self.config.head_dim
-        row = np.zeros(d)
-        if klass is TokenClass.SPECIAL:
-            row[_DIM_SPECIAL] = 1.0
-        elif klass is TokenClass.PUNCTUATION:
-            row[_DIM_PUNCT] = 1.0
-        if pos in sparse_columns(prompt_len):
-            row[_DIM_COLUMN] = 1.0
+        row = np.empty(d)
+        row[:_NUM_PLANTED_DIMS] = _CLASS_DIMS[klass]
+        row[_DIM_COLUMN] = pos in sparse_columns(prompt_len)
         row[_DIM_POSITION] = pos * _POS_SCALE
         noise = self._noise(_ROLE_KEY, layer, head, pos)
         np.multiply(
@@ -420,6 +430,7 @@ class SyntheticModel:
         return row
 
     def _k_block(self, layer, head, pos, klass, prompt_len) -> np.ndarray:
+        _check_class(klass)
         d = self.config.head_dim
         noise, at = self._noise_block(
             _ROLE_KEY, layer, head, pos, d - _NUM_PLANTED_DIMS

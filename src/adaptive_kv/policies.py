@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .tokens import CLASS_CODE, TokenClass
+from .tokens import TokenClass
 
 # Guard against float products like 0.57*100 = 56.999999999999993 landing
 # a hair above an exact integer and inflating the ceiling by one.
@@ -23,7 +23,7 @@ _BUDGET_EPS = 1e-9
 
 
 class PolicyError(ValueError):
-    """Raised on invalid policies, contexts, or policy strings."""
+    """Raised on invalid policies, policy inputs, or policy strings."""
 
 
 class PolicyAtom(Enum):
@@ -44,8 +44,8 @@ DEFAULT_FEASIBLE_ORDER = (
 
 DEFAULT_RATIO = 0.3
 # The classes each static atom keeps; a row's class never changes.
-_STATIC = {PolicyAtom.FULL: set(TokenClass), PolicyAtom.SPECIAL: {TokenClass.SPECIAL},
-           PolicyAtom.PUNCTUATION: {TokenClass.PUNCTUATION}}
+_STATIC = {PolicyAtom.FULL: tuple(TokenClass), PolicyAtom.SPECIAL: (TokenClass.SPECIAL,),
+           PolicyAtom.PUNCTUATION: (TokenClass.PUNCTUATION,)}
 
 
 @dataclass(frozen=True)
@@ -129,44 +129,15 @@ def parse_policy(text: str) -> CompressionPolicy:
     return CompressionPolicy(frozenset(atoms), r_l=r_l, r_f=r_f)
 
 
-@dataclass(frozen=True)
-class PolicyContext:
-    """State a policy decision is evaluated against.
-
-    ``codes[j]`` is the ``CLASS_CODE`` of position j's token, and
-    ``cumulative_scores[j]`` the accumulated attention mass position j
-    received over all query rows so far (the frequency signal). Both have
-    one entry per position below ``current_len``.
-    """
-
-    codes: np.ndarray
-    prompt_len: int
-    current_len: int
-    cumulative_scores: np.ndarray
-
-    def __post_init__(self):
-        codes = np.asarray(self.codes, dtype=np.int8)
-        object.__setattr__(self, "codes", codes)
-        # A copy: the context is frozen, the caller's buffer must not be.
-        scores = np.array(self.cumulative_scores, dtype=np.float64)
-        object.__setattr__(self, "cumulative_scores", scores)
-        if not 1 <= self.prompt_len <= self.current_len:
-            raise PolicyError(
-                f"need current_len >= prompt_len >= 1, got "
-                f"prompt_len={self.prompt_len}, current_len={self.current_len}"
-            )
-        for name, arr in (("codes", codes), ("cumulative_scores", scores)):
-            if arr.shape != (self.current_len,):
-                raise PolicyError(
-                    f"{name} has length {arr.shape}, expected {self.current_len}"
-                )
-        if np.any(scores < 0.0) or not np.all(np.isfinite(scores)):
-            raise PolicyError("cumulative_scores must be finite and >= 0")
-        scores.setflags(write=False)
-
-
 def _budget(ratio: float, length: int) -> int:
     return max(1, math.ceil(ratio * length - _BUDGET_EPS))
+
+
+def _kept_classes(policy: CompressionPolicy) -> np.ndarray:
+    """Whether the policy's static atoms keep each class code."""
+    kept = np.zeros(len(TokenClass), dtype=bool)
+    kept[[klass for atom in policy.atoms for klass in _STATIC.get(atom, ())]] = True
+    return kept
 
 
 def retained_mask(
@@ -180,7 +151,7 @@ def retained_mask(
 ) -> np.ndarray:
     """Boolean keep-mask over ``live``, the ascending candidate positions.
 
-    ``codes`` holds the ``CLASS_CODE`` of each position. ``scores``
+    ``codes`` holds the ``TokenClass`` code of each position. ``scores``
     (cumulative attention, needed only by the frequent atom) lie in slot
     order: ``scores[..., i]`` is that of candidate ``live[..., i]``.
     ``live`` may also be a ``(G, M)`` array of G heads' candidates: row g's
@@ -198,10 +169,7 @@ def retained_mask(
         raise PolicyError(f"candidate position {last} >= current_len {current_len}")
     visible = None if lengths is None else np.arange(width) < lengths[:, None]
     atoms = policy.atoms
-    # Whether the static atoms keep each class code, looked up per candidate.
-    kept = np.zeros(len(CLASS_CODE), dtype=bool)
-    kept[[CLASS_CODE[k] for atom in atoms for k in _STATIC.get(atom, ())]] = True
-    keep = kept[codes[rows]]
+    keep = _kept_classes(policy)[codes[rows]]
     if PolicyAtom.LOCAL in atoms:
         keep |= rows >= current_len - _budget(policy.r_l, prompt_len)
     if PolicyAtom.FREQUENT in atoms and width:
@@ -227,12 +195,45 @@ def retained_mask(
     return keep if live.ndim == 2 else keep[0]
 
 
-def retained_indices(policy: CompressionPolicy, ctx: PolicyContext) -> np.ndarray:
-    """Ascending positions the policy keeps in the cache."""
-    live = np.arange(ctx.current_len)
-    scores, codes = ctx.cumulative_scores, ctx.codes
-    keep = retained_mask(policy, live, codes, scores, ctx.prompt_len, ctx.current_len)
-    return live[keep]
+def retained_indices(
+    policy: CompressionPolicy, codes: np.ndarray, scores: np.ndarray, prompt_len: int
+) -> np.ndarray:
+    """Ascending positions below ``len(scores)`` the policy keeps: one
+    ``retained_mask`` call over them all, as decode makes it. ``codes`` and
+    ``scores`` are read, never copied or written."""
+    live = np.arange(len(scores))
+    if np.shape(codes) != live.shape:
+        raise PolicyError(f"codes has shape {np.shape(codes)}, expected {live.shape}")
+    if not 1 <= prompt_len <= live.size:
+        raise PolicyError(f"prompt_len {prompt_len} outside 1..{live.size}")
+    return live[retained_mask(policy, live, codes, scores, prompt_len, live.size)]
+
+
+def newest_kept(policy: CompressionPolicy) -> np.ndarray:
+    """Whether the policy keeps the newest row of each class code whatever
+    the scores: the classes of its static atoms, and every class under
+    ``local``, whose window always holds the newest row."""
+    return _kept_classes(policy) | (PolicyAtom.LOCAL in policy.atoms)
+
+
+def appended_counts(
+    policy: CompressionPolicy, newest: np.ndarray, n: np.ndarray, longest: int,
+    code: int, current_len: int,
+) -> np.ndarray | None:
+    """Each head's retained count once a row of class ``code`` joins at
+    position ``current_len - 1``, if none of its ``n`` older rows (at most
+    ``longest``), which the policy kept a step before, can leave; else None.
+
+    None can leave if every atom is static, since a row's class never
+    changes, or if the frequent budget covers every older row: the incoming
+    row, scored 0 in the last slot, ranks last. ``newest`` is
+    ``newest_kept(policy)``.
+    """
+    atoms = policy.atoms
+    budget = _budget(policy.r_f, current_len) if PolicyAtom.FREQUENT in atoms else -1
+    if atoms <= _STATIC.keys() or budget >= longest:
+        return n + ((n < budget) | newest[code])
+    return None
 
 
 def feasible_set(

@@ -20,13 +20,7 @@ from typing import Mapping
 import numpy as np
 
 from .attention import PromptStats
-from .policies import (
-    CompressionPolicy,
-    PolicyContext,
-    feasible_set,
-    full_policy,
-    retained_indices,
-)
+from .policies import CompressionPolicy, feasible_set, full_policy, retained_indices
 
 
 class ProfilerError(ValueError):
@@ -66,12 +60,15 @@ def recovery_ratio(
 
 def evaluate_policy(
     stats: PromptStats,
-    ctx: PolicyContext,
+    codes: np.ndarray,
+    prompt_len: int,
     policy: CompressionPolicy,
     rows: RowAveraging = RowAveraging.ALL_ROWS,
 ) -> HeadDecision:
-    """Recovery, cache cost and retained positions of one policy on one head."""
-    retained = retained_indices(policy, ctx)
+    """Recovery, cache cost and retained positions of one policy on one head,
+    whose positions have class ``codes`` and the first ``prompt_len`` of
+    which are the prompt; the column sums are the frequency signal."""
+    retained = retained_indices(policy, codes, stats.colsum, prompt_len)
     retained.setflags(write=False)
     return HeadDecision(
         policy, recovery_ratio(stats, retained, rows), retained.size, retained
@@ -111,11 +108,11 @@ class ProfilerConfig:
 
 
 def select_policy(
-    stats: PromptStats, ctx: PolicyContext, cfg: ProfilerConfig
+    stats: PromptStats, codes: np.ndarray, prompt_len: int, cfg: ProfilerConfig
 ) -> HeadDecision:
     """The first policy in the nested family meeting the recovery threshold."""
     for policy in cfg.feasible:
-        decision = evaluate_policy(stats, ctx, policy, cfg.rows)
+        decision = evaluate_policy(stats, codes, prompt_len, policy, cfg.rows)
         # The full backstop is always accepted: its recovery is a float
         # sum of column sums over P and can land a hair below T=1.
         if decision.recovery >= cfg.recovery_threshold or policy.is_full:
@@ -151,10 +148,11 @@ class HeadProfile:
 
 
 def profile_model(
-    head_data: Mapping[tuple[int, int], tuple[PromptStats, PolicyContext]],
+    head_data: Mapping[tuple[int, int], tuple[PromptStats, np.ndarray, int]],
     cfg: ProfilerConfig,
 ) -> HeadProfile:
-    """Select a policy independently for every head of the model.
+    """Select a policy independently for every head of the model, from each
+    head's ``(stats, codes, prompt_len)``, as ``select_policy`` takes them.
 
     Profiling happens exactly once per generation session; the resulting
     profile is immutable.

@@ -8,19 +8,17 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from enum import Enum
+from enum import IntEnum
 from typing import Iterable
 
 
-class TokenClass(Enum):
-    SPECIAL = "special"
-    PUNCTUATION = "punctuation"
-    OTHER = "other"
+class TokenClass(IntEnum):
+    """A token's class. Each value is the class's code: the class byte of
+    AKVT trace files and the entries of the compressed cache's ``codes``."""
 
-
-# Small-integer code of each class: the class byte of AKVT trace files and
-# the per-position class array of the compressed cache.
-CLASS_CODE = {TokenClass.SPECIAL: 0, TokenClass.PUNCTUATION: 1, TokenClass.OTHER: 2}
+    SPECIAL = 0
+    PUNCTUATION = 1
+    OTHER = 2
 
 
 @dataclass(frozen=True)

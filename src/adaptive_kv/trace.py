@@ -21,12 +21,11 @@ from pathlib import Path
 import numpy as np
 
 from .model import ModelConfig, ModelError, linear_head_weights
-from .tokens import CLASS_CODE, TokenAnnotation, TokenClass, VocabMetadata
+from .tokens import TokenAnnotation, TokenClass, VocabMetadata
 
 MAGIC = b"AKVT"
 VERSION = 1
 
-_CODE_CLASS = {v: k for k, v in CLASS_CODE.items()}
 # Records per write, through one reused buffer. A buffer per (layer, head)
 # (0.9 MB at 1,151 steps and head_dim 32) raised the replay benchmark's
 # peak resident memory by about 2.5 MB, and filling fields through
@@ -147,7 +146,7 @@ def _write_binary(trace: AttentionTrace, buf: io.BufferedIOBase):
     )
     buf.write(struct.pack("<I", len(trace.tokens)))
     for tok in trace.tokens:
-        buf.write(struct.pack("<IB", tok.token_id, CLASS_CODE[tok.klass]))
+        buf.write(struct.pack("<IB", tok.token_id, tok.klass))
     buffer = np.empty(_RECORDS_PER_WRITE, _record_dtype(cfg.head_dim))
     for (layer, head) in sorted(trace.blocks):
         entries = trace.blocks[(layer, head)]
@@ -196,9 +195,9 @@ def _read_binary(data: bytes) -> AttentionTrace:
     tokens = []
     for pos in range(num_tokens):
         token_id, code = struct.unpack("<IB", _read_exact(buf, 5, f"token {pos}"))
-        if code not in _CODE_CLASS:
+        if code >= len(TokenClass):
             raise TraceHeaderError(f"token {pos}: unknown class code {code}")
-        tokens.append(TokenAnnotation(pos, token_id, _CODE_CLASS[code]))
+        tokens.append(TokenAnnotation(pos, token_id, TokenClass(code)))
 
     try:
         dtype = _record_dtype(head_dim)
@@ -261,7 +260,7 @@ def record_trace(model, tokens: list[int], prompt_len: int) -> AttentionTrace:
         for pos, tid in enumerate(tokens)
     ]
     cfg = model.config
-    codes = np.array([CLASS_CODE[a.klass] for a in annotations], dtype=np.int8)
+    codes = np.array([a.klass for a in annotations], dtype=np.int8)
     heads, at = np.arange(cfg.num_heads), np.arange(len(tokens))[:, None]
     blocks = {}
     for layer in range(cfg.num_layers):

@@ -11,12 +11,11 @@ from adaptive_kv.model import (
     ModelConfig,
     SyntheticModel,
 )
-from adaptive_kv.policies import PolicyContext
-from adaptive_kv.tokens import CLASS_CODE, TokenClass
+from adaptive_kv.tokens import TokenClass
 
 
 def make_codes(classes: list[TokenClass]) -> np.ndarray:
-    return np.array([CLASS_CODE[klass] for klass in classes], dtype=np.int8)
+    return np.array(classes, dtype=np.int8)
 
 
 def explicit_map(Q: np.ndarray, K: np.ndarray) -> np.ndarray:
@@ -27,29 +26,22 @@ def explicit_map(Q: np.ndarray, K: np.ndarray) -> np.ndarray:
 
 
 def head_maps(model, tokens: list[int], prompt_len: int | None = None) -> dict:
-    """Every head's explicit map and PolicyContext, materialised at once."""
+    """Every head's explicit map and the tokens' class codes, materialised
+    at once."""
     p = len(tokens) if prompt_len is None else prompt_len
     maps = {}
-    for (layer, head), K, _, _, ctx in prompt_head_data(model, tokens, prompt_len):
+    for (layer, head), K, _, _, codes in prompt_head_data(model, tokens, prompt_len):
         Q = np.array([model.q_row(layer, head, pos, p) for pos in range(len(tokens))])
-        maps[(layer, head)] = (explicit_map(Q, K), ctx)
+        maps[(layer, head)] = (explicit_map(Q, K), codes)
     return maps
 
 
-def random_context(rng: np.random.Generator, max_len: int = 24) -> PolicyContext:
+def random_context(rng: np.random.Generator, max_len: int = 24) -> tuple:
+    """Random ``(codes, scores, prompt_len)``, as ``retained_indices`` takes them."""
     current_len = int(rng.integers(1, max_len + 1))
     prompt_len = int(rng.integers(1, current_len + 1))
-    classes = [
-        [TokenClass.SPECIAL, TokenClass.PUNCTUATION, TokenClass.OTHER][i]
-        for i in rng.integers(0, 3, size=current_len)
-    ]
-    scores = rng.uniform(0.0, 5.0, size=current_len)
-    return PolicyContext(
-        codes=make_codes(classes),
-        prompt_len=prompt_len,
-        current_len=current_len,
-        cumulative_scores=scores,
-    )
+    codes = rng.integers(0, len(TokenClass), size=current_len).astype(np.int8)
+    return codes, rng.uniform(0.0, 5.0, size=current_len), prompt_len
 
 
 MIXED_PLAN_4X4 = {

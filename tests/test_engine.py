@@ -27,7 +27,6 @@ from adaptive_kv.engine import (
 from adaptive_kv.policies import (
     CompressionPolicy,
     PolicyAtom,
-    PolicyContext,
     _budget,
     feasible_set,
     full_policy,
@@ -37,7 +36,7 @@ from adaptive_kv.policies import (
 )
 from adaptive_kv.model import Archetype, ModelConfig, SyntheticModel, cycling_plan
 from adaptive_kv.profiler import ProfilerConfig
-from adaptive_kv.tokens import CLASS_CODE, TokenClass, VocabMetadata, classify_tokens
+from adaptive_kv.tokens import TokenClass, VocabMetadata, classify_tokens
 from adaptive_kv.trace import TraceModel, record_trace
 
 from conftest import make_codes
@@ -50,33 +49,36 @@ GOLDEN_PROMPT = 40
 GOLDEN_STEPS = 80
 
 
-def reference_atom_indices(atom, policy, ctx, candidates):
+def reference_atom_indices(atom, policy, codes, scores, prompt_len, candidates):
     """List-based retained positions of one atom, kept as the reference."""
-    universe = range(ctx.current_len) if candidates is None else candidates
+    current_len = len(scores)
+    universe = range(current_len) if candidates is None else candidates
     if atom is PolicyAtom.FULL:
         return list(universe)
     if atom in (PolicyAtom.SPECIAL, PolicyAtom.PUNCTUATION):
         klass = (
             TokenClass.SPECIAL if atom is PolicyAtom.SPECIAL else TokenClass.PUNCTUATION
         )
-        wanted = {p for p in range(ctx.current_len) if ctx.codes[p] == CLASS_CODE[klass]}
-        return [p for p in universe if p in wanted]
+        return [p for p in universe if codes[p] == klass]
     if atom is PolicyAtom.LOCAL:
-        window_start = ctx.current_len - _budget(policy.r_l, ctx.prompt_len)
+        window_start = current_len - _budget(policy.r_l, prompt_len)
         return [p for p in universe if p >= window_start]
     if atom is PolicyAtom.FREQUENT:
-        budget = _budget(policy.r_f, ctx.current_len)
-        pool = sorted(universe)
-        ranked = sorted(pool, key=lambda p: (-ctx.cumulative_scores[p], p))
+        budget = _budget(policy.r_f, current_len)
+        ranked = sorted(universe, key=lambda p: (-scores[p], p))
         return ranked[:budget]
     raise AssertionError(atom)
 
 
-def reference_retained(policy, ctx, candidates=None) -> list[int]:
+def reference_retained(policy, codes, scores, prompt_len, candidates=None) -> list[int]:
+    """Positions below ``len(scores)`` the policy keeps, among ``candidates``
+    if given, from one list-based rule per atom."""
     cand = None if candidates is None else sorted({int(p) for p in candidates})
     retained: set[int] = set()
     for atom in policy.atoms:
-        retained.update(reference_atom_indices(atom, policy, ctx, cand))
+        retained.update(
+            reference_atom_indices(atom, policy, codes, scores, prompt_len, cand)
+        )
     return sorted(retained)
 
 
@@ -190,12 +192,15 @@ def test_cache_matches_list_reference_every_step(request, policy):
     grid = model.config.head_grid()
     d = model.config.head_dim
     check_group_layout(cache, grid)
-    contexts = {key: ctx for key, _, _, _, ctx in prompt_head_data(model, prompt)}
+    ref_scores = {
+        key: stats.colsum for key, _, _, stats, _ in prompt_head_data(model, prompt)
+    }
     rows = Rows(model, prompt_len)
-    ref_scores = {key: ctx.cumulative_scores for key, ctx in contexts.items()}
+    codes = make_codes([a.klass for a in classify_tokens(prompt, model.vocab)])
     for key, (group, g) in head_slots(cache).items():
         assert group.policy == profile[key].policy
-        assert group.live(g).tolist() == reference_retained(group.policy, contexts[key])
+        expected = reference_retained(group.policy, codes, ref_scores[key], prompt_len)
+        assert group.live(g).tolist() == expected
         if group.scores is not None:
             live = group.live(g)
             assert np.array_equal(group.scores[g, : live.size], ref_scores[key][live])
@@ -231,10 +236,10 @@ def test_cache_matches_list_reference_every_step(request, policy):
             ref_scores[key] = update_cumulative_scores(
                 ref_scores[key], weights[:-1], np.array(previous[key], dtype=np.intp)
             )
-            ctx = PolicyContext(codes, prompt_len, pos + 1, ref_scores[key])
-
             live = group.live(g).tolist()
-            assert live == reference_retained(policy, ctx, attended)
+            assert live == reference_retained(
+                policy, codes, ref_scores[key], prompt_len, attended
+            )
             # A row evicted below a kept one: compaction shifted the rows after it.
             shifts += any(p < live[-1] for p in set(previous[key]) - set(live))
             # A lone kept row after an eviction: compaction moved a single row.
@@ -350,9 +355,8 @@ def test_ragged_frequent_group_matches_one_head_groups_on_fixed_rows():
     ragged = 0
     for at in range(prompt_len, prompt_len + steps):
         new_rows = rng.standard_normal((3, layers, heads, d))
-        klass = {0: TokenClass.SPECIAL, 2: TokenClass.OTHER}[int(codes[at])]
         for g in [group, *singles]:
-            g.advance(new_rows, at, klass, prompt_len, codes, diagnostics=True)
+            g.advance(new_rows, at, prompt_len, codes, diagnostics=True)
         ragged += len(set(group.n.tolist())) > 1
         for g, single in enumerate(singles):
             n = group.n[g]
@@ -402,15 +406,14 @@ def test_group_that_cannot_evict_appends_without_a_keep_mask(
     assert set(seen[PROMPT_LEN:-1]) == set(TokenClass)
     for rec in run.records:
         length = PROMPT_LEN + rec.step - 1
-        ctx = PolicyContext(make_codes(seen[:length]), PROMPT_LEN, length, np.zeros(length))
-        expected = reference_retained(policy, ctx)
+        codes = make_codes(seen[:length])
+        expected = reference_retained(policy, codes, np.zeros(length), PROMPT_LEN)
         for live in rec.retained_positions.values():
             assert live.tolist() == expected
 
-    # With no atom known as static and no budget that covers the old rows,
-    # every step masks, and gives the same bits.
-    monkeypatch.setattr(engine, "_STATIC", {})
-    monkeypatch.setattr(engine, "_budget", lambda ratio, length: -1)
+    # With no step known to only append, every step masks, and gives the
+    # same bits.
+    monkeypatch.setattr(engine, "appended_counts", lambda *args: None)
     masked = generate_fixed_baseline(small_model, prompt, policy, cfg)
     assert calls and masked.tokens == run.tokens
     assert np.array_equal(masked.cache.outputs(), run.cache.outputs())
@@ -572,13 +575,14 @@ def test_direct_generate_step_records_are_numbered_from_one(small_model):
 def test_decision_carries_its_retained_set_through_decode(mixed_model):
     prompt = mixed_model.prompt_token_ids(GOLDEN_PROMPT)
     profile, cache = encode_prompt(mixed_model, prompt, mixed_groups_config())
-    contexts = {key: ctx for key, _, _, _, ctx in prompt_head_data(mixed_model, prompt)}
+    heads = {key: (codes, stats.colsum)
+             for key, _, _, stats, codes in prompt_head_data(mixed_model, prompt)}
     chosen = {}
     for key, (group, _) in head_slots(cache).items():
         decision = profile[key]
-        assert np.array_equal(
-            decision.retained, retained_indices(decision.policy, contexts[key])
-        )
+        codes, scores = heads[key]
+        expected = retained_indices(decision.policy, codes, scores, GOLDEN_PROMPT)
+        assert np.array_equal(decision.retained, expected)
         assert decision.cost_tokens == decision.retained.size
         assert not decision.retained.flags.writeable
         assert not np.shares_memory(decision.retained, group.pos)

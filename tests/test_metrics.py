@@ -25,10 +25,11 @@ PROMPT_LEN = 40
 
 
 def all_maps(model, tokens, prompt_len=None):
-    """Every head's (stats, ctx), materialised at once."""
+    """Every head's ``(stats, codes, prompt_len)``, materialised at once."""
+    p = len(tokens) if prompt_len is None else prompt_len
     return {
-        key: (stats, ctx)
-        for key, _, _, stats, ctx in prompt_head_data(model, tokens, prompt_len)
+        key: (stats, codes, p)
+        for key, _, _, stats, codes in prompt_head_data(model, tokens, prompt_len)
     }
 
 

@@ -28,7 +28,7 @@ from adaptive_kv.model import (
     sparse_columns,
 )
 from adaptive_kv.profiler import recovery_ratio
-from adaptive_kv.tokens import CLASS_CODE, TokenAnnotation, TokenClass, classify_tokens
+from adaptive_kv.tokens import TokenAnnotation, TokenClass, classify_tokens
 from adaptive_kv.trace import AttentionTrace, TraceBlock, TraceModel, record_trace
 from conftest import explicit_map, head_maps
 
@@ -103,8 +103,8 @@ def test_prompt_layout(model):
 
 def test_special_dominance_holds_at_every_step(model, decoded_maps):
     for step, head_data in decoded_maps.items():
-        A, ctx = head_data[(0, 0)]
-        specials = np.flatnonzero(ctx.codes == CLASS_CODE[TokenClass.SPECIAL])
+        A, codes = head_data[(0, 0)]
+        specials = np.flatnonzero(codes == TokenClass.SPECIAL)
         per_row = A[:, specials].sum(axis=1)
         assert per_row.min() >= DOMINANCE, f"step {step}"
         stats = PromptStats(A.sum(axis=0), A[-1])
@@ -391,6 +391,30 @@ def test_layers_outside_the_grid_rejected_by_both_models(role):
     assert fresh._streams == {}
 
 
+def test_class_codes_outside_the_classes_rejected_in_scalar_and_block_reads():
+    model = seeded_model(5)
+    heads = np.arange(4)
+    for bad in (3, -1):
+        reads = (
+            (0, 1, bad),
+            (heads, 1, np.int8(bad)),
+            (heads, np.array([[0], [1]]), np.array([[2], [bad]], dtype=np.int8)),
+        )
+        for head, pos, klass in reads:
+            with pytest.raises(ModelError, match=rf"^class code {bad} outside 0\.\.2$"):
+                model.k_row(0, head, pos, klass, 8)
+
+
+@pytest.mark.parametrize("head", [1, np.arange(4)], ids=["scalar", "block"])
+def test_an_int_class_code_reads_its_class_bit_for_bit(head):
+    model = seeded_model(5)
+    for klass in TokenClass:
+        by_enum = model.k_row(0, head, 3, klass, 8)
+        assert model.k_row(0, head, 3, int(klass), 8).tobytes() == by_enum.tobytes()
+    # The special indicator is planted for an int code too.
+    assert np.all(model.k_row(0, head, 3, int(TokenClass.SPECIAL), 8)[..., 0] == 1.0)
+
+
 def test_trace_model_block_rejects_positions_outside_the_trace():
     model = seeded_model(5)
     trace = TraceModel(record_trace(model, model.prompt_token_ids(6), 6))
@@ -456,7 +480,7 @@ def test_block_equals_its_rows_read_one_at_a_time(drawn, rnd):
     cfg = synthetic.config
     n, heads = len(tokens), cfg.num_heads
     classes = [synthetic.vocab.classify_id(t) for t in tokens]
-    codes = np.array([CLASS_CODE[k] for k in classes], dtype=np.int8)
+    codes = np.array(classes, dtype=np.int8)
     trace = scalar_trace(synthetic, tokens, prompt_len)
     step = rnd.randrange(n)
     # (head, pos, class) arrays of each call shape: a decode step over every
@@ -553,8 +577,7 @@ def read_rows(model, read, codes, prompt_len) -> np.ndarray:
         return model.q_row(layer, head, pos, prompt_len)
     if isinstance(head, np.ndarray) or isinstance(pos, np.ndarray):
         return model.k_row(layer, head, pos, codes[pos], prompt_len)
-    klass = {code: klass for klass, code in CLASS_CODE.items()}[codes[pos]]
-    return model.k_row(layer, head, pos, klass, prompt_len)
+    return model.k_row(layer, head, pos, TokenClass(codes[pos]), prompt_len)
 
 
 @settings(max_examples=80, deadline=None)

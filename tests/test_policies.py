@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 from adaptive_kv.policies import (
     CompressionPolicy,
     PolicyAtom,
-    PolicyContext,
     PolicyError,
     _budget,
+    appended_counts,
     feasible_set,
     format_policy,
     full_policy,
+    newest_kept,
     parse_policy,
     retained_indices,
     retained_mask,
@@ -27,13 +28,11 @@ from conftest import make_codes, random_context
 
 
 def ctx_of(classes, prompt_len=None, scores=None):
+    """``(codes, scores, prompt_len)`` of ``classes``, as ``retained_indices``
+    takes them; the prompt is every position and scores are 0 by default."""
     n = len(classes)
-    return PolicyContext(
-        codes=make_codes(classes),
-        prompt_len=prompt_len if prompt_len is not None else n,
-        current_len=n,
-        cumulative_scores=np.zeros(n) if scores is None else np.asarray(scores, float),
-    )
+    scores = np.zeros(n) if scores is None else np.asarray(scores, float)
+    return make_codes(classes), scores, n if prompt_len is None else prompt_len
 
 
 S, P, O = TokenClass.SPECIAL, TokenClass.PUNCTUATION, TokenClass.OTHER
@@ -52,27 +51,25 @@ def union_policy(a: CompressionPolicy, b: CompressionPolicy) -> CompressionPolic
 
 def test_local_keeps_last_ceil_budget():
     ctx = ctx_of([O] * 10)
-    got = retained_indices(atom_policy(PolicyAtom.LOCAL, r_l=0.3), ctx)
+    got = retained_indices(atom_policy(PolicyAtom.LOCAL, r_l=0.3), *ctx)
     assert got.tolist() == [7, 8, 9]
 
 
 def test_frequent_top_half_by_cumulative_score():
     ctx = ctx_of([O] * 4, scores=[0.9, 0.05, 0.03, 0.02])
     # brute force: sort all four scores, take top ceil(0.5 * 4) = 2
-    expected = sorted(
-        sorted(range(4), key=lambda j: (-ctx.cumulative_scores[j], j))[:2]
-    )
-    got = retained_indices(atom_policy(PolicyAtom.FREQUENT, r_f=0.5), ctx)
+    expected = sorted(sorted(range(4), key=lambda j: (-ctx[1][j], j))[:2])
+    got = retained_indices(atom_policy(PolicyAtom.FREQUENT, r_f=0.5), *ctx)
     assert got.tolist() == expected == [0, 1]
 
 
 def test_frequent_ties_break_toward_lower_index():
     ctx = ctx_of([O] * 6, scores=[1.0, 2.0, 2.0, 2.0, 1.0, 1.0])
-    got = retained_indices(atom_policy(PolicyAtom.FREQUENT, r_f=0.5), ctx)
+    got = retained_indices(atom_policy(PolicyAtom.FREQUENT, r_f=0.5), *ctx)
     assert got.tolist() == [1, 2, 3]
     # A tie at the budget cut goes to the lowest tied index.
     ctx = ctx_of([O] * 6, scores=[1.0, 2.0, 1.0, 1.0, 2.0, 1.0])
-    got = retained_indices(atom_policy(PolicyAtom.FREQUENT, r_f=0.5), ctx)
+    got = retained_indices(atom_policy(PolicyAtom.FREQUENT, r_f=0.5), *ctx)
     assert got.tolist() == [0, 1, 4]
 
 
@@ -83,17 +80,17 @@ def test_hybrid_union_of_atoms():
         frozenset({PolicyAtom.SPECIAL, PolicyAtom.PUNCTUATION, PolicyAtom.LOCAL}),
         r_l=0.2,
     )
-    assert retained_indices(hybrid, ctx).tolist() == [0, 5, 8, 9]
+    assert retained_indices(hybrid, *ctx).tolist() == [0, 5, 8, 9]
 
 
 def test_full_retains_everything():
     ctx = ctx_of([O] * 7)
-    assert retained_indices(full_policy(), ctx).tolist() == list(range(7))
+    assert retained_indices(full_policy(), *ctx).tolist() == list(range(7))
 
 
 def test_empty_class_sets_yield_empty_retained():
     ctx = ctx_of([O] * 5)
-    assert len(retained_indices(atom_policy(PolicyAtom.SPECIAL), ctx)) == 0
+    assert len(retained_indices(atom_policy(PolicyAtom.SPECIAL), *ctx)) == 0
 
 
 def test_full_superset_of_every_policy():
@@ -104,9 +101,9 @@ def test_full_superset_of_every_policy():
     ]
     for _ in range(100):
         ctx = random_context(rng)
-        full = set(retained_indices(full_policy(), ctx))
+        full = set(retained_indices(full_policy(), *ctx))
         for policy in policies:
-            assert set(retained_indices(policy, ctx)) <= full
+            assert set(retained_indices(policy, *ctx)) <= full
 
 
 def test_union_commutative_idempotent_at_retained_level():
@@ -115,12 +112,12 @@ def test_union_commutative_idempotent_at_retained_level():
     b = CompressionPolicy(frozenset({PolicyAtom.FREQUENT}))
     for _ in range(50):
         ctx = random_context(rng)
-        ab = retained_indices(union_policy(a, b), ctx)
-        ba = retained_indices(union_policy(b, a), ctx)
-        aa = retained_indices(union_policy(a, a), ctx)
+        ab = retained_indices(union_policy(a, b), *ctx)
+        ba = retained_indices(union_policy(b, a), *ctx)
+        aa = retained_indices(union_policy(a, a), *ctx)
         assert np.array_equal(ab, ba)
-        assert np.array_equal(aa, retained_indices(a, ctx))
-        union = set(retained_indices(a, ctx)) | set(retained_indices(b, ctx))
+        assert np.array_equal(aa, retained_indices(a, *ctx))
+        union = set(retained_indices(a, *ctx)) | set(retained_indices(b, *ctx))
         assert set(ab) == union
 
 
@@ -215,10 +212,64 @@ def test_each_row_of_a_padded_mask_is_its_one_row_mask(
             assert row[one].tolist() == sorted(ranked[:budget])
 
 
+APPEND_POLICIES = st.one_of(
+    st.just(full_policy()),
+    st.builds(
+        lambda atoms, r_l, r_f: CompressionPolicy(frozenset(atoms), r_l=r_l, r_f=r_f),
+        st.sets(
+            st.sampled_from([a for a in PolicyAtom if a is not PolicyAtom.FULL]),
+            min_size=1,
+        ),
+        st.sampled_from([0.05, 0.3, 1.0]),
+        st.sampled_from([0.05, 0.3, 0.6, 1.0]),
+    ),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(APPEND_POLICIES, st.integers(1, 40), st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_appended_counts_are_the_mask_counts_and_keep_every_older_row(
+    policy, current_len, heads, seed
+):
+    """Where ``appended_counts`` says no older row can leave, the keep-mask of
+    the grown rows keeps every older row and counts what it counts."""
+    rng = np.random.default_rng(seed)
+    prompt_len = int(rng.integers(1, current_len + 1))
+    codes = rng.integers(0, 3, size=current_len).astype(np.int8)
+    newest = newest_kept(policy)
+    older = np.arange(current_len - 1)
+    if PolicyAtom.FREQUENT not in policy.atoms and PolicyAtom.LOCAL not in policy.atoms:
+        # A static group's rows are all of classes it keeps.
+        older = older[newest[codes[older]]]
+    # Half the time no head holds more older rows than the frequent budget.
+    cap = _budget(policy.r_f, current_len) if rng.random() < 0.5 else older.size
+    rows = [
+        np.sort(rng.choice(older, int(rng.integers(0, min(cap, older.size) + 1)), False))
+        for _ in range(heads)
+    ]
+    n = np.array([row.size for row in rows])
+    width = int(n.max()) + 1
+    # Padding and each incoming row sit at the newest position; the incoming
+    # row scores 0, and four score values make ties common.
+    live = np.full((heads, width), current_len - 1)
+    scores = np.zeros((heads, width))
+    for g, row in enumerate(rows):
+        live[g, : row.size] = row
+        scores[g, : row.size] = rng.integers(0, 4, row.size)
+    grown = appended_counts(policy, newest, n, width - 1, codes[-1], current_len)
+    keep = retained_mask(policy, live, codes, scores, prompt_len, current_len, n + 1)
+    if PolicyAtom.FREQUENT not in policy.atoms and PolicyAtom.LOCAL not in policy.atoms:
+        assert grown is not None
+    if grown is not None:
+        assert grown.tolist() == np.count_nonzero(keep, axis=1).tolist()
+        for g, m in enumerate(n):
+            assert keep[g, :m].all()
+
+
 def test_memory_cost_examples():
-    assert len(retained_indices(full_policy(), ctx_of([O] * 512))) == 512
+    assert len(retained_indices(full_policy(), *ctx_of([O] * 512))) == 512
     ctx = ctx_of([S, S, O, S, O])
-    assert len(retained_indices(atom_policy(PolicyAtom.SPECIAL), ctx)) == 3
+    assert len(retained_indices(atom_policy(PolicyAtom.SPECIAL), *ctx)) == 3
 
 
 def test_nested_family_and_nondecreasing_cost():
@@ -226,8 +277,8 @@ def test_nested_family_and_nondecreasing_cost():
     family = feasible_set(r_l=0.25, r_f=0.25)
     for _ in range(200):
         ctx = random_context(rng)
-        sets = [set(retained_indices(p, ctx)) for p in family]
-        costs = [len(retained_indices(p, ctx)) for p in family]
+        sets = [set(retained_indices(p, *ctx)) for p in family]
+        costs = [len(retained_indices(p, *ctx)) for p in family]
         for earlier, later in zip(sets, sets[1:]):
             assert earlier <= later
         assert costs == sorted(costs)
@@ -239,8 +290,8 @@ def test_hybrid_cost_at_least_each_atom():
     b = atom_policy(PolicyAtom.LOCAL)
     for _ in range(50):
         ctx = random_context(rng)
-        cost_union = len(retained_indices(union_policy(a, b), ctx))
-        costs = [len(retained_indices(p, ctx)) for p in (a, b)]
+        cost_union = len(retained_indices(union_policy(a, b), *ctx))
+        costs = [len(retained_indices(p, *ctx)) for p in (a, b)]
         assert cost_union >= max(costs)
 
 
@@ -248,13 +299,17 @@ def test_exact_budget_counts():
     # dyadic ratios make ceil(r * n) exact in float
     rng = np.random.default_rng(32)
     for _ in range(200):
-        ctx = random_context(rng)
+        codes, scores, prompt_len = random_context(rng)
         r_l = int(rng.integers(1, 17)) / 16.0
         r_f = int(rng.integers(1, 17)) / 16.0
-        local = retained_indices(atom_policy(PolicyAtom.LOCAL, r_l=r_l), ctx)
-        assert len(local) == min(math.ceil(r_l * ctx.prompt_len), ctx.current_len)
-        freq = retained_indices(atom_policy(PolicyAtom.FREQUENT, r_f=r_f), ctx)
-        assert len(freq) == math.ceil(r_f * ctx.current_len)
+        local = retained_indices(
+            atom_policy(PolicyAtom.LOCAL, r_l=r_l), codes, scores, prompt_len
+        )
+        assert len(local) == min(math.ceil(r_l * prompt_len), len(scores))
+        freq = retained_indices(
+            atom_policy(PolicyAtom.FREQUENT, r_f=r_f), codes, scores, prompt_len
+        )
+        assert len(freq) == math.ceil(r_f * len(scores))
 
 
 def test_feasible_set_default_is_nested_five_policy_family():
@@ -349,23 +404,24 @@ def test_update_scores_rejects_positions_out_of_range(retained):
 
 
 @pytest.mark.parametrize("length", [4, 6])
-def test_context_rejects_codes_of_the_wrong_length(length):
-    with pytest.raises(PolicyError, match=rf"codes has length \({length},\), expected 5"):
-        PolicyContext(
-            codes=np.zeros(length, dtype=np.int8),
-            prompt_len=5,
-            current_len=5,
-            cumulative_scores=np.zeros(5),
-        )
+def test_retained_indices_rejects_codes_of_the_wrong_length(length):
+    with pytest.raises(PolicyError, match=rf"codes has shape \({length},\), expected \(5,\)"):
+        retained_indices(full_policy(), np.zeros(length, dtype=np.int8), np.zeros(5), 5)
 
 
-def test_context_freezes_a_copy_of_the_callers_scores():
-    scores = np.zeros(3)
-    ctx = PolicyContext(np.zeros(3, dtype=np.int8), 3, 3, scores)
-    assert scores.flags.writeable and not ctx.cumulative_scores.flags.writeable
-    scores += 1.0
-    assert not np.shares_memory(scores, ctx.cumulative_scores)
-    assert ctx.cumulative_scores.tolist() == [0.0, 0.0, 0.0]
+@pytest.mark.parametrize("prompt_len", [0, -1, 6])
+def test_retained_indices_rejects_a_prompt_len_outside_the_scores(prompt_len):
+    with pytest.raises(PolicyError, match=rf"prompt_len {prompt_len} outside 1\.\.5"):
+        retained_indices(full_policy(), np.zeros(5, dtype=np.int8), np.zeros(5), prompt_len)
+
+
+def test_retained_indices_leaves_the_callers_scores_writeable_and_unchanged():
+    scores = np.array([3.0, 0.0, 2.0, 1.0])
+    policy = CompressionPolicy(frozenset({PolicyAtom.FREQUENT}), r_f=0.5)
+    got = retained_indices(policy, np.zeros(4, dtype=np.int8), scores, 4)
+    assert got.tolist() == [0, 2]
+    assert scores.flags.writeable and scores.tolist() == [3.0, 0.0, 2.0, 1.0]
+    assert not np.shares_memory(got, scores)
 
 
 def test_policy_invariants():

@@ -13,7 +13,6 @@ from adaptive_kv.metrics import profile_rows
 from adaptive_kv.policies import (
     CompressionPolicy,
     PolicyAtom,
-    PolicyContext,
     full_policy,
     retained_indices,
 )
@@ -35,7 +34,8 @@ PROMPT_LEN = 40
 def head_data(mixed_model):
     prompt = mixed_model.prompt_token_ids(PROMPT_LEN)
     return {
-        key: (stats, ctx) for key, _, _, stats, ctx in prompt_head_data(mixed_model, prompt)
+        key: (stats, codes, PROMPT_LEN)
+        for key, _, _, stats, codes in prompt_head_data(mixed_model, prompt)
     }
 
 
@@ -43,11 +43,11 @@ def head_data(mixed_model):
 @pytest.mark.parametrize("T", [0.5, 0.9, 0.95, 0.99])
 def test_recovery_criterion_picks_first_policy_meeting_threshold(head_data, T, rows):
     cfg = ProfilerConfig(recovery_threshold=T, rows=rows)
-    for stats, ctx in head_data.values():
-        sets = [retained_indices(p, ctx) for p in cfg.feasible]
+    for stats, codes, prompt_len in head_data.values():
+        sets = [retained_indices(p, codes, stats.colsum, prompt_len) for p in cfg.feasible]
         recoveries = [recovery_ratio(stats, idx, rows) for idx in sets]
         first = next(i for i, r in enumerate(recoveries) if r >= T)
-        decision = select_policy(stats, ctx, cfg)
+        decision = select_policy(stats, codes, prompt_len, cfg)
         assert decision.policy == cfg.feasible[first]
         assert decision.recovery == recoveries[first]
         assert decision.cost_tokens == len(sets[first])
@@ -57,8 +57,8 @@ def test_profile_model_selects_every_head(head_data):
     cfg = ProfilerConfig()
     profile = profile_model(head_data, cfg)
     assert len(profile) == len(head_data)
-    for key, (stats, ctx) in head_data.items():
-        assert profile[key] == select_policy(stats, ctx, cfg)
+    for key, data in head_data.items():
+        assert profile[key] == select_policy(*data, cfg)
 
 
 @pytest.mark.parametrize("rows", list(RowAveraging))
@@ -72,7 +72,7 @@ def test_streamed_encode_profile_equals_profile_over_all_maps(
 
 
 def test_positions_outside_the_map_are_rejected(head_data):
-    stats, _ = head_data[(0, 0)]
+    stats = head_data[(0, 0)][0]
     assert recovery_ratio(stats, np.arange(0)) == 0.0
     assert recovery_ratio(stats, np.arange(stats.size)) == pytest.approx(1.0)
     for bad in ([-1], [0, stats.size], [stats.size + 5]):
@@ -165,15 +165,11 @@ POLICIES = st.one_of(
 def test_fixed_config_selects_what_evaluate_policy_gives(n, seed, policy, rows):
     rng = np.random.default_rng(seed)
     stats = causal_attention(3.0 * rng.normal(size=(n, 4)), rng.normal(size=(n, 4)), 4)
-    ctx = PolicyContext(
-        codes=rng.integers(0, 3, size=n).astype(np.int8),
-        prompt_len=int(rng.integers(1, n + 1)),
-        current_len=n,
-        cumulative_scores=rng.uniform(0.0, 5.0, size=n),
-    )
+    codes = rng.integers(0, 3, size=n).astype(np.int8)
+    prompt_len = int(rng.integers(1, n + 1))
     cfg = replace(ProfilerConfig.fixed(policy), rows=rows)
-    fixed = select_policy(stats, ctx, cfg)
-    direct = evaluate_policy(stats, ctx, policy, rows)
+    fixed = select_policy(stats, codes, prompt_len, cfg)
+    direct = evaluate_policy(stats, codes, prompt_len, policy, rows)
     assert fixed.policy == direct.policy == policy
     assert float(fixed.recovery).hex() == float(direct.recovery).hex()
     assert fixed.cost_tokens == direct.cost_tokens

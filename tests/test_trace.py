@@ -110,6 +110,20 @@ def test_zero_layer_header_rejected(tmp_path):
         read_trace(io.BytesIO(bytes(data)))
 
 
+@pytest.mark.parametrize("code", [3, 255])
+def test_unknown_class_code_is_header_error(code):
+    buf = io.BytesIO()
+    write_trace(build_trace(np.random.default_rng(4)), buf)
+    data = bytearray(buf.getvalue())
+    # Token 1's class byte: after the 34-byte header and token 0's 5 bytes.
+    data[34 + 5 + 4] = code
+    with pytest.raises(TraceHeaderError, match=f"^token 1: unknown class code {code}$"):
+        read_trace(io.BytesIO(bytes(data)))
+    # Each class byte reads back as the TokenClass of that code.
+    data[34 + 5 + 4] = TokenClass.PUNCTUATION
+    assert read_trace(io.BytesIO(bytes(data))).tokens[1].klass is TokenClass.PUNCTUATION
+
+
 def test_dimension_mismatch_rejected():
     config = ModelConfig(num_layers=1, num_heads=1, head_dim=4, vocab_size=16, seed=0)
     tokens = [TokenAnnotation(0, 1, TokenClass.SPECIAL)]
