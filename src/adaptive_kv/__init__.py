@@ -42,7 +42,6 @@ from .policies import (
     parse_policy,
 )
 from .profiler import (
-    HeadProfile,
     ProfilerConfig,
     RowAveraging,
     select_policy,

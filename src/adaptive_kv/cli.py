@@ -249,6 +249,17 @@ def _parse_feasible(spec: str, r_l: float, r_f: float):
     raise CliError(f"bad --feasible spec {spec!r}; use default, drop:..., or order:...")
 
 
+def _comma_list(args: argparse.Namespace, flag: str, parse) -> list:
+    """``--flag``'s comma list, each non-blank item parsed by ``parse``."""
+    raw = getattr(args, flag)
+    try:
+        return [parse(item) for item in raw.split(",") if item.strip()]
+    except PolicyError as exc:
+        raise CliError(str(exc)) from exc
+    except ValueError:
+        raise CliError(f"bad --{flag} list {raw!r}") from None
+
+
 def _profiler_config(args: argparse.Namespace) -> ProfilerConfig:
     try:
         return ProfilerConfig(
@@ -382,20 +393,14 @@ def cmd_report(args: argparse.Namespace) -> int:
     wrote_any = False
 
     if args.tradeoff:
-        try:
-            T_values = [float(t) for t in args.tradeoff.split(",") if t.strip()]
-        except ValueError:
-            raise CliError(f"bad --tradeoff list {args.tradeoff!r}") from None
+        T_values = _comma_list(args, "tradeoff", float)
         points = tradeoff_curve(model, prompt, T_values, base_cfg=cfg)
         columns, rows = dataclass_rows(TradeoffPoint, points)
         _emit_report(out, "tradeoff", columns, rows, fmt)
         wrote_any = True
 
     if args.consistency:
-        try:
-            steps = [int(s) for s in args.consistency.split(",") if s.strip()]
-        except ValueError:
-            raise CliError(f"bad --consistency list {args.consistency!r}") from None
+        steps = _comma_list(args, "consistency", int)
         entries = consistency_report(model, prompt, steps, cfg)
         columns, rows = dataclass_rows(ConsistencyEntry, entries)
         _emit_report(out, "consistency", columns, rows, fmt)
@@ -403,10 +408,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         wrote_any = True
 
     if args.compare:
-        try:
-            fixed = [parse_policy(text) for text in args.compare.split(",") if text.strip()]
-        except PolicyError as exc:
-            raise CliError(str(exc)) from exc
+        fixed = _comma_list(args, "compare", parse_policy)
         gen_cfg = _generation_config(args)
         extra = {}
         if args.compare_feasible:

@@ -15,19 +15,22 @@ frequency bookkeeping, re-applies the frozen policy to the grown cache,
 and finally samples the next token. Evicted rows are dropped for good;
 re-application only ever selects among live positions.
 
-The unit of decode is a head group: every head with one policy. A group
-holds its heads' K and V rows in ``(G, capacity, d)`` buffers, and their
-positions and a frequent group's cumulative scores in ``(G, capacity)``
-ones, all in one slot order; head g's ``n[g]`` live rows are
-``[g, :n[g]]``, at ascending positions ``pos[g, :n[g]]``. Heads without a
-``frequent`` atom share one retained set; a frequent head ranks by its
-own scores, so counts can differ, and unequal counts attend head by head
-(see ``HeadGroup``). A group of static atoms (``full``, ``special``,
-``punct``) only appends, as does a frequent group while its budget
-covers every old row; any other step masks every head in one call and
-compacts by shifts: rows before a head's first evicted row stay put,
-each later run of kept rows moves down in one slice. ``generate`` sizes
-a group's buffers for the run; others grow ``_GROW_ROWS`` rows at a time.
+The unit of decode is a head group: every head with one policy. A head
+is addressed by one flat slot, ``layer * num_heads + head``, its index in
+``head_grid()`` order, from the prompt stream through a step's model rows
+to the step record. A group lists its heads' slots in ``slots`` and holds
+their K and V rows in ``(G, capacity, d)`` buffers, and their positions
+and a frequent group's cumulative scores in ``(G, capacity)`` ones, all in
+that order; head g's ``n[g]`` live rows are ``[g, :n[g]]``, at ascending
+positions ``pos[g, :n[g]]``. Heads without a ``frequent`` atom share one
+retained set; a frequent head ranks by its own scores, so counts can
+differ, and unequal counts attend head by head (see ``HeadGroup``). A
+group of static atoms (``full``, ``special``, ``punct``) only appends, as
+does a frequent group while its budget covers every old row; any other
+step masks every head in one call and compacts by shifts: rows before a
+head's first evicted row stay put, each later run of kept rows moves down
+in one slice. ``generate`` sizes a group's buffers for the run; others
+grow ``_GROW_ROWS`` rows at a time.
 
 With diagnostics on, each step also measures every head's realised
 recovery: the mass its full-history attention row puts on the retained
@@ -56,7 +59,7 @@ from .policies import (
     newest_kept,
     retained_mask,
 )
-from .profiler import HeadProfile, ProfilerConfig, select_policy
+from .profiler import HeadDecision, ProfilerConfig, select_policy
 from .tokens import classify_tokens
 
 # The engine calls none of these; they stay bound here only because
@@ -177,18 +180,18 @@ def _stack(rows: list[np.ndarray], extra: int = 0) -> np.ndarray:
 class HeadGroup:
     """The heads of one policy, decoded together.
 
-    ``K`` and ``V`` are ``(G, capacity, d)`` and ``pos`` ``(G, capacity)``,
-    C-contiguous; head g's live rows are ``[g, :n[g]]``, at positions
-    ``pos[g, :n[g]]``. Unequal counts attend head by head: BLAS rounds a
-    row differently with the product's length, so padding the stacked
-    product would change bits. ``outputs`` holds each head's pending
-    attention output and ``recovery`` its last realised recovery, both in
-    ``keys`` order. Only a frequent group has ``scores``, ``(G, capacity)``
-    in slot order. With diagnostics, a group that is not ``full`` keeps
-    every key row so far in ``shadow``, by position.
+    Head g sits at grid slot ``slots[g]``. ``K`` and ``V`` are
+    ``(G, capacity, d)`` and ``pos`` ``(G, capacity)``, C-contiguous; head
+    g's live rows are ``[g, :n[g]]``, at positions ``pos[g, :n[g]]``.
+    Unequal counts attend head by head: BLAS rounds a row differently with
+    the product's length, so padding the stacked product would change bits.
+    ``outputs`` holds each head's pending attention output and ``recovery``
+    its last realised recovery. Only a frequent group has ``scores``,
+    ``(G, capacity)`` beside the rows. With diagnostics, a group that is
+    not ``full`` keeps every key row so far in ``shadow``, by position.
     """
 
-    keys: tuple[tuple[int, int], ...]
+    slots: np.ndarray
     policy: CompressionPolicy
     K: np.ndarray
     V: np.ndarray
@@ -199,15 +202,12 @@ class HeadGroup:
     scores: np.ndarray | None = None
     shadow: np.ndarray | None = None
     heads: np.ndarray = field(init=False, repr=False)  # arange(G)
-    # Each head's (layer, head) index pair, for reading a step's model rows.
-    grid_index: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
     # Whether the policy keeps an incoming row of each class code whatever
     # the scores (``newest_kept``).
     newest: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.heads = np.arange(len(self.keys))
-        self.grid_index = tuple(np.array(self.keys, dtype=np.intp).reshape(-1, 2).T)
+        self.heads = np.arange(len(self.slots))
         self.newest = newest_kept(self.policy)
 
     def live(self, g: int) -> np.ndarray:
@@ -225,9 +225,8 @@ class HeadGroup:
         """Append position ``pos``, attend every head over it, re-apply the policy.
 
         ``new_rows`` holds the model's K, V and Q rows at ``pos`` as
-        ``(3, num_layers, num_heads, d)``; each head reads its own by
-        (layer, head) index. ``codes`` holds the class codes of positions
-        ``0..pos``.
+        ``(3, num_layers * num_heads, d)``; each head reads its own slot.
+        ``codes`` holds the class codes of positions ``0..pos``.
         """
         n, heads = self.n, self.heads
         counts = n.tolist()
@@ -239,7 +238,7 @@ class HeadGroup:
                 if getattr(self, name) is not None:
                     setattr(self, name, _room(getattr(self, name), width - 1, axis=1))
         K, V, live, scores = self.K, self.V, self.pos, self.scores
-        k, v, Q = new_rows[(slice(None), *self.grid_index)]
+        k, v, Q = new_rows[:, self.slots]
         K[heads, n] = k
         V[heads, n] = v
         live[heads, n] = pos
@@ -309,8 +308,6 @@ class StepRecord:
     head_retained: dict[tuple[int, int], int]
     total_cache_tokens: int
     mean_recovery: float | None
-    # Read-only copies of each head's live positions, with diagnostics.
-    retained_positions: dict[tuple[int, int], np.ndarray] | None = None
 
 
 @dataclass
@@ -319,7 +316,7 @@ class CompressedCache:
 
     ``codes`` holds the ``TokenClass`` code of each position in its first
     ``seq_len`` entries. ``grid`` is the ``(num_layers, num_heads)`` of the
-    model the cache was encoded for; the groups hold every head of that
+    model the cache was encoded for; the groups hold every slot of that
     grid once.
     """
 
@@ -328,47 +325,29 @@ class CompressedCache:
     codes: np.ndarray
     groups: list[HeadGroup]
     grid: tuple[int, int]
-    profile: HeadProfile
+    profile: dict[tuple[int, int], HeadDecision]
     diagnostics: bool = False
     last_record: StepRecord | None = None
-    # (key, group, row in the group) per head, in head_grid() order.
-    members: list[tuple] = field(init=False, repr=False)
-    # Per head_grid() slot, its row in the groups' outputs stacked in order.
-    _order: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
-        stacked = [
-            (key, group, g) for group in self.groups for g, key in enumerate(group.keys)
-        ]
-        self._order = np.array(
-            sorted(range(len(stacked)), key=lambda i: stacked[i][0]), dtype=np.intp
-        )
-        self.members = [stacked[i] for i in self._order]
+    def _by_slot(self, name: str) -> np.ndarray:
+        """Each group's ``name`` rows scattered to their slots, in head_grid() order."""
+        first = getattr(self.groups[0], name)
+        out = np.empty((self.grid[0] * self.grid[1], *first.shape[1:]), first.dtype)
+        for group in self.groups:
+            out[group.slots] = getattr(group, name)
+        return out
 
     def head_retained(self) -> dict[tuple[int, int], int]:
-        counts = {id(group): group.n.tolist() for group in self.groups}
-        return {key: counts[id(group)][g] for key, group, g in self.members}
-
-    def retained_positions(self) -> dict[tuple[int, int], np.ndarray]:
-        """Read-only copies of each head's live positions; the heads of a
-        group without scores share their one retained set's copy."""
-        copies, out = {}, {}
-        for key, group, g in self.members:
-            row = (id(group), 0 if group.scores is None else g)
-            if row not in copies:
-                copies[row] = group.live(g).copy()
-                copies[row].setflags(write=False)
-            out[key] = copies[row]
-        return out
+        counts = self._by_slot("n").tolist()
+        return {divmod(slot, self.grid[1]): m for slot, m in enumerate(counts)}
 
     def outputs(self) -> np.ndarray:
         """Every head's pending output, concatenated in head_grid() order."""
-        stacked = np.concatenate([group.outputs for group in self.groups])
-        return stacked[self._order].reshape(-1)
+        return self._by_slot("outputs").reshape(-1)
 
     def recoveries(self) -> np.ndarray:
         """Every head's last realised recovery, in head_grid() order."""
-        return np.concatenate([group.recovery for group in self.groups])[self._order]
+        return self._by_slot("recovery")
 
 
 def prompt_head_data(model, tokens: list[int], prompt_len: int | None = None):
@@ -420,32 +399,34 @@ def encode_prompt(
     profiler_cfg: ProfilerConfig,
     diagnostics: bool = True,
     reserve: int = 0,
-) -> tuple[HeadProfile, CompressedCache]:
+) -> tuple[dict[tuple[int, int], HeadDecision], CompressedCache]:
     """Prompt encoding with one-shot profiling and cache compression.
 
     For every head, as the prompt pass streams it: select the head's
     policy on its attention statistics, keep the rows of the retained set
     the decision carries and the last query's output. Once
     the stream ends, the heads' rows are stacked into groups, each head's
-    rows freed as they are copied in. The profile is immutable afterwards.
+    rows freed as they are copied in. The profile maps each head's
+    ``(layer, head)`` to its decision, in ``head_grid()`` order.
     Each group holds ``reserve`` spare rows, for that many decode appends.
     """
     n = len(prompt_tokens)
     decisions = {}
     # Rows of each group's heads, by policy.
     pending: dict[CompressionPolicy, dict] = {}
-    for key, K, V, stats, codes in prompt_head_data(model, prompt_tokens):
+    stream = prompt_head_data(model, prompt_tokens)
+    for slot, (key, K, V, stats, codes) in enumerate(stream):
         decisions[key] = decision = select_policy(stats, codes, n, profiler_cfg)
         policy, idx = decision.policy, decision.retained
         rows = pending.setdefault(
             policy,
             {
-                "keys": [], "K": [], "V": [], "pos": [], "outputs": [], "recovery": [],
+                "slots": [], "K": [], "V": [], "pos": [], "outputs": [], "recovery": [],
                 "scores": [] if PolicyAtom.FREQUENT in policy.atoms else None,
                 "shadow": [] if diagnostics and not policy.is_full else None,
             },
         )
-        rows["keys"].append(key)
+        rows["slots"].append(slot)
         rows["K"].append(K[idx])
         rows["V"].append(V[idx])
         rows["pos"].append(idx)
@@ -460,7 +441,7 @@ def encode_prompt(
     for policy, rows in pending.items():
         groups.append(
             HeadGroup(
-                keys=tuple(rows["keys"]),
+                slots=np.array(rows["slots"]),
                 policy=policy,
                 K=_stack(rows["K"], reserve),
                 V=_stack(rows["V"], reserve),
@@ -474,22 +455,21 @@ def encode_prompt(
             )
         )
 
-    profile = HeadProfile(decisions)
     cache = CompressedCache(
         prompt_len=n,
         seq_len=n,
         codes=codes,
         groups=groups,
         grid=_grid(model),
-        profile=profile,
+        profile=decisions,
         diagnostics=diagnostics,
     )
-    return profile, cache
+    return decisions, cache
 
 
 def _step_rows(model, pos: int, code, prompt_len: int) -> np.ndarray:
-    """Every head's K, V and Q rows at ``pos`` as ``(3, num_layers, num_heads,
-    d)``, one model call per role and layer."""
+    """Every head's K, V and Q rows at ``pos`` as ``(3, num_layers * num_heads,
+    d)``, by slot, one model call per role and layer."""
     cfg = model.config
     heads = np.arange(cfg.num_heads)
     rows = np.empty((3, cfg.num_layers, cfg.num_heads, cfg.head_dim))
@@ -497,7 +477,7 @@ def _step_rows(model, pos: int, code, prompt_len: int) -> np.ndarray:
         rows[0, layer] = model.k_row(layer, heads, pos, code, prompt_len)
         rows[1, layer] = model.v_row(layer, heads, pos)
         rows[2, layer] = model.q_row(layer, heads, pos, prompt_len)
-    return rows
+    return rows.reshape(3, -1, cfg.head_dim)
 
 
 def generate_step(
@@ -544,7 +524,6 @@ def generate_step(
         mean_recovery=(
             float(np.mean(cache.recoveries())) if cache.diagnostics else None
         ),
-        retained_positions=cache.retained_positions() if cache.diagnostics else None,
     )
     return next_token, cache
 
@@ -552,7 +531,7 @@ def generate_step(
 @dataclass
 class GenerationResult:
     tokens: list[int]
-    profile: HeadProfile
+    profile: dict[tuple[int, int], HeadDecision]
     records: list[StepRecord]
     cache: CompressedCache
 
@@ -610,25 +589,25 @@ def reference_generate(
     ``full`` group sized for the whole run, decoded through the same steps.
     """
     n = len(prompt_tokens)
-    keys = tuple(model.config.head_grid())
+    slots = np.arange(model.config.num_layers * model.config.num_heads)
     # Sized for the whole run, so the buffers never grow; each head's rows
     # are copied in as the prompt pass streams them.
-    shape = (len(keys), n + max(gen_cfg.max_new_tokens - 1, 0), model.config.head_dim)
+    shape = (slots.size, n + max(gen_cfg.max_new_tokens - 1, 0), model.config.head_dim)
     K_all, V_all = np.empty(shape), np.empty(shape)
-    outputs = np.empty((len(keys), shape[2]))
+    outputs = np.empty((slots.size, shape[2]))
     for g, (_, K, V, stats, codes) in enumerate(prompt_head_data(model, prompt_tokens)):
         K_all[g, :n] = K
         V_all[g, :n] = V
         outputs[g] = stats.last_row @ V
     group = HeadGroup(
-        keys=keys,
+        slots=slots,
         policy=full_policy(),
         K=K_all,
         V=V_all,
-        pos=np.tile(np.arange(shape[1]), (len(keys), 1)),
-        n=np.full(len(keys), n),
+        pos=np.tile(np.arange(shape[1]), (slots.size, 1)),
+        n=np.full(slots.size, n),
         outputs=outputs,
-        recovery=np.ones(len(keys)),
+        recovery=np.ones(slots.size),
     )
     cache = CompressedCache(
         prompt_len=n,
@@ -636,7 +615,7 @@ def reference_generate(
         codes=codes,
         groups=[group],
         grid=_grid(model),
-        profile=HeadProfile({}),
+        profile={},
     )
     return _run_decode(model, cache, gen_cfg)
 

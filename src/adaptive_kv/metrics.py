@@ -2,7 +2,9 @@
 
 Byte figures model the serving layout (fp16 scalars by default); the
 engine itself runs float64. All report builders are read-only over
-engine outputs and emit CSV plus an equivalent JSON document.
+engine outputs and return rows, which ``rows_to_csv`` renders as CSV and
+``rows_to_json`` as a JSON document; the CLI writes each report in the
+one format ``--format`` names.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .engine import (
     reference_generate,
 )
 from .policies import CompressionPolicy, format_policy
-from .profiler import HeadProfile, ProfilerConfig, select_policy
+from .profiler import HeadDecision, ProfilerConfig, select_policy
 
 
 class MetricsError(ValueError):
@@ -136,23 +138,19 @@ def consistency_report(
     )
     n = len(prompt_tokens)
     all_tokens = prompt_tokens + reference.tokens
-    # One lazy prompt-pass stream per listed step, each advanced a head at
-    # a time, so each step's heads are profiled on O(P) statistics as
-    # they come.
-    streams = [
-        prompt_head_data(model, all_tokens[: n + step - 1], prompt_len=n)
-        for step in steps
-    ]
-    per_step: list[list[ConsistencyEntry]] = [[] for _ in steps]
-    for layer, head in model.config.head_grid():
-        for entries, step, stream in zip(per_step, steps, streams):
-            _, _, _, stats, codes = next(stream)
+    first: dict[tuple[int, int], CompressionPolicy] = {}  # each head's step-1 policy
+    entries = []
+    # One lazy prompt-pass stream alive at a time, so each step's heads are
+    # profiled on O(P) statistics as they come.
+    for step in steps:
+        stream = prompt_head_data(model, all_tokens[: n + step - 1], prompt_len=n)
+        for key, _, _, stats, codes in stream:
             policy = select_policy(stats, codes, n, profiler_cfg).policy
-            if step == steps[0]:
-                first = policy
+            if step == 1:
+                first[key] = policy
             name = format_policy(policy)
-            entries.append(ConsistencyEntry(layer, head, step, name, policy == first))
-    return [entry for entries in per_step for entry in entries]
+            entries.append(ConsistencyEntry(*key, step, name, policy == first[key]))
+    return entries
 
 
 def stability_fraction(entries: list[ConsistencyEntry]) -> float:
@@ -289,7 +287,9 @@ def dataclass_rows(row_type: type, rows: list) -> tuple[list[str], list[list]]:
     return columns, [[getattr(row, name) for name in columns] for row in rows]
 
 
-def profile_rows(profile: HeadProfile) -> tuple[list[str], list[list]]:
+def profile_rows(
+    profile: dict[tuple[int, int], HeadDecision],
+) -> tuple[list[str], list[list]]:
     """One row per head: its policy, recovery and cost, in head order."""
     rows = [
         [layer, head, format_policy(d.policy), d.recovery, d.cost_tokens]
@@ -298,9 +298,11 @@ def profile_rows(profile: HeadProfile) -> tuple[list[str], list[list]]:
     return ["layer", "head", "policy", "recovery", "cost_tokens"], rows
 
 
-def layer_distribution_rows(profile: HeadProfile) -> tuple[list[str], list[list]]:
+def layer_distribution_rows(
+    profile: dict[tuple[int, int], HeadDecision],
+) -> tuple[list[str], list[list]]:
     """Per-layer fraction of heads assigned to each policy."""
-    heads = Counter(layer for layer, _ in profile.decisions)
+    heads = Counter(layer for layer, _ in profile)
     counts = Counter(
         (layer, format_policy(d.policy)) for (layer, _), d in profile.items()
     )

@@ -128,35 +128,14 @@ class HeadDecision:
     retained: np.ndarray = field(compare=False, repr=False)
 
 
-@dataclass(frozen=True)
-class HeadProfile:
-    """Per-head policy choices, fixed once at prompt encoding."""
-
-    decisions: Mapping[tuple[int, int], HeadDecision]
-
-    def __post_init__(self):
-        object.__setattr__(self, "decisions", dict(self.decisions))
-
-    def __getitem__(self, key: tuple[int, int]) -> HeadDecision:
-        return self.decisions[key]
-
-    def __len__(self) -> int:
-        return len(self.decisions)
-
-    def items(self):
-        return sorted(self.decisions.items())
-
-
 def profile_model(
     head_data: Mapping[tuple[int, int], tuple[PromptStats, np.ndarray, int]],
     cfg: ProfilerConfig,
-) -> HeadProfile:
+) -> dict[tuple[int, int], HeadDecision]:
     """Select a policy independently for every head of the model, from each
     head's ``(stats, codes, prompt_len)``, as ``select_policy`` takes them.
 
-    Profiling happens exactly once per generation session; the resulting
-    profile is immutable.
+    The profile maps each ``(layer, head)`` to its decision, in
+    ``head_grid()`` order.
     """
-    return HeadProfile(
-        {key: select_policy(*head_data[key], cfg) for key in sorted(head_data)}
-    )
+    return {key: select_policy(*head_data[key], cfg) for key in sorted(head_data)}

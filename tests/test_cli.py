@@ -325,3 +325,20 @@ def test_empty_tradeoff_list_writes_a_header_only_table(tmp_path, capsys):
     assert (out / "tradeoff.csv").read_text(encoding="utf-8") == (
         "T,pruned_ratio,mean_recovery\n"
     )
+
+
+@pytest.mark.parametrize(
+    "flag, raw, line",
+    [
+        ("--tradeoff", "0.5,x", "bad --tradeoff list '0.5,x'"),
+        ("--consistency", "1,2.5", "bad --consistency list '1,2.5'"),
+        ("--compare", "full,bogus", "unknown policy atom 'bogus'"),
+        ("--compare", "local(r_l=x)", "bad ratio 'x' in token 'local(r_l=x)'"),
+        ("--compare", "special,local(r_l=2)", "r_l must be in (0, 1], got 2.0"),
+    ],
+)
+def test_bad_report_list_is_one_error_line(tmp_path, capsys, flag, raw, line):
+    argv = ["report", "--plan", PLAN, flag, raw, "--out", str(tmp_path / "out")]
+    code = cli.main(argv)
+    assert code == 1
+    assert capsys.readouterr().err == f"akv: error: {line}\n"

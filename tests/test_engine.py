@@ -103,10 +103,17 @@ class Rows:
 
 
 def head_slots(cache):
-    """Each head's group and its row in the group, by key."""
+    """Each head's group and its row in the group, by (layer, head) key."""
     return {
-        key: (group, g) for group in cache.groups for g, key in enumerate(group.keys)
+        divmod(int(slot), cache.grid[1]): (group, g)
+        for group in cache.groups
+        for g, slot in enumerate(group.slots)
     }
+
+
+def live_positions(cache) -> dict:
+    """Each head's live positions, by key in head_grid() order."""
+    return {key: group.live(g) for key, (group, g) in sorted(head_slots(cache).items())}
 
 
 def mixed_groups_config() -> ProfilerConfig:
@@ -133,7 +140,7 @@ def check_group_layout(cache, grid):
     assert sorted(slots) == grid and len(slots) == len(grid)
     policies = [group.policy for group in cache.groups]
     for group in cache.groups:
-        heads = len(group.keys)
+        heads = len(group.slots)
         assert policies.count(group.policy) == 1
         assert group.n.shape == (heads,)
         assert group.pos.shape == group.K.shape[:2]
@@ -273,11 +280,11 @@ def one_head_groups(group):
     rows = ("K", "V", "pos", "n", "outputs", "recovery", "scores", "shadow")
     return [
         HeadGroup(
-            keys=(key,),
+            slots=group.slots[g : g + 1].copy(),
             policy=group.policy,
             **{name: getattr(group, name)[g : g + 1].copy() for name in rows},
         )
-        for g, key in enumerate(group.keys)
+        for g in range(len(group.slots))
     ]
 
 
@@ -331,6 +338,7 @@ def test_ragged_frequent_group_matches_one_head_groups_on_fixed_rows():
     rng = np.random.default_rng(20)
     layers, heads, d, prompt_len, steps = 2, 2, 8, 40, 30
     keys = ((0, 1), (1, 0), (1, 1))
+    slots = np.array([layer * heads + head for layer, head in keys])
     policy = CompressionPolicy(
         frozenset({PolicyAtom.SPECIAL, PolicyAtom.FREQUENT}), r_f=0.2
     )
@@ -347,14 +355,14 @@ def test_ragged_frequent_group_matches_one_head_groups_on_fixed_rows():
         buffers["scores"][g, : idx.size] = rng.uniform(0.0, 3.0, idx.size)
         pos[g, : idx.size] = idx
     group = HeadGroup(
-        keys=keys, policy=policy, pos=pos, n=np.array([idx.size for idx in live]),
+        slots=slots, policy=policy, pos=pos, n=np.array([idx.size for idx in live]),
         outputs=np.zeros((len(keys), d)), recovery=np.zeros(len(keys)), shadow=shadow,
         **buffers,
     )
     singles = one_head_groups(group)
     ragged = 0
     for at in range(prompt_len, prompt_len + steps):
-        new_rows = rng.standard_normal((3, layers, heads, d))
+        new_rows = rng.standard_normal((3, layers, heads, d)).reshape(3, -1, d)
         for g in [group, *singles]:
             g.advance(new_rows, at, prompt_len, codes, diagnostics=True)
         ragged += len(set(group.n.tolist())) > 1
@@ -367,10 +375,9 @@ def test_ragged_frequent_group_matches_one_head_groups_on_fixed_rows():
             assert np.array_equal(group.scores[g, :n], single.scores[0, :n])
             assert group.outputs[g].tobytes() == single.outputs[0].tobytes()
             assert group.recovery[g].tobytes() == single.recovery[0].tobytes()
-            # Each head appended its own row of the step.
-            layer, head = keys[g]
+            # Each head appended its own slot's row of the step.
             if group.live(g)[-1] == at:
-                assert np.array_equal(group.K[g, n - 1], new_rows[0, layer, head])
+                assert np.array_equal(group.K[g, n - 1], new_rows[0, slots[g]])
     assert ragged == steps
 
 
@@ -404,12 +411,18 @@ def test_group_that_cannot_evict_appends_without_a_keep_mask(
     seen = [a.klass for a in classify_tokens(prompt + run.tokens, small_model.vocab)]
     # Decode appended rows of every class, kept and dropped.
     assert set(seen[PROMPT_LEN:-1]) == set(TokenClass)
-    for rec in run.records:
-        length = PROMPT_LEN + rec.step - 1
+    # The same session stepped directly, reading every head's live positions.
+    _, cache = encode_prompt(small_model, prompt, ProfilerConfig.fixed(policy))
+    sampler, token = Sampler(cfg.sampling), None
+    for expected_token in run.tokens:
+        token, cache = generate_step(small_model, cache, token, sampler)
+        assert token == expected_token
+        length = cache.seq_len
         codes = make_codes(seen[:length])
         expected = reference_retained(policy, codes, np.zeros(length), PROMPT_LEN)
-        for live in rec.retained_positions.values():
+        for live in live_positions(cache).values():
             assert live.tolist() == expected
+    assert calls == []
 
     # With no step known to only append, every step masks, and gives the
     # same bits.
@@ -440,7 +453,6 @@ def test_full_policy_matches_reference(mixed_model, sampling):
             list(rec.head_retained.items()),
             rec.total_cache_tokens,
             rec.mean_recovery,
-            rec.retained_positions,
         )
 
     assert [fields(r) for r in full.records] == [fields(r) for r in ref.records]
@@ -459,14 +471,15 @@ def test_reference_cache_holds_every_model_row_across_buffer_growth(small_model)
     assert cache.seq_len == seq_len
     rows = Rows(model, PROMPT_LEN)
     [group] = cache.groups
-    assert group.policy.is_full and group.keys == tuple(model.config.head_grid())
-    assert group.n.tolist() == [seq_len] * len(group.keys)
-    for g in range(len(group.keys)):
+    heads = len(model.config.head_grid())
+    assert group.policy.is_full and group.slots.tolist() == list(range(heads))
+    assert group.n.tolist() == [seq_len] * heads
+    for g in range(heads):
         assert group.live(g).tolist() == list(range(seq_len))
     # The last sampled token never joins the cache.
     seen = classify_tokens(prompt + ref.tokens[:-1], model.vocab)
     assert np.array_equal(cache.codes[:seq_len], make_codes([a.klass for a in seen]))
-    for g, (layer, head) in enumerate(group.keys):
+    for g, (layer, head) in enumerate(model.config.head_grid()):
         expected = [rows(layer, head, a.position, a.klass) for a in seen]
         assert np.array_equal(group.K[g, :seq_len], np.array([r[0] for r in expected]))
         assert np.array_equal(group.V[g, :seq_len], np.array([r[1] for r in expected]))
@@ -503,9 +516,10 @@ def test_generate_sizes_every_group_for_the_run_once(mixed_model, monkeypatch):
     assert any(a is not b for a, b in zip(first, buffers(cache)))
     assert tokens == run.tokens
     assert np.array_equal(cache.outputs(), run.cache.outputs())
-    assert cache.retained_positions().keys() == run.cache.retained_positions().keys()
-    for key, live in cache.retained_positions().items():
-        assert np.array_equal(live, run.cache.retained_positions()[key])
+    stepped, generated = live_positions(cache), live_positions(run.cache)
+    assert stepped.keys() == generated.keys()
+    for key, live in stepped.items():
+        assert np.array_equal(live, generated[key])
 
 
 def test_cache_from_another_head_grid_is_rejected(small_model, mixed_model):
@@ -525,11 +539,22 @@ def test_diagnostics_do_not_change_decoding(mixed_model, sampling):
     assert [r.head_retained for r in plain.records] == [
         r.head_retained for r in diag.records
     ]
-    assert all(r.retained_positions is None for r in plain.records)
+    assert all(r.mean_recovery is None for r in plain.records)
+    # Both sessions stepped directly keep the same live positions every step.
+    _, plain_cache = encode_prompt(mixed_model, prompt, ProfilerConfig(), False)
+    _, diag_cache = encode_prompt(mixed_model, prompt, ProfilerConfig(), True)
+    plain_sampler, diag_sampler = Sampler(cfg.sampling), Sampler(cfg.sampling)
+    token = None
     for rec in diag.records:
+        plain_token, plain_cache = generate_step(
+            mixed_model, plain_cache, token, plain_sampler
+        )
+        token, diag_cache = generate_step(mixed_model, diag_cache, token, diag_sampler)
+        assert plain_token == token == rec.token_id
         assert rec.mean_recovery is not None and 0.0 < rec.mean_recovery <= 1.0
-        for key, live in rec.retained_positions.items():
-            assert not live.flags.writeable
+        plain_live = live_positions(plain_cache)
+        for key, live in live_positions(diag_cache).items():
+            assert np.array_equal(live, plain_live[key])
             assert live.size == rec.head_retained[key]
             assert np.all(np.diff(live) > 0)
 
@@ -645,22 +670,21 @@ def test_prompt_pass_keeps_one_attention_map_alive():
     assert reference < 0.5 * all_maps, reference / all_maps
 
 
-def _record_digest(records) -> str:
-    """SHA-256 over every field of every record, in the records' own key order."""
-    digest = hashlib.sha256()
-    for rec in records:
-        digest.update(repr((rec.step, rec.token_id, rec.total_cache_tokens)).encode())
-        digest.update(repr(list(rec.head_retained.items())).encode())
-        digest.update(float(rec.mean_recovery).hex().encode())
-        for key, live in rec.retained_positions.items():
-            digest.update(repr(key).encode())
-            digest.update(live.astype(np.int64).tobytes())
-    return digest.hexdigest()
+def _step_digest(digest, rec, cache):
+    """Fold every field of a step's record, in the record's own key order,
+    then each head's live positions in head_grid() order, into ``digest``."""
+    digest.update(repr((rec.step, rec.token_id, rec.total_cache_tokens)).encode())
+    digest.update(repr(list(rec.head_retained.items())).encode())
+    digest.update(float(rec.mean_recovery).hex().encode())
+    for key, live in live_positions(cache).items():
+        digest.update(repr(key).encode())
+        digest.update(live.astype(np.int64).tobytes())
 
 
 # A replayed session whose profile mixes full, special, special+local and
 # frequent heads, decoded past two buffer growths with diagnostics and
-# nucleus sampling. Its digest pins the bits of every step record.
+# nucleus sampling. Its digest pins the bits of every step record and of
+# every head's live positions after each step.
 DECODE_GOLDEN_SHA256 = (
     "8dadffaf5610cedab4fe23969274b7ec24aaf63ede868966900bd29deb33a442"
 )
@@ -669,12 +693,12 @@ DECODE_GOLDEN_SHA256 = (
 def test_decode_golden(mixed_model):
     tokens = mixed_model.prompt_token_ids(GOLDEN_PROMPT + GOLDEN_STEPS - 1)
     model = TraceModel(record_trace(mixed_model, tokens, GOLDEN_PROMPT))
-    run = generate(
-        model,
-        tokens[:GOLDEN_PROMPT],
-        mixed_groups_config(),
-        GenerationConfig(GOLDEN_STEPS, Nucleus(seed=9)),
-        diagnostics=True,
+    profile, cache = encode_prompt(
+        model, tokens[:GOLDEN_PROMPT], mixed_groups_config(), diagnostics=True
     )
-    assert {str(d.policy) for _, d in run.profile.items()} == MIXED_GROUP_POLICIES
-    assert _record_digest(run.records) == DECODE_GOLDEN_SHA256
+    assert {str(d.policy) for _, d in profile.items()} == MIXED_GROUP_POLICIES
+    digest, sampler, token = hashlib.sha256(), Sampler(Nucleus(seed=9)), None
+    for _ in range(GOLDEN_STEPS):
+        token, cache = generate_step(model, cache, token, sampler)
+        _step_digest(digest, cache.last_record, cache)
+    assert digest.hexdigest() == DECODE_GOLDEN_SHA256
