@@ -9,7 +9,7 @@ prompt is classified once; every head shares its class codes. Model rows
 are read once per layer: one ``(P, H, d)`` block call per role, from
 which each head gets contiguous copies. Phase two generates token by
 token: each step reads the incoming position's rows of every head with
-one call per role and layer, appends each head's K/V row, attends over
+one ``(L, H, d)`` call per role, appends each head's K/V row, attends over
 the retained positions plus that row, folds the attention row into the
 frequency bookkeeping, re-applies the frozen policy to the grown cache,
 and finally samples the next token. Evicted rows are dropped for good;
@@ -469,14 +469,14 @@ def encode_prompt(
 
 def _step_rows(model, pos: int, code, prompt_len: int) -> np.ndarray:
     """Every head's K, V and Q rows at ``pos`` as ``(3, num_layers * num_heads,
-    d)``, by slot, one model call per role and layer."""
+    d)``, by slot, one model call per role. All three are read before any group
+    advances, so a failed read leaves the cache as it was."""
     cfg = model.config
-    heads = np.arange(cfg.num_heads)
+    layers, heads = np.arange(cfg.num_layers)[:, None], np.arange(cfg.num_heads)
     rows = np.empty((3, cfg.num_layers, cfg.num_heads, cfg.head_dim))
-    for layer in range(cfg.num_layers):
-        rows[0, layer] = model.k_row(layer, heads, pos, code, prompt_len)
-        rows[1, layer] = model.v_row(layer, heads, pos)
-        rows[2, layer] = model.q_row(layer, heads, pos, prompt_len)
+    rows[0] = model.k_row(layers, heads, pos, code, prompt_len)
+    rows[1] = model.v_row(layers, heads, pos)
+    rows[2] = model.q_row(layers, heads, pos, prompt_len)
     return rows.reshape(3, -1, cfg.head_dim)
 
 
@@ -506,9 +506,9 @@ def generate_step(
     if last_token is not None:
         pos = cache.seq_len
         klass = model.vocab.classify_id(last_token)
+        new_rows = _step_rows(model, pos, klass, cache.prompt_len)
         cache.codes = _room(cache.codes, pos)
         cache.codes[pos] = klass
-        new_rows = _step_rows(model, pos, klass, cache.prompt_len)
         for group in cache.groups:
             group.advance(new_rows, pos, cache.prompt_len, cache.codes, cache.diagnostics)
         cache.seq_len = pos + 1

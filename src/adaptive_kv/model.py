@@ -28,17 +28,18 @@ words, whatever it has read: 12 streams at 4 layers, 384 KB at 8 heads
 and ``d = 32``. Every row it returns owns its memory.
 
 Row methods take one row or a block. ``k_row``, ``q_row`` and ``v_row``
-with int ``head`` and ``pos`` return one ``(d,)`` row. ``k_row``'s
-``klass`` is a ``TokenClass`` code; a code that names no class is a
-``ModelError``. With an int array for either, ``head`` and ``pos``
-broadcast together, ``klass`` is a code array that broadcasts to their
-shape, and the result has shape ``broadcast shape + (d,)``, each row
-bit-equal to the same row read alone. A decode step reads ``(H, d)``
-with ``pos`` an int and ``head`` every head; the prompt pass reads
-``(n, H, d)`` with ``pos`` as ``positions[:, None]``. A
-``SyntheticModel`` block is gathered from the rows over the counter span
-it covers, with the planted dims filled from per-class and per-archetype
-tables.
+with int ``layer``, ``head`` and ``pos`` return one ``(d,)`` row.
+``k_row``'s ``klass`` is a ``TokenClass`` code; a code that names no
+class is a ``ModelError``. With an int array for any of them, ``layer``,
+``head`` and ``pos`` broadcast together, ``klass`` is a code array that
+broadcasts to their shape, and the result has shape ``broadcast shape +
+(d,)``, each row bit-equal to the same row read alone; an index array
+that does not hold integers is a ``ModelError``. A decode step reads
+``(L, H, d)`` with ``layer`` as ``layers[:, None]``, ``head`` every head
+and ``pos`` an int; the prompt pass reads ``(n, H, d)`` one layer at a
+time, with ``pos`` as ``positions[:, None]``. A ``SyntheticModel`` block
+is gathered from each layer's rows over the counter span it covers, with
+the planted dims filled once from per-class and per-archetype tables.
 """
 
 from __future__ import annotations
@@ -98,6 +99,18 @@ class Archetype(Enum):
     DIFFUSE = "diffuse"
 
 
+def _bounds(values: np.ndarray) -> tuple[int, int]:
+    """Least and greatest entry; on a few, Python's min and max beat reductions."""
+    flat = values.ravel().tolist() if values.size <= 64 else (values.min(), values.max())
+    return int(min(flat)), int(max(flat))
+
+
+def _is_block(layer, head, pos) -> bool:
+    """Whether a read's indices hold an array: the read is then a block."""
+    array = np.ndarray
+    return isinstance(layer, array) or isinstance(head, array) or isinstance(pos, array)
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     num_layers: int
@@ -121,6 +134,26 @@ class ModelConfig:
         as ``pos * H + head`` would otherwise read another head's row."""
         if not 0 <= head < self.num_heads:
             raise ModelError(f"head {head} outside 0..{self.num_heads - 1}")
+
+    def block_index(self, layer, head, pos):
+        """``layer``, ``head`` and ``pos`` as intp arrays, and each one's least and
+        greatest entry, or None when one is empty. Raises unless each holds
+        integers and every layer and head is in the grid; the caller checks pos."""
+        arrays = []
+        for name, values in (("layer", layer), ("head", head), ("pos", pos)):
+            values = np.asarray(values)
+            if values.dtype.kind not in "iu":
+                raise ModelError(f"{name} must hold integers, got {values.dtype}")
+            arrays.append(values.astype(np.intp, copy=False))
+        if not (arrays[0].size and arrays[1].size and arrays[2].size):
+            return arrays, None
+        bounds = [_bounds(values) for values in arrays]
+        (layer_lo, layer_hi), (head_lo, head_hi), _ = bounds
+        if layer_lo < 0 or layer_hi >= self.num_layers:
+            self.check_layer(layer_lo if layer_lo < 0 else layer_hi)
+        if head_lo < 0 or head_hi >= self.num_heads:
+            self.check_head(head_lo if head_lo < 0 else head_hi)
+        return arrays, bounds
 
     def head_grid(self) -> list[tuple[int, int]]:
         return [
@@ -328,32 +361,34 @@ class SyntheticModel:
         return self._rows(role, layer, flat, flat)[0]
 
     def _noise_block(
-        self, role: int, layer: int, head, pos, n: int
+        self, role: int, layer, head, pos, n: int
     ) -> tuple[np.ndarray, int | None]:
-        """The first ``n`` words of every row (pos, head), ``head`` and
-        ``pos`` broadcast, as a new ``broadcast shape + (n,)`` array
-        gathered from the rows between the least and the greatest
-        (pos, head), and the position all rows share, or None."""
-        head, heads = np.asarray(head), self.config.num_heads
-        if head.size == 0 or np.size(pos) == 0:
-            shape = np.broadcast_shapes(head.shape, np.shape(pos))
+        """The first ``n`` words of every row (layer, pos, head), the three
+        broadcast, as a new ``broadcast shape + (n,)`` array, and the position
+        all rows share, or None. Each layer's rows are gathered from one span
+        of its stream, between the least and the greatest (pos, head)."""
+        (layer, head, pos), bounds = self.config.block_index(layer, head, pos)
+        if bounds is None:
+            shape = np.broadcast_shapes(layer.shape, head.shape, pos.shape)
             return np.empty(shape + (n,)), None
-        # Python min and max over the few head entries cost less than two
-        # numpy reductions; a decode read's int position needs none.
-        head_list = head.ravel().tolist()
-        head_lo, head_hi = min(head_list), max(head_list)
-        self.config.check_head(head_lo)
-        self.config.check_head(head_hi)
-        if isinstance(pos, np.ndarray):
-            pos_lo, pos_hi = int(pos.min()), int(pos.max())
+        (layer_lo, layer_hi), (head_lo, head_hi), (pos_lo, pos_hi) = bounds
+        if pos_lo < 0 or pos_hi >= self.max_context:
+            self._check_position(pos_lo)
+            self._check_position(pos_hi)
+        heads = self.config.num_heads
+        lo, hi = pos_lo * heads + head_lo, pos_hi * heads + head_hi
+        if layer_lo == layer_hi:
+            # Zeros, not a scalar difference, so an all-0-d read copies its row.
+            spans, layer = self._rows(role, layer_lo, lo, hi)[None], np.zeros_like(layer)
         else:
-            pos_lo = pos_hi = int(pos)
-        self._check_position(pos_lo)
-        self._check_position(pos_hi)
-        lo = pos_lo * heads + head_lo
-        rows = self._rows(role, layer, lo, pos_hi * heads + head_hi)
+            # Each layer's span at its own index; lower ones stay unset.
+            spans = np.empty((layer_hi + 1, hi - lo + 1, 4 * self._row_blocks))
+            for each in set(layer.ravel().tolist()):
+                spans[each] = self._rows(role, each, lo, hi)
+        # An int position shifts every head by one Python int.
+        shift = pos * heads - lo if pos.ndim else pos_lo * heads - lo
         at = pos_lo if pos_lo == pos_hi else None
-        return rows[(pos * heads - lo) + head, :n], at
+        return spans[layer, shift + head, :n], at
 
     def _check_position(self, pos: int):
         if pos < 0:
@@ -411,10 +446,10 @@ class SyntheticModel:
                 ids[pos] = punct_ids[slot % len(punct_ids)]
         return [int(t) for t in ids]
 
-    def k_row(self, layer: int, head, pos, klass, prompt_len: int) -> np.ndarray:
-        self.config.check_layer(layer)
-        if isinstance(head, np.ndarray) or isinstance(pos, np.ndarray):
+    def k_row(self, layer, head, pos, klass, prompt_len: int) -> np.ndarray:
+        if _is_block(layer, head, pos):
             return self._k_block(layer, head, pos, klass, prompt_len)
+        self.config.check_layer(layer)
         self.config.check_head(head)
         self._check_position(pos)
         _check_class(klass)
@@ -432,9 +467,7 @@ class SyntheticModel:
     def _k_block(self, layer, head, pos, klass, prompt_len) -> np.ndarray:
         _check_class(klass)
         d = self.config.head_dim
-        noise, at = self._noise_block(
-            _ROLE_KEY, layer, head, pos, d - _NUM_PLANTED_DIMS
-        )
+        noise, at = self._noise_block(_ROLE_KEY, layer, head, pos, d - _NUM_PLANTED_DIMS)
         row = np.empty(noise.shape[:-1] + (d,))
         row[..., :_NUM_PLANTED_DIMS] = _CLASS_DIMS[klass]
         columns = sparse_columns(prompt_len)
@@ -446,10 +479,10 @@ class SyntheticModel:
         np.multiply(noise, self._noise_amp, out=row[..., _NUM_PLANTED_DIMS:])
         return row
 
-    def q_row(self, layer: int, head, pos, prompt_len: int) -> np.ndarray:
-        self.config.check_layer(layer)
-        if isinstance(head, np.ndarray) or isinstance(pos, np.ndarray):
+    def q_row(self, layer, head, pos, prompt_len: int) -> np.ndarray:
+        if _is_block(layer, head, pos):
             return self._q_block(layer, head, pos, prompt_len)
+        self.config.check_layer(layer)
         self.config.check_head(head)
         self._check_position(pos)
         d = self.config.head_dim
@@ -466,9 +499,7 @@ class SyntheticModel:
 
     def _q_block(self, layer, head, pos, prompt_len) -> np.ndarray:
         d = self.config.head_dim
-        noise, _ = self._noise_block(
-            _ROLE_QUERY, layer, head, pos, d - _NUM_PLANTED_DIMS
-        )
+        noise, _ = self._noise_block(_ROLE_QUERY, layer, head, pos, d - _NUM_PLANTED_DIMS)
         switch_pos, dims = self._query_plan(prompt_len)
         row = np.empty(noise.shape[:-1] + (d,))
         phase = (pos >= switch_pos[layer, head]).astype(np.intp)
@@ -478,11 +509,11 @@ class SyntheticModel:
         )
         return row
 
-    def v_row(self, layer: int, head, pos) -> np.ndarray:
-        self.config.check_layer(layer)
+    def v_row(self, layer, head, pos) -> np.ndarray:
         d = self.config.head_dim
-        if isinstance(head, np.ndarray) or isinstance(pos, np.ndarray):
+        if _is_block(layer, head, pos):
             return self._noise_block(_ROLE_VALUE, layer, head, pos, d)[0]
+        self.config.check_layer(layer)
         self.config.check_head(head)
         self._check_position(pos)
         return self._noise(_ROLE_VALUE, layer, head, pos)[:d].copy()

@@ -289,9 +289,9 @@ class TraceModel:
         self.vocab = trace.vocab_metadata()
         self._token_ids = [t.token_id for t in trace.tokens]
         n_positions = len(trace.tokens)
-        # Per role and head, one (n, d) array of rows by position; the model
+        # Per role and slot, one (n, d) array of rows by position; the model
         # keeps no reference to the trace or its blocks.
-        self._k, self._v, self._q = {}, {}, {}
+        self._k, self._v, self._q = [], [], []
         for key in trace.config.head_grid():
             entries = trace.blocks.get(key)
             if entries is None:
@@ -307,17 +307,9 @@ class TraceModel:
                     f"(layer={key[0]}, head={key[1]})"
                 )
             for rows, role in ((self._k, "k"), (self._v, "v"), (self._q, "q")):
-                rows[key] = np.array([getattr(b, role) for b in entries])
+                rows.append(np.array([getattr(b, role) for b in entries]))
         self.max_context = n_positions
         self._head_weights = linear_head_weights(self.config)
-
-    def _pos(self, pos: int) -> int:
-        # Checked both ways: a negative index would wrap to the last rows.
-        if not 0 <= pos < self.max_context:
-            raise ModelError(
-                f"position {pos} outside trace length {self.max_context}"
-            )
-        return pos
 
     def prompt_token_ids(self, prompt_len: int) -> list[int]:
         if prompt_len < 1:
@@ -328,32 +320,31 @@ class TraceModel:
             )
         return self._token_ids[:prompt_len]
 
-    def _heads(self, head: np.ndarray) -> list[int]:
-        """The entries of ``head`` as ints, each checked to name a head."""
-        heads = head.ravel().tolist()
-        if heads:
-            self.config.check_head(min(heads))
-            self.config.check_head(max(heads))
-        return heads
-
-    def _block(self, rows: dict, layer: int, head, pos) -> np.ndarray:
-        """Rows of ``layer`` at ``head`` and ``pos`` broadcast, copied out of
-        the per-head arrays: row by row at one int position, else one
-        gather per head. Int ``head`` and ``pos`` read one ``(d,)`` row."""
-        self.config.check_layer(layer)
-        head = np.asarray(head)
-        if not isinstance(pos, np.ndarray) and head.size:
-            p = self._pos(pos)
-            picked = [rows[layer, h][p] for h in self._heads(head)]
-            return np.concatenate(picked).reshape(head.shape + (-1,))
-        head, pos = np.broadcast_arrays(head, pos)
-        if pos.size:
-            self._pos(int(pos.min()))
-            self._pos(int(pos.max()))
-        out = np.empty(head.shape + (self.config.head_dim,))
-        for h in self._heads(np.unique(head)):
-            at = head == h
-            out[at] = rows[layer, h][pos[at]]
+    def _block(self, rows: list, layer, head, pos) -> np.ndarray:
+        """Rows at ``layer``, ``head`` and ``pos``, the three broadcast, copied
+        out of the per-slot arrays into a new ``broadcast shape + (d,)`` array:
+        at one int position, every slot's row in one concatenation (a decode
+        step's ``(L, H, d)``), else one gather per slot. Int ``layer``,
+        ``head`` and ``pos`` read one ``(d,)`` row."""
+        (layer, head, pos), bounds = self.config.block_index(layer, head, pos)
+        slots = layer * self.config.num_heads + head
+        if bounds is None:
+            shape = np.broadcast_shapes(slots.shape, pos.shape)
+            return np.empty(shape + (self.config.head_dim,))
+        _, _, (lo, hi) = bounds
+        # Checked both ways: a negative index would wrap to the last rows.
+        if lo < 0 or hi >= self.max_context:
+            raise ModelError(
+                f"position {lo if lo < 0 else hi} outside trace length {self.max_context}"
+            )
+        if pos.ndim == 0:
+            picked = [rows[slot][lo] for slot in slots.ravel().tolist()]
+            return np.concatenate(picked).reshape(slots.shape + (-1,))
+        slots, pos = np.broadcast_arrays(slots, pos)
+        out = np.empty(slots.shape + (self.config.head_dim,))
+        for slot in np.unique(slots).tolist():
+            at = slots == slot
+            out[at] = rows[slot][pos[at]]
         return out
 
     def k_row(self, layer, head, pos, klass, prompt_len) -> np.ndarray:

@@ -184,7 +184,7 @@ class CountingModel:
 
 @pytest.mark.parametrize("kind", ["synthetic", "replay"])
 @pytest.mark.parametrize("wrapper", ["ticking", "traced"])
-def test_sessions_read_model_rows_once_per_role_and_layer(
+def test_sessions_read_rows_per_role_and_layer_to_encode_and_per_role_to_step(
     perfbench, small_model, kind, wrapper
 ):
     prompt = small_model.prompt_token_ids(16)
@@ -193,9 +193,9 @@ def test_sessions_read_model_rows_once_per_role_and_layer(
         model = TraceModel(record_trace(small_model, prompt + [5, 6, 7], len(prompt)))
     counting = CountingModel(model)
     wrapped = wrapped_models(perfbench, counting)[wrapper]
-    per_role = Counter(
-        {role: model.config.num_layers for role in ("k_row", "q_row", "v_row")}
-    )
+    roles = ("k_row", "q_row", "v_row")
+    per_layer = Counter({role: model.config.num_layers for role in roles})
+    per_role = Counter(roles)
     for encode in (
         lambda: engine.encode_prompt(wrapped, prompt, ProfilerConfig())[1],
         lambda: engine.reference_generate(
@@ -203,7 +203,7 @@ def test_sessions_read_model_rows_once_per_role_and_layer(
         ).cache,
     ):
         cache = encode()
-        assert counting.take() == per_role
+        assert counting.take() == per_layer
         token = None
         for step in range(4):
             token, cache = engine.generate_step(wrapped, cache, token)

@@ -34,7 +34,13 @@ from adaptive_kv.policies import (
     retained_mask,
     update_cumulative_scores,
 )
-from adaptive_kv.model import Archetype, ModelConfig, SyntheticModel, cycling_plan
+from adaptive_kv.model import (
+    Archetype,
+    ModelConfig,
+    ModelError,
+    SyntheticModel,
+    cycling_plan,
+)
 from adaptive_kv.profiler import ProfilerConfig
 from adaptive_kv.tokens import TokenClass, VocabMetadata, classify_tokens
 from adaptive_kv.trace import TraceModel, record_trace
@@ -582,6 +588,36 @@ def test_nucleus_rejects_a_temperature_not_above_zero(temperature):
     # NaN compares False with everything, so it must fail a positive test.
     with pytest.raises(EngineError, match="temperature must be > 0"):
         Nucleus(temperature=temperature)
+
+
+def cache_state(cache) -> tuple:
+    """The cache's length and class codes, every group's buffers as bytes, and
+    its last record."""
+    names = ("n", "pos", "K", "V", "scores", "shadow", "outputs", "recovery")
+    groups = [
+        [None if getattr(g, name) is None else getattr(g, name).tobytes() for name in names]
+        for g in cache.groups
+    ]
+    return cache.seq_len, cache.codes.tobytes(), groups, cache.last_record
+
+
+@pytest.mark.parametrize("diagnostics", [False, True], ids=["plain", "diagnostics"])
+def test_step_whose_rows_cannot_be_read_leaves_the_cache_unchanged(
+    mixed_model, diagnostics
+):
+    # The trace ends two positions past the prompt, so the fourth step's
+    # rows, one position past its end, cannot be read.
+    prompt = mixed_model.prompt_token_ids(PROMPT_LEN)
+    model = TraceModel(record_trace(mixed_model, prompt + [7, 8], PROMPT_LEN))
+    _, cache = encode_prompt(model, prompt, mixed_groups_config(), diagnostics)
+    token = None
+    for _ in range(3):
+        token, cache = generate_step(model, cache, token)
+    record, before = cache.last_record, cache_state(cache)
+    with pytest.raises(ModelError, match=f"position {PROMPT_LEN + 2} outside trace"):
+        generate_step(model, cache, token)
+    assert cache.last_record is record
+    assert cache_state(cache) == before
 
 
 def test_direct_generate_step_records_are_numbered_from_one(small_model):

@@ -380,15 +380,55 @@ def test_layers_outside_the_grid_rejected_by_both_models(role):
     model = seeded_model(5)
     trace = TraceModel(record_trace(model, model.prompt_token_ids(8), 8))
     fresh = seeded_model(5)
-    heads = np.arange(4)
+    # Two heads, so that every layer, head and position below broadcast.
+    heads = np.array([1, 3])
     for read in (layer_reads(fresh)[role], layer_reads(trace)[role]):
-        for layer in (2, -1):
-            for head, pos in ((0, 1), (heads, 1), (heads, np.array([[0], [1]]))):
-                message = rf"^layer {layer} outside 0\.\.1$"
-                with pytest.raises(ModelError, match=message):
-                    read(layer, head, pos)
+        for bad in (2, -1):
+            for layer in (bad, np.array([0, bad]), np.array([[bad], [0]])):
+                for head, pos in ((0, 1), (heads, 1), (heads, np.array([[0], [1]]))):
+                    message = rf"^layer {bad} outside 0\.\.1$"
+                    with pytest.raises(ModelError, match=message):
+                        read(layer, head, pos)
     # No stream was made for a layer the model does not have.
     assert fresh._streams == {}
+
+
+@pytest.mark.parametrize("role", ["k", "q", "v"])
+def test_index_arrays_that_are_not_integers_rejected_by_both_models(role):
+    model = seeded_model(5)
+    trace = TraceModel(record_trace(model, model.prompt_token_ids(8), 8))
+    fresh = seeded_model(5)
+    heads = np.arange(4)
+    for read in (layer_reads(fresh)[role], layer_reads(trace)[role]):
+        for name, bad in (("layer", 0.0), ("head", 0.5), ("pos", 1.0), ("pos", True)):
+            index = {"layer": 0, "head": heads, "pos": 1}
+            index[name] = np.array([bad])
+            message = rf"^{name} must hold integers, got (float64|bool)$"
+            with pytest.raises(ModelError, match=message):
+                read(index["layer"], index["head"], index["pos"])
+    assert fresh._streams == {}
+
+
+def test_reads_at_zero_d_index_arrays_copy_their_rows_out_of_both_models():
+    model = seeded_model(5)
+    trace = TraceModel(record_trace(model, model.prompt_token_ids(8), 8))
+    for source in (model, trace):
+        for role, read in layer_reads(source).items():
+            want = read(1, 2, 3).tobytes()
+            for index in ((np.array(1), np.array(2), np.array(3)), (1, 2, 3)):
+                got = read(*index)
+                got += 1.0
+                assert read(1, 2, 3).tobytes() == want, (role, index)
+
+
+def test_narrow_integer_index_arrays_read_the_rows_of_default_ones():
+    # Position 100 of 4 heads is counter row 400, past an int8 or uint8.
+    model = seeded_model(5)
+    heads = np.arange(4)
+    for dtype in (np.int8, np.uint8, np.uint64):
+        index = (np.array([1], dtype), heads.astype(dtype), np.array([100], dtype))
+        for role, read in layer_reads(model).items():
+            assert read(*index).tobytes() == read(1, heads, 100).tobytes(), role
 
 
 def test_class_codes_outside_the_classes_rejected_in_scalar_and_block_reads():
@@ -483,32 +523,44 @@ def test_block_equals_its_rows_read_one_at_a_time(drawn, rnd):
     codes = np.array(classes, dtype=np.int8)
     trace = scalar_trace(synthetic, tokens, prompt_len)
     step = rnd.randrange(n)
-    # (head, pos, class) arrays of each call shape: a decode step over every
-    # head, the prompt pass, and scattered rows in any order with repeats.
-    picks = [(rnd.randrange(heads), rnd.randrange(n)) for _ in range(rnd.randint(1, 9))]
+    # (layer, head, pos, class) of each call shape: one layer's decode step
+    # over every head, the prompt pass, and scattered rows in any order with
+    # repeats, in one layer; a whole decode step over every layer and head;
+    # and scattered (layer, head, pos) picks.
+    def picks() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Layer, head and position arrays of one to nine random rows."""
+        count, layers = rnd.randint(1, 9), cfg.num_layers
+        rows = [(rnd.randrange(layers), rnd.randrange(heads), rnd.randrange(n))
+                for _ in range(count)]
+        return tuple(np.array(column) for column in zip(*rows))
+
+    _, one_heads, one_pos = picks()
+    layers, scattered_heads, scattered_pos = picks()
     shapes = [
-        (np.arange(heads), step, codes[step]),
-        (np.arange(heads), np.arange(n)[:, None], codes[:, None]),
-        (np.array([h for h, _ in picks]), np.array([p for _, p in picks]),
-         codes[[p for _, p in picks]]),
+        (rnd.randrange(cfg.num_layers), np.arange(heads), step, codes[step]),
+        (rnd.randrange(cfg.num_layers), np.arange(heads), np.arange(n)[:, None],
+         codes[:, None]),
+        (rnd.randrange(cfg.num_layers), one_heads, one_pos, codes[one_pos]),
+        (np.arange(cfg.num_layers)[:, None], np.arange(heads), step, codes[step]),
+        (layers, scattered_heads, scattered_pos, codes[scattered_pos]),
     ]
     for model in (synthetic, trace):
-        for head, pos, klass in shapes:
-            layer = rnd.randrange(cfg.num_layers)
+        for layer, head, pos, klass in shapes:
             blocks = {
                 "k": model.k_row(layer, head, pos, klass, prompt_len),
                 "q": model.q_row(layer, head, pos, prompt_len),
                 "v": model.v_row(layer, head, pos),
             }
-            shape = np.broadcast_shapes(np.shape(head), np.shape(pos))
+            shape = np.broadcast_shapes(np.shape(layer), np.shape(head), np.shape(pos))
             cells = list(np.ndindex(shape))
             for cell in rnd.sample(cells, len(cells)):
+                one = int(np.broadcast_to(layer, shape)[cell])
                 h = int(np.broadcast_to(head, shape)[cell])
                 p = int(np.broadcast_to(pos, shape)[cell])
                 alone = {
-                    "k": model.k_row(layer, h, p, classes[p], prompt_len),
-                    "q": model.q_row(layer, h, p, prompt_len),
-                    "v": model.v_row(layer, h, p),
+                    "k": model.k_row(one, h, p, classes[p], prompt_len),
+                    "q": model.q_row(one, h, p, prompt_len),
+                    "v": model.v_row(one, h, p),
                 }
                 for role, block in blocks.items():
                     assert block.shape == shape + (cfg.head_dim,)
@@ -529,9 +581,10 @@ def test_record_trace_reads_each_role_of_a_layer_in_one_block(model):
     recorded = record_trace(Counting(), tokens, PROMPT_LEN)
     assert sorted(calls) == sorted(["k_row", "q_row", "v_row"] * CONFIG.num_layers)
     alone = scalar_trace(model, tokens, PROMPT_LEN)
+    replayed = TraceModel(recorded)
     for role in ("_k", "_v", "_q"):
-        for key, rows in getattr(TraceModel(recorded), role).items():
-            assert rows.tobytes() == getattr(alone, role)[key].tobytes()
+        for rows, rows_alone in zip(getattr(replayed, role), getattr(alone, role), strict=True):
+            assert rows.tobytes() == rows_alone.tobytes()
 
 
 WINDOW = _WINDOW_POSITIONS
