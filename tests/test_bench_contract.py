@@ -23,6 +23,7 @@ import importlib
 import io
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from collections import Counter
@@ -163,16 +164,20 @@ def test_sessions_run_through_benchmark_model_wrappers(
 
 
 class CountingModel:
-    """A model handle that counts calls of each row and head method."""
+    """A model handle that counts calls of each row and head method, and the
+    layers each row call reads."""
 
     def __init__(self, model):
         self.config, self.vocab, self.calls = model.config, model.vocab, Counter()
+        self.layers = Counter()
         for method in ("k_row", "q_row", "v_row", "head_logits", "prompt_token_ids"):
             setattr(self, method, self._counted(method, getattr(model, method)))
 
     def _counted(self, method, fn):
         def counted(*args, **kwargs):
             self.calls[method] += 1
+            if method.endswith("_row"):
+                self.layers.update((method, int(l)) for l in np.unique(args[0]))
             return fn(*args, **kwargs)
 
         return counted
@@ -181,10 +186,14 @@ class CountingModel:
         calls, self.calls = self.calls, Counter()
         return calls
 
+    def take_layers(self) -> Counter:
+        layers, self.layers = self.layers, Counter()
+        return layers
+
 
 @pytest.mark.parametrize("kind", ["synthetic", "replay"])
 @pytest.mark.parametrize("wrapper", ["ticking", "traced"])
-def test_sessions_read_rows_per_role_and_layer_to_encode_and_per_role_to_step(
+def test_sessions_read_model_rows_once_per_role_and_layer(
     perfbench, small_model, kind, wrapper
 ):
     prompt = small_model.prompt_token_ids(16)
@@ -196,6 +205,9 @@ def test_sessions_read_rows_per_role_and_layer_to_encode_and_per_role_to_step(
     roles = ("k_row", "q_row", "v_row")
     per_layer = Counter({role: model.config.num_layers for role in roles})
     per_role = Counter(roles)
+    each_layer = Counter(
+        (role, layer) for role in roles for layer in range(model.config.num_layers)
+    )
     for encode in (
         lambda: engine.encode_prompt(wrapped, prompt, ProfilerConfig())[1],
         lambda: engine.reference_generate(
@@ -204,11 +216,13 @@ def test_sessions_read_rows_per_role_and_layer_to_encode_and_per_role_to_step(
     ):
         cache = encode()
         assert counting.take() == per_layer
+        assert counting.take_layers() == each_layer
         token = None
         for step in range(4):
             token, cache = engine.generate_step(wrapped, cache, token)
-            rows = per_role if step else Counter()
+            rows, layers = (per_role, each_layer) if step else (Counter(), Counter())
             assert counting.take() == rows + Counter(head_logits=1)
+            assert counting.take_layers() == layers
 
 
 def test_benchmark_recorder_writes_the_same_trace_bytes(monkeypatch):
