@@ -41,11 +41,7 @@ from .policies import (
     full_policy,
     parse_policy,
 )
-from .profiler import (
-    ProfilerConfig,
-    RowAveraging,
-    select_policy,
-)
+from .profiler import ProfilerConfig, select_policy
 from .tokens import TokenAnnotation, TokenClass, VocabMetadata, classify_tokens
 from .trace import (
     AttentionTrace,

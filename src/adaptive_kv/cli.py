@@ -5,10 +5,10 @@ also live in an INI config file (``--config``), under its flag's name
 with underscores. An option's value is its flag if given, else the
 option's section of the file, else the file's [global] section, else the
 flag's default. Model options (plan, trace, prompt_len, steps) live in
-[model], profiler options (threshold, rows, feasible, r_l, r_f) in
-[profiler], generation options (max_new_tokens, sampling, temperature,
-top_p, seed) in [generate], and every other option, out and format
-included, in the command's own section, e.g. [report] tradeoff.
+[model], profiler options (threshold, feasible, r_l, r_f) in [profiler],
+generation options (max_new_tokens, sampling, temperature, top_p, seed)
+in [generate], and every other option, out and format included, in the
+command's own section, e.g. [report] tradeoff.
 Artifacts land in a fresh run directory unless --out forces a path, and
 re-running a command with the same config and seed overwrites them with
 byte-identical content, provided BLAS runs with the same number of
@@ -33,6 +33,7 @@ from .engine import (
     Nucleus,
     generate,
     generate_fixed_baseline,
+    prompt_head_data,
     records_to_ndjson,
     reference_generate,
 )
@@ -64,7 +65,7 @@ from .model import (
     SyntheticModel,
 )
 from .policies import PolicyAtom, PolicyError, feasible_set, parse_policy
-from .profiler import ProfilerConfig, RowAveraging
+from .profiler import ProfilerConfig, profile_model
 from .trace import TraceError, TraceModel, read_trace, record_trace, write_trace
 
 logger = logging.getLogger("adaptive_kv")
@@ -74,7 +75,7 @@ _LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DE
 # The config section of each option not read from its command's own section.
 _SECTIONS = {
     **dict.fromkeys(("plan", "trace", "prompt_len", "steps"), "model"),
-    **dict.fromkeys(("threshold", "rows", "feasible", "r_l", "r_f"), "profiler"),
+    **dict.fromkeys(("threshold", "feasible", "r_l", "r_f"), "profiler"),
     **dict.fromkeys(
         ("max_new_tokens", "sampling", "temperature", "top_p", "seed"), "generate"
     ),
@@ -265,7 +266,6 @@ def _profiler_config(args: argparse.Namespace) -> ProfilerConfig:
         return ProfilerConfig(
             recovery_threshold=args.threshold,
             feasible=tuple(_parse_feasible(args.feasible, args.r_l, args.r_f)),
-            rows=RowAveraging(args.rows),
         )
     except ValueError as exc:
         raise CliError(str(exc)) from exc
@@ -333,9 +333,10 @@ def cmd_profile(args: argparse.Namespace) -> int:
     cfg = _profiler_config(args)
     out = _out_dir(args)
     prompt = model.prompt_token_ids(prompt_len)
-    from .engine import encode_prompt
-
-    profile, _ = encode_prompt(model, prompt, cfg, diagnostics=False)
+    stream = prompt_head_data(model, prompt)
+    profile = profile_model(
+        {key: (stats, codes, prompt_len) for key, _, _, stats, codes in stream}, cfg
+    )
     _write(out / "head_profile.csv", rows_to_csv(*profile_rows(profile)))
     columns, rows = layer_distribution_rows(profile)
     _emit_report(out, "layer_distribution", columns, rows, args.format)
@@ -490,9 +491,6 @@ def build_parser():
     def add_profiler(p):
         p.add_argument(
             "--threshold", type=float, default=0.95, help="recovery threshold T"
-        )
-        p.add_argument(
-            "--rows", choices=["all", "last"], default="all", help="row averaging"
         )
         p.add_argument(
             "--feasible",

@@ -431,7 +431,7 @@ def encode_prompt(
         rows["V"].append(V[idx])
         rows["pos"].append(idx)
         rows["outputs"].append(stats.last_row @ V)
-        rows["recovery"].append(float(stats.last_row[idx].sum()) if idx.size else 0.0)
+        rows["recovery"].append(float(stats.last_row[idx].sum()))
         if rows["scores"] is not None:
             rows["scores"].append(stats.colsum[idx])
         if rows["shadow"] is not None:

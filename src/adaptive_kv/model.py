@@ -442,8 +442,7 @@ class SyntheticModel:
         ids[0] = min(self.vocab.special_ids)
         punct_ids = sorted(self.vocab.punctuation_ids)
         for slot, pos in enumerate(punctuation_positions(prompt_len)):
-            if pos < prompt_len:
-                ids[pos] = punct_ids[slot % len(punct_ids)]
+            ids[pos] = punct_ids[slot % len(punct_ids)]
         return [int(t) for t in ids]
 
     def k_row(self, layer, head, pos, klass, prompt_len: int) -> np.ndarray:

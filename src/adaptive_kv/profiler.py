@@ -14,7 +14,6 @@ as a mass threshold.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Mapping
 
 import numpy as np
@@ -27,23 +26,13 @@ class ProfilerError(ValueError):
     """Raised on invalid profiler configuration or inputs."""
 
 
-class RowAveraging(Enum):
-    ALL_ROWS = "all"
-    LAST_ROW = "last"
-
-
-def recovery_ratio(
-    stats: PromptStats,
-    retained: np.ndarray,
-    rows: RowAveraging = RowAveraging.ALL_ROWS,
-) -> float:
+def recovery_ratio(stats: PromptStats, retained: np.ndarray) -> float:
     """Fraction of attention mass the retained positions preserve.
 
-    Mean over query rows of the retained (causally visible) mass; the
-    ``rows`` option restricts to the final query row for sensitivity runs.
-    Summing over rows first, the mean is the retained columns' mass over
-    P. The last row's mass is a left-to-right running sum of its retained
-    entries in the caller's order.
+    Mean over query rows of the retained (causally visible) mass. Summing
+    over rows first, the mean is the retained columns' mass over P. The
+    last row's retained mass alone is the cache's realised recovery after
+    encode (``CompressedCache.recoveries``), not a selection criterion.
     """
     idx = np.asarray(retained, dtype=np.intp)
     if not idx.size:
@@ -53,8 +42,6 @@ def recovery_ratio(
         raise ProfilerError(
             f"retained positions {idx.min()}..{idx.max()} outside [0, {stats.size})"
         )
-    if rows is RowAveraging.LAST_ROW:
-        return float(np.cumsum(stats.last_row[idx])[-1])
     return float(stats.colsum[idx].sum() / stats.size)
 
 
@@ -63,16 +50,14 @@ def evaluate_policy(
     codes: np.ndarray,
     prompt_len: int,
     policy: CompressionPolicy,
-    rows: RowAveraging = RowAveraging.ALL_ROWS,
 ) -> HeadDecision:
     """Recovery, cache cost and retained positions of one policy on one head,
     whose positions have class ``codes`` and the first ``prompt_len`` of
-    which are the prompt; the column sums are the frequency signal."""
+    which are the prompt; the column sums are the frequency signal and
+    give the recovery, as ``recovery_ratio`` defines it."""
     retained = retained_indices(policy, codes, stats.colsum, prompt_len)
     retained.setflags(write=False)
-    return HeadDecision(
-        policy, recovery_ratio(stats, retained, rows), retained.size, retained
-    )
+    return HeadDecision(policy, recovery_ratio(stats, retained), retained.size, retained)
 
 
 @dataclass(frozen=True)
@@ -81,7 +66,6 @@ class ProfilerConfig:
     feasible: tuple[CompressionPolicy, ...] = field(
         default_factory=lambda: tuple(feasible_set())
     )
-    rows: RowAveraging = RowAveraging.ALL_ROWS
 
     def __post_init__(self):
         object.__setattr__(self, "feasible", tuple(self.feasible))
@@ -112,7 +96,7 @@ def select_policy(
 ) -> HeadDecision:
     """The first policy in the nested family meeting the recovery threshold."""
     for policy in cfg.feasible:
-        decision = evaluate_policy(stats, codes, prompt_len, policy, cfg.rows)
+        decision = evaluate_policy(stats, codes, prompt_len, policy)
         # The full backstop is always accepted: its recovery is a float
         # sum of column sums over P and can land a hair below T=1.
         if decision.recovery >= cfg.recovery_threshold or policy.is_full:

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .model import ModelConfig, ModelError, linear_head_weights
-from .tokens import TokenAnnotation, TokenClass, VocabMetadata
+from .tokens import TokenAnnotation, TokenClass, VocabMetadata, classify_tokens
 
 MAGIC = b"AKVT"
 VERSION = 1
@@ -255,10 +255,7 @@ def record_trace(model, tokens: list[int], prompt_len: int) -> AttentionTrace:
     with that prompt reproduces the session. Each role of a layer is read
     in one ``(n, H, d)`` block; every block's rows are views into it.
     """
-    annotations = [
-        TokenAnnotation(pos, tid, model.vocab.classify_id(tid))
-        for pos, tid in enumerate(tokens)
-    ]
+    annotations = classify_tokens(tokens, model.vocab)
     cfg = model.config
     codes = np.array([a.klass for a in annotations], dtype=np.int8)
     heads, at = np.arange(cfg.num_heads), np.arange(len(tokens))[:, None]

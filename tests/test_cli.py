@@ -27,8 +27,8 @@ CASES = (
     ("synth", ["synth", "--plan", PLAN, "--out", "synth"]),
     ("profile", ["profile", "--trace", "synth/trace.akvt", "--prompt-len", "32",
                  "--out", "profile"]),
-    ("profile_last", ["profile", "--plan", PLAN, "--rows", "last", "--format", "json",
-                      "--out", "profile_last"]),
+    ("profile_json", ["profile", "--plan", PLAN, "--format", "json",
+                      "--out", "profile_json"]),
     ("generate", ["generate", "--plan", PLAN, "--max-new-tokens", "6",
                   "--out", "generate"]),
     ("generate_policy", ["generate", "--plan", PLAN, "--max-new-tokens", "6",
@@ -248,8 +248,9 @@ def test_bad_config_value_is_one_error_line(tmp_path, capsys, section, key, raw)
         ("[profiler]\nthreshhold = 0.5\n", "profiler.threshhold"),
         ("[global]\nseed = 5\n[report]\nsteps_per_token = 2\n", "report.steps_per_token"),
         ("[DEFAULT]\nverbose = 1\n", "DEFAULT.verbose"),
+        ("[profiler]\nrows = last\n", "profiler.rows"),
     ],
-    ids=["misspelled", "unknown-in-command-section", "default-section"],
+    ids=["misspelled", "unknown-in-command-section", "default-section", "rows"],
 )
 def test_config_key_no_flag_names_is_one_error_line(tmp_path, capsys, ini, key):
     config = tmp_path / "typo.ini"
@@ -283,8 +284,9 @@ def test_trace_prompt_len_follows_generate_section(tmp_path, capsys, monkeypatch
         ["synth", "--plan", PLAN, "--format", "json"],
         ["profile", "--plan", PLAN, "--seed", "3"],
         ["memory", "--seed", "3"],
+        ["profile", "--plan", PLAN, "--rows", "last"],
     ],
-    ids=["synth-seed", "synth-format", "profile-seed", "memory-seed"],
+    ids=["synth-seed", "synth-format", "profile-seed", "memory-seed", "profile-rows"],
 )
 def test_flag_the_command_does_not_read_is_unrecognized(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -656,7 +656,14 @@ def test_decision_carries_its_retained_set_through_decode(mixed_model):
 
 
 @pytest.mark.parametrize(
-    "call", ["encode_prompt", "generate", "generate_fixed_baseline", "reference_generate"]
+    "call",
+    [
+        "encode_prompt",
+        "generate",
+        "generate_fixed_baseline",
+        "reference_generate",
+        "record_trace",
+    ],
 )
 def test_overlapping_class_ids_warn_once_per_call(call):
     config = ModelConfig(num_layers=1, num_heads=2, head_dim=16, vocab_size=32, seed=3)
@@ -672,6 +679,7 @@ def test_overlapping_class_ids_warn_once_per_call(call):
             model, prompt, full_policy(), cfg
         ),
         "reference_generate": lambda: reference_generate(model, prompt, cfg),
+        "record_trace": lambda: record_trace(model, prompt, PROMPT_LEN),
     }
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -27,11 +27,7 @@ from adaptive_kv.metrics import (
     tradeoff_curve,
 )
 from adaptive_kv.policies import PolicyAtom, feasible_set, format_policy, parse_policy
-from adaptive_kv.profiler import (
-    ProfilerConfig,
-    RowAveraging,
-    profile_model,
-)
+from adaptive_kv.profiler import ProfilerConfig, profile_model
 
 PROMPT_LEN = 40
 
@@ -45,15 +41,8 @@ def all_maps(model, tokens, prompt_len=None):
     }
 
 
-@pytest.mark.parametrize(
-    "base",
-    [
-        ProfilerConfig(),
-        ProfilerConfig(rows=RowAveraging.LAST_ROW),
-    ],
-    ids=["recovery-all", "recovery-last"],
-)
-def test_tradeoff_points_equal_per_threshold_profiles(mixed_model, base):
+def test_tradeoff_points_equal_per_threshold_profiles(mixed_model):
+    base = ProfilerConfig()
     prompt = mixed_model.prompt_token_ids(PROMPT_LEN)
     T_values = [0.5, 0.9, 0.95, 0.99, 1.0]
     head_data = all_maps(mixed_model, prompt)
