@@ -1,8 +1,10 @@
 """Dense causal attention numerics.
 
-All engine math is float64; half precision exists only in the byte
-accounting model (see metrics). Matrices are plain 2-D numpy arrays in
-row-major order.
+Logits and exponentials are float32, masses float64: a row's weights are
+its float32 exponentials over their float64 sum. ``softmax_rows`` and
+``softmax_vector`` are float64 throughout; half precision exists only in
+the byte accounting model (see metrics). Matrices are plain 2-D numpy
+arrays in row-major order.
 """
 
 from __future__ import annotations
@@ -15,15 +17,15 @@ import numpy as np
 ROW_SUM_TOL = 1e-9
 # Rows of a causal matrix processed as one whole-array block.
 BLOCK_ROWS = 128
+# Rows of a block whose float64 quotients join the column sums at a time.
+SUM_ROWS = 32
 
 
 class AttentionError(ValueError):
     """Raised on malformed matrices or dimension mismatches."""
 
 
-def as_matrix(data, name: str = "matrix") -> np.ndarray:
-    """Coerce input to a finite float64 2-D array."""
-    m = np.asarray(data, dtype=np.float64)
+def _finite_matrix(m: np.ndarray, name: str) -> np.ndarray:
     if m.ndim != 2:
         raise AttentionError(f"{name} must be 2-D, got ndim={m.ndim}")
     if m.size == 0:
@@ -70,17 +72,19 @@ class PromptStats:
         return self.colsum.size
 
 
-def _normalise_rows(x: np.ndarray, visible: np.ndarray | bool) -> None:
-    """Softmax each row of ``x`` in place; entries off ``visible`` are ``-inf``."""
+def _exp_rows(x: np.ndarray, visible: np.ndarray | bool) -> np.ndarray:
+    """Exponentiate each row of ``x`` in place, less its max; return the rows'
+    float64 sums over ``visible`` as a column. Entries off it are ``-inf``."""
     x -= x.max(axis=1, keepdims=True)
     np.exp(x, out=x)
-    # The masked reduce sums each row's visible prefix in the pairwise loop
-    # ``row[:length].sum()`` runs; summing the zeros too would regroup terms.
-    x /= np.add.reduce(x, axis=1, where=visible, initial=0.0)[:, None]
+    # The masked reduce sums each row's visible prefix in the pairwise loop of
+    # ``row[:length].sum(dtype=np.float64)``; summing zeros would regroup terms.
+    z = np.add.reduce(x, axis=1, where=visible, initial=0.0, dtype=np.float64)
+    return z[:, None]
 
 
-def _softmax_in_place(x: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Softmax row i of ``x`` in place over its first ``lengths[i]`` columns.
+def _exp_prefixes(x: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``_exp_rows`` of row i of ``x`` over its first ``lengths[i]`` columns.
 
     One pass cut to the longest row: masked entries become ``-inf``, so
     they and all later columns end exactly zero.
@@ -89,9 +93,8 @@ def _softmax_in_place(x: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     visible = np.arange(width) < lengths[:, None]
     xb = x[:, :width]
     np.copyto(xb, -np.inf, where=~visible)
-    _normalise_rows(xb, visible)
     x[:, width:] = 0.0
-    return x
+    return _exp_rows(xb, visible)
 
 
 def softmax_rows(m, causal_lengths: Sequence[int] | None = None) -> np.ndarray:
@@ -103,7 +106,7 @@ def softmax_rows(m, causal_lengths: Sequence[int] | None = None) -> np.ndarray:
     engine's ragged attends use, so each row's bits are those of a
     per-row softmax over its own prefix.
     """
-    logits = as_matrix(m, "softmax input").copy()
+    logits = _finite_matrix(np.array(m, dtype=np.float64), "softmax input")
     n_rows, n_cols = logits.shape
     if causal_lengths is None:
         causal_lengths = [n_cols] * n_rows
@@ -116,7 +119,8 @@ def softmax_rows(m, causal_lengths: Sequence[int] | None = None) -> np.ndarray:
     if bad.size:
         i = bad[0]
         raise AttentionError(f"row {i}: causal length {lengths[i]} out of range")
-    return _softmax_in_place(logits, lengths)
+    logits /= _exp_prefixes(logits, lengths)
+    return logits
 
 
 def softmax_vector(v) -> np.ndarray:
@@ -132,20 +136,21 @@ def softmax_vector(v) -> np.ndarray:
 def causal_attention(Q, K, d_k: int) -> PromptStats:
     """Column sums and last row of the causal map softmax(Q K^T / sqrt(d_k)).
 
-    The map itself is never built. Query rows go in ``BLOCK_ROWS``-row
-    blocks, each the C-contiguous ``(r + 1) x e`` prefix of one flat
-    buffer: the column sums so far in row 0, then the block's
-    ``Q[s:e] @ K[:e].T``, scaled and softmaxed in place with only its
-    r x r diagonal tile masked. Summing each block down its columns sums
-    each column row after row, with the bits of a column sum over the
-    whole map. Peak memory is one ``(BLOCK_ROWS + 1) x P`` float64 buffer
-    and one ``BLOCK_ROWS x P`` bool mask, both allocated once. A caller
-    wanting the last query's output takes ``last_row @ V``. The bits of
-    the products can depend on the BLAS thread count at larger sizes;
-    ``perfbench/run.py`` pins one thread, the library and the CLI do not.
+    The map is never built. Q and K are cast to float32, where an entry past
+    its range is non-finite. Query rows go in ``BLOCK_ROWS``-row blocks, each
+    the C-contiguous ``r x e`` prefix of one flat float32 buffer: ``Q[s:e] @
+    K[:e].T``, scaled and exponentiated in place with only its r x r diagonal
+    tile masked. ``SUM_ROWS`` rows at a time, the float64 quotients go below
+    the column sums so far, and summing that buffer down its columns sums
+    each column row after row, with the bits of a column sum over the whole
+    map. Both buffers and a ``BLOCK_ROWS x P`` bool mask are allocated once.
+    The last query's output is ``last_row @ V``. The products' bits can
+    depend on the BLAS thread count at larger sizes; ``perfbench/run.py``
+    pins one thread, the library and the CLI do not.
     """
-    q = as_matrix(Q, "Q")
-    k = as_matrix(K, "K")
+    with np.errstate(over="ignore"):
+        q, k = (_finite_matrix(np.asarray(M, np.float32), name)
+                for M, name in ((Q, "Q"), (K, "K")))
     if d_k < 1:
         raise AttentionError(f"d_k must be >= 1, got {d_k}")
     if q.shape[1] != d_k:
@@ -155,24 +160,26 @@ def causal_attention(Q, K, d_k: int) -> PromptStats:
     n = k.shape[0]
     if q.shape[0] != n:
         raise AttentionError(f"Q has {q.shape[0]} rows, expected {n} to match K")
-    scale = np.sqrt(float(d_k))
+    scale = float(np.sqrt(d_k))
     rows = min(BLOCK_ROWS, n)
-    flat = np.empty((rows + 1) * n)
+    flat, sums = np.empty(rows * n, np.float32), np.empty((min(SUM_ROWS, n) + 1) * n)
     visible = np.ones(rows * n, dtype=bool)
     above = np.triu(np.ones((rows, rows), dtype=bool), 1)
     carry = np.zeros(n)
     for start in range(0, n, BLOCK_ROWS):
         stop = min(start + BLOCK_ROWS, n)
         r = stop - start
-        block = flat[: (r + 1) * stop].reshape(r + 1, stop)
-        block[0] = carry[:stop]
-        logits, vis = block[1:], visible[: r * stop].reshape(r, stop)
+        logits, vis = (buf[: r * stop].reshape(r, stop) for buf in (flat, visible))
         np.matmul(q[start:stop], k[:stop].T, out=logits)
         logits /= scale
         np.copyto(logits[:, start:], -np.inf, where=above[:r, :r])
         np.logical_not(above[:r, :r], out=vis[:, start:])
-        _normalise_rows(logits, vis)
+        z = _exp_rows(logits, vis)
         vis[:, start:] = True
-        # Not ``carry += logits.sum(axis=0)``: that regroups the terms.
-        np.sum(block, axis=0, out=carry[:stop])
+        for i in range(0, r, SUM_ROWS):
+            block = sums[: (min(r - i, SUM_ROWS) + 1) * stop].reshape(-1, stop)
+            block[0] = carry[:stop]
+            np.divide(logits[i : i + SUM_ROWS], z[i : i + SUM_ROWS], out=block[1:])
+            # Not ``carry += quotients.sum(axis=0)``: that regroups the terms.
+            np.sum(block, axis=0, out=carry[:stop])
     return PromptStats(carry, block[-1])

@@ -1,19 +1,23 @@
 """Dual-phase generation over a compressed KV cache.
 
+Rows are float32 and masses float64: ``_model_rows`` casts the model's K, V
+and Q rows once as it reads them, logits and exponentials are float32, and
+weights, column sums, scores, recoveries and outputs are float64.
+
 Phase one streams the prompt pass head by head: it takes each head's
 attention column sums and last row in ``BLOCK_ROWS``-row blocks, never
 the P x P map, profiles the head once on them and compresses its cache
 to the retained set the profiler chose. A fixed-policy baseline is the
 same pass under a one-candidate family (``ProfilerConfig.fixed``). The
 prompt is classified once; every head shares its class codes. Model rows
-are read once per layer: one ``(P, H, d)`` block call per role, from
-which each head gets contiguous copies. Phase two generates token by
-token: each step reads the incoming position's rows of every head with
-one ``(L, H, d)`` call per role, appends each head's K/V row, attends over
-the retained positions plus that row, folds the attention row into the
-frequency bookkeeping, re-applies the frozen policy to the grown cache,
-and finally samples the next token. Evicted rows are dropped for good;
-re-application only ever selects among live positions.
+are read once per layer, one ``(P, H, d)`` block per role; each head gets
+contiguous copies. Phase two generates token by token: each step reads
+the incoming position's rows of every head with one ``(L, H, d)`` call per
+role, appends each head's K/V row, attends over the retained positions
+plus that row, folds the attention row into the frequency bookkeeping,
+re-applies the frozen policy to the grown cache, and finally samples the
+next token. Evicted rows are dropped for good; re-application only ever
+selects among live positions.
 
 The unit of decode is a head group: every head with one policy. A head
 is addressed by one flat slot, ``layer * num_heads + head``, its index in
@@ -49,8 +53,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attention import _normalise_rows, _softmax_in_place
-from .attention import causal_attention, softmax_vector
+from .attention import _exp_prefixes, _exp_rows, causal_attention, softmax_vector
 from .policies import (
     CompressionPolicy,
     PolicyAtom,
@@ -133,23 +136,22 @@ _Sampler = Sampler
 
 def _weights(
     K: np.ndarray, Q: np.ndarray, width: int, lengths: np.ndarray | None = None
-) -> np.ndarray:
-    """Softmax of each query ``Q[g]`` against its key rows ``K[g, :width]``.
-
-    With ``lengths``, row g covers ``K[g, :lengths[g]]`` and is zero after;
-    each head then takes its own product. Every row has the bits of
-    ``softmax_vector((K[g, :m] @ Q[g]) / sqrt(d))`` for its length m.
-    """
+) -> tuple[np.ndarray, np.ndarray]:
+    """Softmax of each query ``Q[g]`` against its key rows ``K[g, :width]``:
+    float32 exponentials ``e`` and a column of float64 normalisers ``z``, the
+    weights being ``e / z``. With ``lengths``, row g covers ``K[g,
+    :lengths[g]]`` and is zero after; each head then takes its own product.
+    Row g has the bits of ``e = np.exp(x - x.max())``, ``z =
+    e.sum(dtype=np.float64)`` for ``x = (K[g, :m] @ Q[g]) / sqrt(d)``."""
     if lengths is not None:
-        w = np.zeros((lengths.size, width))
+        e = np.zeros((lengths.size, width), np.float32)
         for g, m in enumerate(lengths.tolist()):
-            w[g, :m] = K[g, :m] @ Q[g]
-        w /= np.sqrt(float(Q.shape[1]))
-        return _softmax_in_place(w, lengths)
-    w = np.matmul(K[:, :width], Q[:, :, None])[..., 0]
-    w /= np.sqrt(float(Q.shape[1]))
-    _normalise_rows(w, True)
-    return w
+            e[g, :m] = K[g, :m] @ Q[g]
+        e /= float(np.sqrt(Q.shape[1]))
+        return e, _exp_prefixes(e, lengths)
+    e = np.matmul(K[:, :width], Q[:, :, None])[..., 0]
+    e /= float(np.sqrt(Q.shape[1]))
+    return e, _exp_rows(e, True)
 
 
 def _room(buf: np.ndarray, used: int, axis: int = 0) -> np.ndarray:
@@ -248,26 +250,28 @@ class HeadGroup:
             # entry is a valid position below ``pos + 1``.
             visible = np.arange(width) < ragged[:, None]
             attended = np.where(visible, attended, pos)
-        w = _weights(K, Q, width, ragged)
+        e, z = _weights(K, Q, width, ragged)
         if ragged is None:
-            self.outputs = np.matmul(w[:, None, :], V[:, :width])[:, 0]
+            out = np.matmul(e[:, None, :], V[:, :width])[:, 0]
         else:
-            self.outputs = np.array([w[g, :m] @ V[g, :m] for g, m in enumerate(ragged)])
+            out = np.array([e[g, :m] @ V[g, :m] for g, m in enumerate(ragged)])
+        self.outputs = out / z
 
         if scores is not None:
             # Weights are zero on the padding; the incoming row starts at zero.
-            scores[:, :width] += w
+            scores[:, :width] += e / z
             scores[heads, n] = 0.0
 
         if diagnostics:
             if self.shadow is None:
                 # A full group's heads hold every position, so counts are equal.
-                self.recovery = w.sum(axis=1)
+                self.recovery = (e / z).sum(axis=1)
             else:
                 self.shadow = shadow = _room(self.shadow, pos, axis=1)
                 shadow[:, pos] = K[heads, n]
+                e, z = _weights(shadow, Q, pos + 1)
                 # C order, so each row sums pairwise, as ``row[:m].sum()``.
-                taken = _weights(shadow, Q, pos + 1)[heads[:, None], attended]
+                taken = e[heads[:, None], attended] / z
                 self.recovery = (
                     taken.sum(axis=1) if ragged is None
                     else np.add.reduce(taken, axis=1, where=visible, initial=0.0)
@@ -378,11 +382,7 @@ def prompt_head_data(model, tokens: list[int], prompt_len: int | None = None):
     heads, at = np.arange(cfg.num_heads), np.arange(n)[:, None]
     for layer in range(cfg.num_layers):
         # One (n, H, d) block per role; each head gets contiguous copies.
-        blocks = (
-            model.k_row(layer, heads, at, codes[:, None], p),
-            model.v_row(layer, heads, at),
-            model.q_row(layer, heads, at, p),
-        )
+        blocks = _model_rows(model, layer, heads, at, codes[:, None], p)
         for head in range(cfg.num_heads):
             K, V, Q = (np.ascontiguousarray(block[:, head]) for block in blocks)
             yield (layer, head), K, V, causal_attention(Q, K, cfg.head_dim), codes
@@ -467,17 +467,21 @@ def encode_prompt(
     return decisions, cache
 
 
-def _step_rows(model, pos: int, code, prompt_len: int) -> np.ndarray:
-    """Every head's K, V and Q rows at ``pos`` as ``(3, num_layers * num_heads,
-    d)``, by slot, one model call per role. All three are read before any group
-    advances, so a failed read leaves the cache as it was."""
-    cfg = model.config
-    layers, heads = np.arange(cfg.num_layers)[:, None], np.arange(cfg.num_heads)
-    rows = np.empty((3, cfg.num_layers, cfg.num_heads, cfg.head_dim))
-    rows[0] = model.k_row(layers, heads, pos, code, prompt_len)
-    rows[1] = model.v_row(layers, heads, pos)
-    rows[2] = model.q_row(layers, heads, pos, prompt_len)
-    return rows.reshape(3, -1, cfg.head_dim)
+def _model_rows(model, layer, head, pos, code, prompt_len: int) -> np.ndarray:
+    """The K, V and Q rows at broadcast ``layer``, ``head`` and ``pos``, one model
+    call per role, as one float32 ``(3, *shape, d)`` array. A row not finite in
+    float32 (an entry past its range) is an ``EngineError``, not NaN weights."""
+    with np.errstate(over="ignore"):
+        rows = np.array([model.k_row(layer, head, pos, code, prompt_len),
+                         model.v_row(layer, head, pos),
+                         model.q_row(layer, head, pos, prompt_len)], np.float32)
+    if not np.isfinite(rows).all():
+        role, *at = np.argwhere(~np.isfinite(rows))[0, :-1]
+        layer, head, pos = (np.broadcast_to(x, rows.shape[1:-1])[tuple(at)]
+                            for x in (layer, head, pos))
+        raise EngineError(f"{'KVQ'[role]} row at layer {layer}, head {head}, "
+                          f"position {pos} is not finite in float32")
+    return rows
 
 
 def generate_step(
@@ -506,7 +510,10 @@ def generate_step(
     if last_token is not None:
         pos = cache.seq_len
         klass = model.vocab.classify_id(last_token)
-        new_rows = _step_rows(model, pos, klass, cache.prompt_len)
+        # Read before any group advances, so that a failed read changes nothing.
+        layers, heads = (np.arange(m) for m in cache.grid)
+        new_rows = _model_rows(model, layers[:, None], heads, pos, klass, cache.prompt_len)
+        new_rows = new_rows.reshape(3, layers.size * heads.size, -1)
         cache.codes = _room(cache.codes, pos)
         cache.codes[pos] = klass
         for group in cache.groups:
@@ -593,7 +600,7 @@ def reference_generate(
     # Sized for the whole run, so the buffers never grow; each head's rows
     # are copied in as the prompt pass streams them.
     shape = (slots.size, n + max(gen_cfg.max_new_tokens - 1, 0), model.config.head_dim)
-    K_all, V_all = np.empty(shape), np.empty(shape)
+    K_all, V_all = np.empty(shape, np.float32), np.empty(shape, np.float32)
     outputs = np.empty((slots.size, shape[2]))
     for g, (_, K, V, stats, codes) in enumerate(prompt_head_data(model, prompt_tokens)):
         K_all[g, :n] = K

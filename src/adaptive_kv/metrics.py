@@ -1,7 +1,7 @@
 """Memory accounting and analysis reports.
 
 Byte figures model the serving layout (fp16 scalars by default); the
-engine itself runs float64. All report builders are read-only over
+engine stores float32 rows and float64 masses. All report builders are read-only over
 engine outputs and return rows, which ``rows_to_csv`` renders as CSV and
 ``rows_to_json`` as a JSON document; the CLI writes each report in the
 one format ``--format`` names.

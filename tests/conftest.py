@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from adaptive_kv.attention import softmax_rows
+from adaptive_kv.attention import BLOCK_ROWS
 from adaptive_kv.engine import prompt_head_data
 from adaptive_kv.model import (
     Archetype,
@@ -18,11 +18,29 @@ def make_codes(classes: list[TokenClass]) -> np.ndarray:
     return np.array(classes, dtype=np.int8)
 
 
-def explicit_map(Q: np.ndarray, K: np.ndarray) -> np.ndarray:
-    """The whole causal map softmax(Q K^T / sqrt(d)), as the oracle for the
+def causal_rows(Q: np.ndarray, K: np.ndarray, block_rows: int = BLOCK_ROWS):
+    """Each query row of the causal map softmax(Q K^T / sqrt(d)) in turn,
+    under the engine's dtype contract: float32 logits from ``block_rows``-row
+    products (the prompt pass's by default), float32 exponentials over the
+    row's own prefix, and float64 quotients over their float64 sum."""
+    Q, K = (np.asarray(M, dtype=np.float32) for M in (Q, K))
+    n, d = Q.shape
+    for s in range(0, n, block_rows):
+        e = min(s + block_rows, n)
+        logits = Q[s:e] @ K[:e].T / np.float32(np.sqrt(d))
+        for i in range(s, e):
+            prefix = logits[i - s, : i + 1]
+            exp = np.exp(prefix - prefix.max())
+            yield exp / exp.sum(dtype=np.float64)
+
+
+def explicit_map(Q: np.ndarray, K: np.ndarray, block_rows: int = BLOCK_ROWS) -> np.ndarray:
+    """The whole causal map from ``causal_rows``, as the oracle for the
     statistics ``causal_attention`` streams."""
-    logits = Q @ K.T / np.sqrt(float(Q.shape[1]))
-    return softmax_rows(logits, causal_lengths=range(1, Q.shape[0] + 1))
+    M = np.zeros((Q.shape[0], Q.shape[0]))
+    for i, row in enumerate(causal_rows(Q, K, block_rows)):
+        M[i, : i + 1] = row
+    return M
 
 
 def head_maps(model, tokens: list[int], prompt_len: int | None = None) -> dict:

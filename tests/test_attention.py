@@ -20,7 +20,7 @@ from adaptive_kv.attention import (
     softmax_rows,
     softmax_vector,
 )
-from conftest import explicit_map
+from conftest import causal_rows, explicit_map
 
 
 def test_softmax_symmetric_row():
@@ -62,14 +62,16 @@ def test_causal_attention_single_token():
 
 
 def test_causal_attention_two_by_two_hand_evaluated():
-    # Row 1 logits are [q1.k0, q1.k1] / sqrt(1) = [2, -2]; evaluate the
-    # softmax by hand with scalar math and check output = last_row @ V.
+    # Row 1 logits are [q1.k0, q1.k1] / sqrt(1) = [2, -2], exact in float32;
+    # less their max they are [0, -4]. Evaluate the softmax by hand with
+    # scalar math on the float32 exponentials, exp(0) = 1 and exp(-4) (which
+    # float32 rounds correctly), and check output = last_row @ V.
     Q = np.array([[1.0], [2.0]])
     K = np.array([[1.0], [-1.0]])
     V = np.array([[3.0], [5.0]])
     stats = causal_attention(Q, K, 1)
-    w0 = math.exp(2.0) / (math.exp(2.0) + math.exp(-2.0))
-    w1 = math.exp(-2.0) / (math.exp(2.0) + math.exp(-2.0))
+    e = float(np.float32(math.exp(-4.0)))
+    w0, w1 = 1.0 / (1.0 + e), e / (1.0 + e)
     # Row 0 sees only key 0, so it adds 1 to column 0.
     assert stats.colsum == pytest.approx([1.0 + w0, w1], abs=1e-15)
     assert stats.last_row == pytest.approx([w0, w1], abs=1e-15)
@@ -234,7 +236,7 @@ def test_stats_are_bitwise_the_explicit_maps_when_products_are_exact():
     rng = np.random.default_rng(3)
     for n in (1, 127, 128, 129, 300, 1100):
         Q, K = (rng.integers(-8, 9, size=(n, 8)) / 4.0 for _ in range(2))
-        M = explicit_map(Q, K)
+        M = explicit_map(Q, K, block_rows=n)
         stats = causal_attention(Q, K, 8)
         assert np.array_equal(stats.colsum, M.sum(axis=0)), n
         assert np.array_equal(stats.last_row, M[-1]), n
@@ -243,20 +245,14 @@ def test_stats_are_bitwise_the_explicit_maps_when_products_are_exact():
 def row_order_oracle(Q: np.ndarray, K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Column sums and last row of the causal map, one query row at a time.
 
-    The logits are the same ``BLOCK_ROWS``-row products the prompt pass
-    takes; each row is softmaxed over its own prefix and added into the
-    column sums after the rows before it.
+    The rows are ``causal_rows``': the same ``BLOCK_ROWS``-row float32
+    products the prompt pass takes, each row softmaxed over its own prefix
+    into float64 quotients, and added into the column sums after the rows
+    before it.
     """
-    n, d = Q.shape
-    colsum, row = np.zeros(n), None
-    for s in range(0, n, BLOCK_ROWS):
-        e = min(s + BLOCK_ROWS, n)
-        logits = Q[s:e] @ K[:e].T / np.sqrt(float(d))
-        for i in range(s, e):
-            prefix = logits[i - s, : i + 1]
-            exp = np.exp(prefix - prefix.max())
-            row = exp / exp.sum()
-            colsum[: i + 1] += row
+    colsum, row = np.zeros(Q.shape[0]), None
+    for row in causal_rows(Q, K):
+        colsum[: row.size] += row
     return colsum, row
 
 
@@ -283,26 +279,28 @@ def test_causal_attention_peak_memory_is_a_fraction_of_one_map():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # The P x P float64 map would be 32 MiB; one (BLOCK_ROWS + 1) x P
-    # float64 buffer is 2.02 MiB, and the bool mask adds an eighth of it.
+    # The P x P float64 map would be 32 MiB and one (BLOCK_ROWS + 1) x P
+    # float64 buffer 2.02 MiB. The pass holds half of one in its float32
+    # logits, an eighth in its bool mask, a quarter in Q and K cast to
+    # float32, and a (SUM_ROWS + 1) x P float64 buffer of quotients.
     assert peak <= 1.25 * (BLOCK_ROWS + 1) * P * 8, peak / 2**20
 
 
 # SHA-256 of ``colsum.tobytes() + last_row.tobytes()`` of
 # ``causal_attention(Q, K, 32)`` for Q and K drawn from ``default_rng(P)``,
-# under one BLAS thread (the benchmark's setting: at P=300 the product's
-# bits depend on the BLAS thread count). Any change to the prompt pass's
-# arithmetic shows here; such a change must re-record these alongside the
-# CLI goldens. Sizes that are multiples of ``BLOCK_ROWS`` have the bits of
-# the whole-map pass; at 129 and 300 the blocked product's tail tile
-# takes another BLAS path.
+# under one BLAS thread (the benchmark's setting: at P=300 the float64
+# product's bits depended on the BLAS thread count). Any change to the
+# prompt pass's arithmetic shows here; such a change must re-record these
+# alongside the CLI goldens. Sizes that are multiples of ``BLOCK_ROWS``, and
+# 300, have the bits of the whole-map pass; at 129 the blocked product's
+# tail tile takes another BLAS path.
 CAUSAL_ATTENTION_SHA256 = {
     1: "5f07eef034c5a21fedede8ef2f970fefbcc8ea44c02fd970117dacbee5483005",
-    128: "26ee8faad065341eba63a868cc06dec7e466c1a3588d85393ef1a9317c67dc18",
-    129: "356dbaeba4eb08d30fbe07e0e034d1b9fccb1fb5daf77b65658add7f8ecf4dfb",
-    300: "93c25faf458dc810250f1ef6f5294c06b3eff8ea0daca6ebc4bc580ddc3608e7",
-    512: "b77d7674966ae534f09eaa9d2c10e8e75289f8d8346df79ff736388c420a5d38",
-    1024: "c9f797f9bc07dfe802d15256fc4a565043f24e3a4e712caf0f188f710b0d32e1",
+    128: "db0a65ea72dc5ceba8f3f91c6cf08c4b4ef2cbca3e36003349c52535da25f75c",
+    129: "f9e37b994c695e1b38ded888133a4a2af3acffa444162e5c51f4c7eabad339a0",
+    300: "d19467ae442659d8a8426f58088e190991b57374ac8fb3bd1b51b2ba592da13b",
+    512: "a67f507034c58bbea43e489e569527daeeb8037c3663ec5344b97e5e232da580",
+    1024: "268bcab5b7089236edd8fe69ed91d0a3e001332f72903ae3b2d943e031f16308",
 }
 
 _HASH_SCRIPT = """

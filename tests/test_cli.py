@@ -10,13 +10,16 @@ the same ``CASES``.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from adaptive_kv import cli
+from adaptive_kv.trace import record_trace, write_trace
 
 DATA = Path(__file__).resolve().parent / "data" / "cli"
 PLAN = str(DATA / "plan.ini")
@@ -139,6 +142,24 @@ def test_nonpositive_trace_prompt_len_is_one_error_line(tmp_path, capsys, monkey
         ["profile", "--trace", "synth/trace.akvt", "--prompt-len", "-5", "--out", "out"],
         capsys,
         "prompt_len must be >= 1",
+    )
+
+
+@pytest.mark.parametrize("command, pos", [("profile", 5), ("generate", 33)],
+                         ids=["prompt-row", "decode-row"])
+def test_trace_row_past_float32_range_is_one_error_line(tmp_path, capsys, command, pos):
+    # 1e39 is a valid float64 entry of an AKVT trace, but not of a float32 row.
+    model, prompt_len, _ = cli.load_plan(PLAN)
+    trace = record_trace(model, model.prompt_token_ids(prompt_len + 3), prompt_len)
+    block = trace.blocks[(1, 2)][pos]
+    trace.blocks[(1, 2)][pos] = dataclasses.replace(block, v=np.full_like(block.v, 1e39))
+    write_trace(trace, tmp_path / "huge.akvt")
+    argv = [command, "--trace", str(tmp_path / "huge.akvt"), "--out", str(tmp_path / "out"),
+            "--prompt-len", str(prompt_len)]
+    if command == "generate":
+        argv += ["--max-new-tokens", "4"]
+    expect_one_error_line(
+        argv, capsys, f"V row at layer 1, head 2, position {pos} is not finite in float32"
     )
 
 

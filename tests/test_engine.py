@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 import tracemalloc
@@ -9,7 +10,6 @@ import numpy as np
 import pytest
 
 from adaptive_kv import engine
-from adaptive_kv.attention import softmax_vector
 from adaptive_kv.engine import (
     CompressedCache,
     EngineError,
@@ -43,7 +43,7 @@ from adaptive_kv.model import (
 )
 from adaptive_kv.profiler import ProfilerConfig
 from adaptive_kv.tokens import TokenClass, VocabMetadata, classify_tokens
-from adaptive_kv.trace import TraceModel, record_trace
+from adaptive_kv.trace import TraceBlock, TraceModel, record_trace
 
 from conftest import make_codes
 
@@ -89,7 +89,8 @@ def reference_retained(policy, codes, scores, prompt_len, candidates=None) -> li
 
 
 class Rows:
-    """Memoised model rows by (layer, head, position, class)."""
+    """Memoised model rows by (layer, head, position, class), cast to float32
+    as the engine stores them."""
 
     def __init__(self, model, prompt_len):
         self.model = model
@@ -100,12 +101,23 @@ class Rows:
         key = (layer, head, pos, klass)
         if key not in self._rows:
             m = self.model
-            self._rows[key] = (
-                m.k_row(layer, head, pos, klass, self.prompt_len),
-                m.v_row(layer, head, pos),
-                m.q_row(layer, head, pos, self.prompt_len),
+            self._rows[key] = tuple(
+                row.astype(np.float32)
+                for row in (
+                    m.k_row(layer, head, pos, klass, self.prompt_len),
+                    m.v_row(layer, head, pos),
+                    m.q_row(layer, head, pos, self.prompt_len),
+                )
             )
         return self._rows[key]
+
+
+def attend(K: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """A decode attend's weights under the engine's dtype contract: float32
+    logits and exponentials, float64 quotients over their float64 sum."""
+    logits = (K @ q) / np.float32(np.sqrt(q.size))
+    exp = np.exp(logits - logits.max())
+    return exp / exp.sum(dtype=np.float64)
 
 
 def head_slots(cache):
@@ -203,7 +215,6 @@ def test_cache_matches_list_reference_every_step(request, policy):
         prompt = model.prompt_token_ids(prompt_len)
         profile, cache = encode_prompt(model, prompt, ProfilerConfig.fixed(policy))
     grid = model.config.head_grid()
-    d = model.config.head_dim
     check_group_layout(cache, grid)
     ref_scores = {
         key: stats.colsum for key, _, _, stats, _ in prompt_head_data(model, prompt)
@@ -245,7 +256,7 @@ def test_cache_matches_list_reference_every_step(request, policy):
             attended = previous[key] + [pos]
             K = np.vstack([rows(layer, head, p, classes[p])[0] for p in attended])
             q = rows(layer, head, pos, classes[pos])[2]
-            weights = softmax_vector((K @ q) / np.sqrt(float(d)))
+            weights = attend(K, q)
             ref_scores[key] = update_cumulative_scores(
                 ref_scores[key], weights[:-1], np.array(previous[key], dtype=np.intp)
             )
@@ -271,7 +282,7 @@ def test_cache_matches_list_reference_every_step(request, policy):
             history = np.vstack(
                 [rows(layer, head, p, classes[p])[0] for p in range(pos + 1)]
             )
-            full_weights = softmax_vector(history @ q / np.sqrt(d))
+            full_weights = attend(history, q)
             recoveries.append(float(full_weights[attended].sum()))
         assert cache.last_record.mean_recovery == float(np.mean(recoveries))
     assert growths >= 1
@@ -349,15 +360,17 @@ def test_ragged_frequent_group_matches_one_head_groups_on_fixed_rows():
         frozenset({PolicyAtom.SPECIAL, PolicyAtom.FREQUENT}), r_f=0.2
     )
     codes = rng.choice(np.array([0, 2, 2, 2], dtype=np.int8), prompt_len + steps)
-    shadow = rng.standard_normal((len(keys), prompt_len + steps, d))
+    # Rows are float32 and scores float64, as the engine stores them.
+    shadow = rng.standard_normal((len(keys), prompt_len + steps, d), np.float32)
     live = [np.sort(rng.choice(prompt_len, m, replace=False)) for m in (3, 11, 24)]
     width = max(idx.size for idx in live) + steps
-    buffers = {name: np.zeros((len(keys), width) + tail)
-               for name, tail in (("K", (d,)), ("V", (d,)), ("scores", ()))}
+    buffers = {name: np.zeros((len(keys), width) + tail, dtype)
+               for name, tail, dtype in (("K", (d,), np.float32), ("V", (d,), np.float32),
+                                         ("scores", (), np.float64))}
     pos = np.zeros((len(keys), width), dtype=np.intp)
     for g, idx in enumerate(live):
         buffers["K"][g, : idx.size] = shadow[g, idx]
-        buffers["V"][g, : idx.size] = rng.standard_normal((idx.size, d))
+        buffers["V"][g, : idx.size] = rng.standard_normal((idx.size, d), np.float32)
         buffers["scores"][g, : idx.size] = rng.uniform(0.0, 3.0, idx.size)
         pos[g, : idx.size] = idx
     group = HeadGroup(
@@ -368,7 +381,7 @@ def test_ragged_frequent_group_matches_one_head_groups_on_fixed_rows():
     singles = one_head_groups(group)
     ragged = 0
     for at in range(prompt_len, prompt_len + steps):
-        new_rows = rng.standard_normal((3, layers, heads, d)).reshape(3, -1, d)
+        new_rows = rng.standard_normal((3, layers, heads, d), np.float32).reshape(3, -1, d)
         for g in [group, *singles]:
             g.advance(new_rows, at, prompt_len, codes, diagnostics=True)
         ragged += len(set(group.n.tolist())) > 1
@@ -709,9 +722,132 @@ def test_prompt_pass_keeps_one_attention_map_alive():
     reference = _traced_peak(
         lambda: reference_generate(model, prompt, GenerationConfig(0))
     )
-    # Holding every head's float64 map at once would exceed 1.0.
+    # ``all_maps`` is every head's P x P map as float64 masses; holding them at
+    # once would exceed 1.0.
     assert encode < 0.5 * all_maps, encode / all_maps
     assert reference < 0.5 * all_maps, reference / all_maps
+
+
+def trace_with_entry(model, tokens, prompt_len, key, pos, role, value):
+    """``record_trace`` of ``tokens`` with one entry of the ``role`` row of
+    head ``key`` at ``pos`` set to ``value``."""
+    trace = record_trace(model, tokens, prompt_len)
+    block: TraceBlock = trace.blocks[key][pos]
+    row = getattr(block, role).copy()
+    row[3] = value
+    trace.blocks[key][pos] = dataclasses.replace(block, **{role: row})
+    return trace
+
+
+@pytest.mark.parametrize("diagnostics", [False, True], ids=["plain", "diagnostics"])
+def test_prompt_row_past_float32_range_is_an_engine_error(mixed_model, diagnostics):
+    # 1e39 is a finite float64, so the trace accepts it, but float32 has no
+    # such value: cast, it would be inf and the softmax NaN.
+    tokens = mixed_model.prompt_token_ids(PROMPT_LEN)
+    model = TraceModel(
+        trace_with_entry(mixed_model, tokens, PROMPT_LEN, (2, 1), 5, "k", 1e39)
+    )
+    match = "K row at layer 2, head 1, position 5 is not finite in float32"
+    with pytest.raises(EngineError, match=match):
+        encode_prompt(model, tokens, mixed_groups_config(), diagnostics)
+    with pytest.raises(EngineError, match=match):
+        reference_generate(model, tokens, GenerationConfig(2))
+
+
+@pytest.mark.parametrize("diagnostics", [False, True], ids=["plain", "diagnostics"])
+def test_decode_row_past_float32_range_leaves_the_cache_unchanged(
+    mixed_model, diagnostics
+):
+    # The third step reads position PROMPT_LEN + 1, whose Q row of head
+    # (3, 2) holds -1e39.
+    tokens = mixed_model.prompt_token_ids(PROMPT_LEN + 3)
+    bad = PROMPT_LEN + 1
+    model = TraceModel(
+        trace_with_entry(mixed_model, tokens, PROMPT_LEN, (3, 2), bad, "q", -1e39)
+    )
+    _, cache = encode_prompt(model, tokens[:PROMPT_LEN], mixed_groups_config(), diagnostics)
+    token = None
+    for _ in range(2):
+        token, cache = generate_step(model, cache, token)
+    record, before = cache.last_record, cache_state(cache)
+    match = f"Q row at layer 3, head 2, position {bad} is not finite in float32"
+    with pytest.raises(EngineError, match=match):
+        generate_step(model, cache, token)
+    assert cache.last_record is record
+    assert cache_state(cache) == before
+    with pytest.raises(EngineError, match=match):
+        reference_generate(model, tokens[:PROMPT_LEN], GenerationConfig(4))
+
+
+def test_rows_and_caches_are_float32_and_masses_float64(mixed_model, monkeypatch):
+    logits_inputs = []
+    head_logits = mixed_model.head_logits
+
+    def recorded(outputs):
+        logits_inputs.append(outputs.dtype)
+        return head_logits(outputs)
+
+    monkeypatch.setattr(mixed_model, "head_logits", recorded)
+    prompt = mixed_model.prompt_token_ids(GOLDEN_PROMPT)
+    for _, K, V, stats, _ in prompt_head_data(mixed_model, prompt):
+        assert K.dtype == V.dtype == np.float32
+        assert stats.colsum.dtype == stats.last_row.dtype == np.float64
+    cfg = GenerationConfig(STEPS)
+    run = generate(mixed_model, prompt, mixed_groups_config(), cfg, diagnostics=True)
+    ref = reference_generate(mixed_model, prompt, cfg)
+    groups = run.cache.groups + ref.cache.groups
+    assert sum(group.scores is not None for group in groups) == 1
+    assert sum(group.shadow is not None for group in groups) == 3
+    for group in groups:
+        assert group.K.dtype == group.V.dtype == np.float32
+        assert group.shadow is None or group.shadow.dtype == np.float32
+        assert group.scores is None or group.scores.dtype == np.float64
+        assert group.outputs.dtype == group.recovery.dtype == np.float64
+    assert len(logits_inputs) == 2 * STEPS
+    assert set(logits_inputs) == {np.dtype(np.float64)}
+
+
+def test_session_holds_two_float32_rows_per_retained_row():
+    """The K and V buffers of an encoded cache, and of a reference session
+    sized for its run, hold 2 * 4 * d bytes per retained position."""
+    config = ModelConfig(num_layers=2, num_heads=4, head_dim=32, vocab_size=64, seed=5)
+    synth = SyntheticModel(config, cycling_plan(config, list(Archetype)), 0.97)
+    prompt = synth.prompt_token_ids(200)
+    model = TraceModel(record_trace(synth, prompt + [9] * 15, len(prompt)))
+    # Every head keeps the same set, so each group's buffers are full.
+    policy = CompressionPolicy(frozenset({PolicyAtom.SPECIAL, PolicyAtom.LOCAL}))
+    row_bytes = 2 * 4 * config.head_dim
+
+    def array_bytes() -> int:
+        # numpy traces array data, not array objects, in its own domain.
+        only_data = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
+        traces = tracemalloc.take_snapshot().filter_traces([only_data])
+        return sum(stat.size for stat in traces.statistics("filename"))
+
+    def kv_bytes(cache) -> int:
+        held = array_bytes()
+        for group in cache.groups:
+            group.K = group.V = None
+        return held - array_bytes()
+
+    tracemalloc.start()
+    try:
+        _, cache = encode_prompt(model, prompt, ProfilerConfig.fixed(policy), False)
+        retained = sum(cache.head_retained().values())
+        assert kv_bytes(cache) == row_bytes * retained
+        ref = reference_generate(model, prompt, GenerationConfig(16))
+        retained = sum(ref.cache.head_retained().values())
+        assert retained == len(config.head_grid()) * (len(prompt) + 15)
+        assert kv_bytes(ref.cache) == row_bytes * retained
+    finally:
+        tracemalloc.stop()
+
+
+def _live_digest(digest, cache):
+    """Fold each head's live positions, in head_grid() order, into ``digest``."""
+    for key, live in live_positions(cache).items():
+        digest.update(repr(key).encode())
+        digest.update(live.astype(np.int64).tobytes())
 
 
 def _step_digest(digest, rec, cache):
@@ -720,9 +856,7 @@ def _step_digest(digest, rec, cache):
     digest.update(repr((rec.step, rec.token_id, rec.total_cache_tokens)).encode())
     digest.update(repr(list(rec.head_retained.items())).encode())
     digest.update(float(rec.mean_recovery).hex().encode())
-    for key, live in live_positions(cache).items():
-        digest.update(repr(key).encode())
-        digest.update(live.astype(np.int64).tobytes())
+    _live_digest(digest, cache)
 
 
 # A replayed session whose profile mixes full, special, special+local and
@@ -730,7 +864,19 @@ def _step_digest(digest, rec, cache):
 # nucleus sampling. Its digest pins the bits of every step record and of
 # every head's live positions after each step.
 DECODE_GOLDEN_SHA256 = (
-    "8dadffaf5610cedab4fe23969274b7ec24aaf63ede868966900bd29deb33a442"
+    "864ade9a6a1122a3611beccd866cfcc174cda7d97aa58e1cdd1454fa5892150d"
+)
+# The same session's tokens, and the digest of its live positions after each
+# step, as the float64 engine decoded them: float32 rows and caches moved
+# only the recovery bits.
+DECODE_GOLDEN_TOKENS = [
+    24, 17, 21, 6, 3, 40, 12, 24, 41, 26, 31, 41, 42, 8, 19, 4, 9, 34, 23, 26, 17,
+    5, 2, 7, 36, 5, 20, 31, 28, 16, 37, 26, 4, 32, 0, 41, 41, 19, 27, 15, 23, 37,
+    21, 41, 13, 37, 18, 27, 47, 17, 18, 15, 6, 47, 38, 15, 47, 42, 42, 0, 20, 14,
+    31, 44, 39, 18, 31, 42, 44, 16, 16, 38, 21, 38, 37, 39, 5, 47, 44, 31
+]
+DECODE_GOLDEN_LIVE_SHA256 = (
+    "4ee01b6e3bd5bdfa05106b0e98c17e937d8427815b1e7d6a61c9709ccb15b32b"
 )
 
 
@@ -742,7 +888,12 @@ def test_decode_golden(mixed_model):
     )
     assert {str(d.policy) for _, d in profile.items()} == MIXED_GROUP_POLICIES
     digest, sampler, token = hashlib.sha256(), Sampler(Nucleus(seed=9)), None
+    live, sampled = hashlib.sha256(), []
     for _ in range(GOLDEN_STEPS):
         token, cache = generate_step(model, cache, token, sampler)
         _step_digest(digest, cache.last_record, cache)
+        _live_digest(live, cache)
+        sampled.append(token)
+    assert sampled == DECODE_GOLDEN_TOKENS
+    assert live.hexdigest() == DECODE_GOLDEN_LIVE_SHA256
     assert digest.hexdigest() == DECODE_GOLDEN_SHA256

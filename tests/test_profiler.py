@@ -191,3 +191,36 @@ def test_fixed_config_selects_what_evaluate_policy_gives(n, seed, policy):
     assert float(fixed.recovery).hex() == float(direct.recovery).hex()
     assert fixed.cost_tokens == direct.cost_tokens
     assert np.array_equal(fixed.retained, direct.retained)
+
+
+# Each head's policy, cost and recovery on the planted 4 x 4 plan at P=256
+# under the default config, as the float64 engine profiled it. Float32 rows
+# and logits must keep every policy and cost, and each recovery within 1e-6.
+PLANTED_PROFILE_P256 = {
+    (0, 0): ("special", 1, 0.9994719479270923),
+    (0, 1): ("special", 1, 0.9994722728460528),
+    (0, 2): ("special+punct+frequent(r_f=0.3)", 80, 0.9999360817846695),
+    (0, 3): ("full", 256, 1.0),
+    (1, 0): ("special", 1, 0.9994721376894062),
+    (1, 1): ("special+punct+frequent(r_f=0.3)", 80, 0.9999360570472526),
+    (1, 2): ("full", 256, 1.0),
+    (1, 3): ("special", 1, 0.9994720156637303),
+    (2, 0): ("special+punct+frequent(r_f=0.3)", 80, 0.9999360828429538),
+    (2, 1): ("special", 1, 0.9994718566776389),
+    (2, 2): ("full", 256, 1.0),
+    (2, 3): ("special", 1, 0.9994721327502861),
+    (3, 0): ("full", 256, 1.0),
+    (3, 1): ("special", 1, 0.9994718571457367),
+    (3, 2): ("special+punct+frequent(r_f=0.3)", 80, 0.9999360575302869),
+    (3, 3): ("special", 1, 0.9994719383566141),
+}
+
+
+def test_planted_profile_keeps_the_float64_decisions(mixed_model):
+    prompt = mixed_model.prompt_token_ids(256)
+    profile, _ = encode_prompt(mixed_model, prompt, ProfilerConfig(), diagnostics=False)
+    assert list(profile) == list(PLANTED_PROFILE_P256)
+    for key, (policy, cost, recovery) in PLANTED_PROFILE_P256.items():
+        decision = profile[key]
+        assert (str(decision.policy), decision.cost_tokens) == (policy, cost), key
+        assert abs(decision.recovery - recovery) <= 1e-6, key
