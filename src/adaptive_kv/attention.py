@@ -102,7 +102,7 @@ def softmax_rows(m, causal_lengths: Sequence[int] | None = None) -> np.ndarray:
 
     When ``causal_lengths`` is given, row i is normalized over its first
     ``causal_lengths[i]`` columns and the rest are set to exactly zero.
-    The input is copied and normalised in place by the routine the
+    The input is copied and exponentiated in place by the routine the
     engine's ragged attends use, so each row's bits are those of a
     per-row softmax over its own prefix.
     """
