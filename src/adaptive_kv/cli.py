@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import logging
 import os
 import sys
 from dataclasses import fields, replace
@@ -68,10 +67,6 @@ from .policies import PolicyAtom, PolicyError, feasible_set, parse_policy
 from .profiler import ProfilerConfig, profile_model
 from .trace import TraceError, TraceModel, read_trace, record_trace, write_trace
 
-logger = logging.getLogger("adaptive_kv")
-
-_LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
-
 # The config section of each option not read from its command's own section.
 _SECTIONS = {
     **dict.fromkeys(("plan", "trace", "prompt_len", "steps"), "model"),
@@ -95,13 +90,6 @@ _PLAN_KEYS = {
 
 class CliError(Exception):
     """Fatal CLI problem; rendered as one line on stderr."""
-
-
-def _setup_logging():
-    level = _LOG_LEVELS.get(os.environ.get("AKV_LOG", "error").lower())
-    if level is None:
-        level = logging.ERROR
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
 def _read_ini(path: str, what: str) -> configparser.ConfigParser:
@@ -297,7 +285,6 @@ def _out_dir(args: argparse.Namespace) -> Path:
 
 def _write(path: Path, content: str):
     path.write_text(content, encoding="utf-8")
-    logger.info("wrote %s", path)
 
 
 def _emit_report(out: Path, name: str, columns, rows, fmt: str):
@@ -408,8 +395,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         print(f"profile stability: {stability_fraction(entries):.4f}")
         wrote_any = True
 
-    if args.compare:
-        fixed = _comma_list(args, "compare", parse_policy)
+    if args.compare or args.compare_feasible:
+        fixed = _comma_list(args, "compare", parse_policy) if args.compare else []
         gen_cfg = _generation_config(args)
         extra = {}
         if args.compare_feasible:
@@ -430,7 +417,8 @@ def cmd_report(args: argparse.Namespace) -> int:
 
     if not wrote_any:
         raise CliError(
-            "report needs at least one of --tradeoff, --consistency, --compare"
+            "report needs at least one of --tradeoff, --consistency, --compare, "
+            "--compare-feasible"
         )
     return 0
 
@@ -584,7 +572,6 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    _setup_logging()
     try:
         args = parse_args(argv)
         return _COMMANDS[args.command](args)

@@ -27,19 +27,20 @@ model so holds at most ``3 * L`` windows of ``W * H`` rows of ``4 * B``
 words, whatever it has read: 12 streams at 4 layers, 384 KB at 8 heads
 and ``d = 32``. Every row it returns owns its memory.
 
-Row methods take one row or a block. ``k_row``, ``q_row`` and ``v_row``
-with int ``layer``, ``head`` and ``pos`` return one ``(d,)`` row.
-``k_row``'s ``klass`` is a ``TokenClass`` code; a code that names no
-class is a ``ModelError``. With an int array for any of them, ``layer``,
-``head`` and ``pos`` broadcast together, ``klass`` is a code array that
-broadcasts to their shape, and the result has shape ``broadcast shape +
-(d,)``, each row bit-equal to the same row read alone; an index array
-that does not hold integers is a ``ModelError``. A decode step reads
-``(L, H, d)`` with ``layer`` as ``layers[:, None]``, ``head`` every head
-and ``pos`` an int; the prompt pass reads ``(n, H, d)`` one layer at a
-time, with ``pos`` as ``positions[:, None]``. A ``SyntheticModel`` block
-is gathered from each layer's rows over the counter span it covers, with
-the planted dims filled once from per-class and per-archetype tables.
+Every row read is a block, through one body per role. ``k_row``,
+``q_row`` and ``v_row`` take ``layer``, ``head`` and ``pos`` as ints or
+int arrays that broadcast together, and return ``broadcast shape + (d,)``:
+three ints read one ``(d,)`` row. ``k_row``'s ``klass`` is a
+``TokenClass`` code, or a code array that broadcasts to their shape; a
+code that names no class, or an index array that does not hold integers,
+is a ``ModelError``. A decode step reads ``(L, H, d)`` with ``layer`` as
+``layers[:, None]``, ``head`` every head and ``pos`` an int; the prompt
+pass reads ``(n, H, d)`` one layer at a time, with ``pos`` as
+``positions[:, None]``. A ``SyntheticModel`` block is gathered from each
+layer's rows over the counter span it covers, with the planted dims
+filled once from per-class and per-archetype tables, so each of its rows
+is bit-equal to the same row read alone. Three Python ints skip the index
+arrays and slice their row out of the stream's window.
 """
 
 from __future__ import annotations
@@ -103,12 +104,6 @@ def _bounds(values: np.ndarray) -> tuple[int, int]:
     """Least and greatest entry; on a few, Python's min and max beat reductions."""
     flat = values.ravel().tolist() if values.size <= 64 else (values.min(), values.max())
     return int(min(flat)), int(max(flat))
-
-
-def _is_block(layer, head, pos) -> bool:
-    """Whether a read's indices hold an array: the read is then a block."""
-    array = np.ndarray
-    return isinstance(layer, array) or isinstance(head, array) or isinstance(pos, array)
 
 
 @dataclass(frozen=True)
@@ -354,19 +349,20 @@ class SyntheticModel:
         stream.start, stream.stop = lo, lo + self._window_rows
         return stream.fill(lo, stream.window)[: hi - lo + 1]
 
-    def _noise(self, role: int, layer: int, head: int, pos: int) -> np.ndarray:
-        """The words of row (pos, head): a view of the stream's rows, which
-        the caller copies out."""
-        flat = pos * self.config.num_heads + head
-        return self._rows(role, layer, flat, flat)[0]
-
     def _noise_block(
         self, role: int, layer, head, pos, n: int
     ) -> tuple[np.ndarray, int | None]:
         """The first ``n`` words of every row (layer, pos, head), the three
         broadcast, as a new ``broadcast shape + (n,)`` array, and the position
         all rows share, or None. Each layer's rows are gathered from one span
-        of its stream, between the least and the greatest (pos, head)."""
+        of its stream, between the least and the greatest (pos, head); three
+        Python ints read their one row from the stream's window."""
+        if type(layer) is int and type(head) is int and type(pos) is int:
+            self.config.check_layer(layer)
+            self.config.check_head(head)
+            self._check_position(pos)
+            flat = pos * self.config.num_heads + head
+            return self._rows(role, layer, flat, flat)[0, :n].copy(), pos
         (layer, head, pos), bounds = self.config.block_index(layer, head, pos)
         if bounds is None:
             shape = np.broadcast_shapes(layer.shape, head.shape, pos.shape)
@@ -446,62 +442,27 @@ class SyntheticModel:
         return [int(t) for t in ids]
 
     def k_row(self, layer, head, pos, klass, prompt_len: int) -> np.ndarray:
-        if _is_block(layer, head, pos):
-            return self._k_block(layer, head, pos, klass, prompt_len)
-        self.config.check_layer(layer)
-        self.config.check_head(head)
-        self._check_position(pos)
-        _check_class(klass)
-        d = self.config.head_dim
-        row = np.empty(d)
-        row[:_NUM_PLANTED_DIMS] = _CLASS_DIMS[klass]
-        row[_DIM_COLUMN] = pos in sparse_columns(prompt_len)
-        row[_DIM_POSITION] = pos * _POS_SCALE
-        noise = self._noise(_ROLE_KEY, layer, head, pos)
-        np.multiply(
-            noise[: d - _NUM_PLANTED_DIMS], self._noise_amp, out=row[_NUM_PLANTED_DIMS:]
-        )
-        return row
-
-    def _k_block(self, layer, head, pos, klass, prompt_len) -> np.ndarray:
         _check_class(klass)
         d = self.config.head_dim
         noise, at = self._noise_block(_ROLE_KEY, layer, head, pos, d - _NUM_PLANTED_DIMS)
         row = np.empty(noise.shape[:-1] + (d,))
         row[..., :_NUM_PLANTED_DIMS] = _CLASS_DIMS[klass]
         columns = sparse_columns(prompt_len)
-        if at is None:
-            row[..., _DIM_COLUMN] = np.isin(pos, columns)
-            row[..., _DIM_POSITION] = pos * _POS_SCALE
-        else:
-            row[..., _DIM_COLUMN:_NUM_PLANTED_DIMS] = (at in columns, at * _POS_SCALE)
+        # A position all rows share is tested against the columns once.
+        column, ramp = (np.isin(pos, columns), pos) if at is None else (at in columns, at)
+        row[..., _DIM_COLUMN] = column
+        row[..., _DIM_POSITION] = ramp * _POS_SCALE
         np.multiply(noise, self._noise_amp, out=row[..., _NUM_PLANTED_DIMS:])
         return row
 
     def q_row(self, layer, head, pos, prompt_len: int) -> np.ndarray:
-        if _is_block(layer, head, pos):
-            return self._q_block(layer, head, pos, prompt_len)
-        self.config.check_layer(layer)
-        self.config.check_head(head)
-        self._check_position(pos)
-        d = self.config.head_dim
-        row = np.empty(d)
-        switch_pos, dims = self._query_plan(prompt_len)
-        row[:_NUM_PLANTED_DIMS] = dims[layer, head, int(pos >= switch_pos[layer, head])]
-        noise = self._noise(_ROLE_QUERY, layer, head, pos)
-        np.multiply(
-            noise[: d - _NUM_PLANTED_DIMS],
-            self._sqrt_d * self._noise_amp,
-            out=row[_NUM_PLANTED_DIMS:],
-        )
-        return row
-
-    def _q_block(self, layer, head, pos, prompt_len) -> np.ndarray:
         d = self.config.head_dim
         noise, _ = self._noise_block(_ROLE_QUERY, layer, head, pos, d - _NUM_PLANTED_DIMS)
         switch_pos, dims = self._query_plan(prompt_len)
         row = np.empty(noise.shape[:-1] + (d,))
-        phase = (pos >= switch_pos[layer, head]).astype(np.intp)
+        late = pos >= switch_pos[layer, head]
+        # An int read compares one np.bool_, which int() reads faster than astype.
+        phase = int(late) if type(late) is np.bool_ else late.astype(np.intp)
         row[..., :_NUM_PLANTED_DIMS] = dims[layer, head, phase]
         np.multiply(
             noise, self._sqrt_d * self._noise_amp, out=row[..., _NUM_PLANTED_DIMS:]
@@ -509,13 +470,7 @@ class SyntheticModel:
         return row
 
     def v_row(self, layer, head, pos) -> np.ndarray:
-        d = self.config.head_dim
-        if _is_block(layer, head, pos):
-            return self._noise_block(_ROLE_VALUE, layer, head, pos, d)[0]
-        self.config.check_layer(layer)
-        self.config.check_head(head)
-        self._check_position(pos)
-        return self._noise(_ROLE_VALUE, layer, head, pos)[:d].copy()
+        return self._noise_block(_ROLE_VALUE, layer, head, pos, self.config.head_dim)[0]
 
     def head_logits(self, concat_outputs: np.ndarray) -> np.ndarray:
         """Next-token logits: seeded linear map over concatenated outputs."""

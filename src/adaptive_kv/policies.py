@@ -63,9 +63,13 @@ class CompressionPolicy:
             raise PolicyError("policy needs at least one atom")
         if PolicyAtom.FULL in atoms and atoms != {PolicyAtom.FULL}:
             raise PolicyError("full cannot be combined with other atoms")
-        for name, value in (("r_l", self.r_l), ("r_f", self.r_f)):
+        for name, value, atom in (("r_l", self.r_l, PolicyAtom.LOCAL),
+                                  ("r_f", self.r_f, PolicyAtom.FREQUENT)):
             if not 0.0 < value <= 1.0:
                 raise PolicyError(f"{name} must be in (0, 1], got {value}")
+            # A ratio no atom reads stays out of equality and hashing.
+            if atom not in atoms:
+                object.__setattr__(self, name, DEFAULT_RATIO)
 
     @property
     def is_full(self) -> bool:
@@ -113,6 +117,8 @@ def parse_policy(text: str) -> CompressionPolicy:
             atom = PolicyAtom(name)
         except ValueError:
             raise PolicyError(f"unknown policy atom {name!r}") from None
+        if atom in atoms:
+            raise PolicyError(f"policy atom {name!r} given twice in {text!r}")
         atoms.add(atom)
         if m.group("param") is not None:
             param, raw = m.group("param"), m.group("value")

@@ -342,6 +342,38 @@ def test_repeated_compare_policy_gets_a_row_each(tmp_path, capsys):
     assert lines[2] == lines[3]
 
 
+def test_compare_feasible_alone_writes_the_adaptive_and_variant_rows(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["report", "--plan", PLAN, "--max-new-tokens", "4", "--tradeoff", "0.9",
+            "--compare-feasible", "drop:frequent;drop:local"]
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    lines = (out / "comparison.csv").read_text(encoding="utf-8").splitlines()
+    methods = [line.split(",")[0] for line in lines]
+    assert methods == ["method", "adaptive[T=0.95]", "adaptive[drop:frequent]",
+                       "adaptive[drop:local]"]
+
+
+def test_report_without_a_table_names_every_table_flag(tmp_path, capsys):
+    expect_one_error_line(
+        ["report", "--plan", PLAN, "--out", str(tmp_path / "out")], capsys,
+        "report needs at least one of --tradeoff, --consistency, --compare, "
+        "--compare-feasible",
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--policy", "local(r_l=0.3)+local(r_l=0.5)"],
+        ["report", "--compare", "full,special+special"],
+    ],
+    ids=["generate", "report"],
+)
+def test_a_repeated_policy_atom_is_one_error_line(tmp_path, capsys, argv):
+    argv = [*argv, "--plan", PLAN, "--max-new-tokens", "4", "--out", str(tmp_path / "out")]
+    expect_one_error_line(argv, capsys, "given twice in")
+
+
 def test_empty_tradeoff_list_writes_a_header_only_table(tmp_path, capsys):
     out = tmp_path / "out"
     assert cli.main(["report", "--plan", PLAN, "--tradeoff", ",", "--out", str(out)]) == 0

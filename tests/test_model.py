@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
@@ -254,32 +255,88 @@ def counter_row(seed: int, role: int, layer: int, start: int, n: int) -> np.ndar
     return np.random.Generator(np.random.Philox(seq, counter=start)).uniform(-1.0, 1.0, n)
 
 
+def read_row(model, role: int, layer, head, pos, klass, prompt_len: int) -> np.ndarray:
+    if role == _ROLE_KEY:
+        return model.k_row(layer, head, pos, klass, prompt_len)
+    if role == _ROLE_QUERY:
+        return model.q_row(layer, head, pos, prompt_len)
+    return model.v_row(layer, head, pos)
+
+
 def noise_row(model: SyntheticModel, role: int, layer: int, head: int, pos: int):
     """The noise part of one row, read through the public row accessors."""
-    if role == _ROLE_KEY:
-        return model.k_row(layer, head, pos, TokenClass.OTHER, pos + 1)[_NUM_PLANTED_DIMS:]
-    if role == _ROLE_QUERY:
-        return model.q_row(layer, head, pos, pos + 1)[_NUM_PLANTED_DIMS:]
-    return model.v_row(layer, head, pos)
+    row = read_row(model, role, layer, head, pos, TokenClass.OTHER, pos + 1)
+    return row if role == _ROLE_VALUE else row[_NUM_PLANTED_DIMS:]
 
 
 ROW_ROLES = st.sampled_from([_ROLE_KEY, _ROLE_QUERY, _ROLE_VALUE])
 ROW_KEYS = st.tuples(ROW_ROLES, st.integers(0, 1), st.integers(0, 3), st.integers(0, 4095))
 
 
-@settings(max_examples=200, deadline=None)
-@given(SEEDS, ROW_KEYS)
-def test_row_read_alone_matches_its_philox_counter(seed, key):
-    role, layer, head, pos = key
-    model = seeded_model(seed)
-    d, heads = model.config.head_dim, model.config.num_heads
-    start = (pos * heads + head) * ((d + 3) // 4)
+def query_dims(model: SyntheticModel, layer: int, head: int, pos: int,
+               prompt_len: int) -> list[float]:
+    """Dims 0-3 of query row (layer, head, pos): the archetype of the phase
+    ``pos`` lies in plants one of them. Decode step s reads position
+    ``prompt_len + s - 1``, so a head switching at step s switches there."""
+    plan = model.plan[(layer, head)]
+    switched = plan.switch_step is not None and pos >= prompt_len + plan.switch_step - 1
+    archetype = plan.switch_to if switched else plan.archetype
+    sqrt_d = math.sqrt(float(model.config.head_dim))
+    odds = math.log(model.dominance / (1.0 - model.dominance))
+    dims = [0.0] * 4
+    if archetype in (Archetype.SPECIAL_DOMINANT, Archetype.COLUMN_SPARSE):
+        # The indicator logit outweighs max_context - 1 competitors whose
+        # noise moves each logit by at most 0.05.
+        indicator = odds + math.log(model.max_context) + 2.0 * 0.05 + 0.5
+        dims[0 if archetype is Archetype.SPECIAL_DOMINANT else 2] = indicator * sqrt_d
+    elif archetype is Archetype.LOCAL_DOMINANT:
+        # The slope beta that leaves at most 1 - dominance outside the local
+        # window, by fixed point; the position ramp is pos * 0.01.
+        window = math.ceil(model.local_window_frac * prompt_len)
+        target = odds + 2.0 * 0.05 + 0.3
+        beta = (target + 1.0) / window
+        for _ in range(80):
+            beta = (target + math.log(1.0 / (1.0 - math.exp(-beta)))) / window
+        dims[3] = beta * sqrt_d / 0.01
+    return dims
+
+
+def reference_row(model: SyntheticModel, role: int, layer: int, head: int, pos: int,
+                  klass: TokenClass, prompt_len: int) -> np.ndarray:
+    """Row (layer, head, pos) of ``role``, built from its Philox counter and
+    the planted-dim formulas: a key row plants its class's one-hot, whether
+    ``pos`` is a sparse column, and ``pos * 0.01``; noise words follow,
+    scaled so that they move a logit by at most 0.05."""
+    cfg = model.config
+    d = cfg.head_dim
+    start = (pos * cfg.num_heads + head) * ((d + 3) // 4)
     if role == _ROLE_VALUE:
-        want = counter_row(seed, role, layer, start, d)
+        return counter_row(cfg.seed, role, layer, start, d)
+    amp = math.sqrt(0.05 / (d - 4))
+    if role == _ROLE_KEY:
+        planted = [klass == TokenClass.SPECIAL, klass == TokenClass.PUNCTUATION,
+                   pos in sparse_columns(prompt_len), pos * 0.01]
     else:
-        scale = model._noise_amp * (model._sqrt_d if role == _ROLE_QUERY else 1.0)
-        want = counter_row(seed, role, layer, start, d - _NUM_PLANTED_DIMS) * scale
-    assert noise_row(model, role, layer, head, pos).tobytes() == want.tobytes()
+        planted = query_dims(model, layer, head, pos, prompt_len)
+        amp = math.sqrt(float(d)) * amp
+    noise = counter_row(cfg.seed, role, layer, start, d - 4) * amp
+    return np.concatenate([np.array(planted, dtype=float), noise])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_row_read_alone_matches_its_philox_counter(data):
+    model, tokens, prompt_len = data.draw(switching_models())
+    cfg = model.config
+    role = data.draw(ROW_ROLES)
+    layer = data.draw(st.integers(0, cfg.num_layers - 1))
+    head = data.draw(st.integers(0, cfg.num_heads - 1))
+    # Near the prompt, where sparse columns and phase switches lie, or anywhere.
+    pos = data.draw(st.one_of(st.integers(0, len(tokens) + 4), st.integers(0, 4095)))
+    klass = data.draw(st.sampled_from(list(TokenClass)))
+    want = reference_row(model, role, layer, head, pos, klass, prompt_len)
+    got = read_row(model, role, layer, head, pos, klass, prompt_len)
+    assert got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=50, deadline=None)
@@ -565,6 +622,33 @@ def test_block_equals_its_rows_read_one_at_a_time(drawn, rnd):
                 for role, block in blocks.items():
                     assert block.shape == shape + (cfg.head_dim,)
                     assert block[cell].tobytes() == alone[role].tobytes(), (role, cell)
+
+
+@settings(max_examples=60, deadline=None)
+@given(switching_models(), st.randoms())
+def test_block_rows_match_their_philox_counters_and_planted_dims(drawn, rnd):
+    model, tokens, prompt_len = drawn
+    cfg = model.config
+    n, layers, heads = len(tokens), cfg.num_layers, cfg.num_heads
+    codes = np.array([model.vocab.classify_id(t) for t in tokens], dtype=np.int8)
+    picks = [(rnd.randrange(layers), rnd.randrange(heads), rnd.randrange(n))
+             for _ in range(rnd.randint(1, 9))]
+    # A decode step over every layer and head, one layer's prompt pass, and
+    # scattered (layer, head, pos) picks.
+    blocks = [
+        (np.arange(layers)[:, None], np.arange(heads), rnd.randrange(n)),
+        (rnd.randrange(layers), np.arange(heads), np.arange(n)[:, None]),
+        tuple(np.array(column) for column in zip(*picks)),
+    ]
+    for layer, head, pos in blocks:
+        shape = np.broadcast_shapes(np.shape(layer), np.shape(head), np.shape(pos))
+        for role in (_ROLE_KEY, _ROLE_QUERY, _ROLE_VALUE):
+            block = read_row(model, role, layer, head, pos, codes[pos], prompt_len)
+            assert block.shape == shape + (cfg.head_dim,)
+            for cell in np.ndindex(shape):
+                one, h, p = (int(np.broadcast_to(x, shape)[cell]) for x in (layer, head, pos))
+                want = reference_row(model, role, one, h, p, TokenClass(codes[p]), prompt_len)
+                assert block[cell].tobytes() == want.tobytes(), (role, cell)
 
 
 def test_record_trace_reads_each_role_of_a_layer_in_one_block(model):

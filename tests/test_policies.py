@@ -476,6 +476,37 @@ def test_policy_string_round_trips_random():
             assert parsed.r_f == policy.r_f
 
 
+def test_every_feasible_member_round_trips_to_an_equal_policy():
+    for policy in feasible_set(r_l=0.2, r_f=0.4):
+        parsed = parse_policy(format_policy(policy))
+        assert parsed == policy, format_policy(policy)
+        assert hash(parsed) == hash(policy)
+
+
+def test_ratios_of_absent_atoms_do_not_tell_policies_apart():
+    special = atom_policy(PolicyAtom.SPECIAL)
+    assert atom_policy(PolicyAtom.SPECIAL, r_l=0.2, r_f=0.4) == special
+    assert hash(atom_policy(PolicyAtom.SPECIAL, r_l=0.2, r_f=0.4)) == hash(special)
+    assert atom_policy(PolicyAtom.LOCAL, r_l=0.2, r_f=0.4) == atom_policy(
+        PolicyAtom.LOCAL, r_l=0.2
+    )
+    assert atom_policy(PolicyAtom.LOCAL, r_l=0.2) != atom_policy(PolicyAtom.LOCAL)
+
+
+@pytest.mark.parametrize(
+    "text, atom",
+    [
+        ("local(r_l=0.3)+local(r_l=0.5)", "local"),
+        ("special+special", "special"),
+        ("frequent(r_f=0.2)+punct+frequent", "frequent"),
+        ("full+full", "full"),
+    ],
+)
+def test_a_repeated_atom_is_a_policy_error(text, atom):
+    with pytest.raises(PolicyError, match=f"^policy atom '{atom}' given twice in"):
+        parse_policy(text)
+
+
 def test_parse_policy_errors():
     with pytest.raises(PolicyError, match="unknown policy atom"):
         parse_policy("special+average")
